@@ -22,6 +22,7 @@ from .limits import guard_d
 __all__ = [
     "Arc",
     "Matching",
+    "arc_text",
     "classify_pair",
     "cyclic_interval",
     "cyclic_interval_mask",
@@ -51,8 +52,10 @@ class Arc(NamedTuple):
     def hi(self) -> int:
         return max(self.i, self.j)
 
-    def __str__(self) -> str:
-        return f"{self.i}{self.j}" if self.hi <= 9 else f"{self.i}-{self.j}"
+
+def arc_text(arc: Arc, n: int) -> str:
+    # digit concatenation only while every index of [1, n] is a single digit
+    return f"{arc.i}{arc.j}" if n <= 9 else f"{arc.i}-{arc.j}"
 
 
 def classify_pair(a: int, b: int) -> Arc:
@@ -175,7 +178,8 @@ class Matching:
         return hash((self.arcs, self.n))
 
     def __repr__(self) -> str:
-        return f"Matching([{', '.join(map(str, self.arcs))}], n={self.n})"
+        arcs = ", ".join(arc_text(a, self.n) for a in self.arcs)
+        return f"Matching([{arcs}], n={self.n})"
 
     def double_primed(self) -> tuple[Arc, ...]:
         return tuple(a for a in self.arcs if not a.primed)

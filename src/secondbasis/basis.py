@@ -16,14 +16,10 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
+from typing import Mapping
 
-from .arcs import (
-    Matching,
-    cyclic_interval_mask,
-    embed_set,
-    lift_matching,
-    pair_evenset,
-)
+from .arcs import Matching, cyclic_interval_mask, embed_set, lift_matching
 from .errors import DomainError, FalsificationError
 from .f2 import EvenSet, span_masks
 from .family import (
@@ -36,6 +32,7 @@ from .family import (
 
 __all__ = [
     "BasisMatrix",
+    "CycleError",
     "Order",
     "Symbol",
     "boundary_correction",
@@ -113,8 +110,10 @@ def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
     return tuple(out)
 
 
-def epsilon_inverse(d: int) -> dict[EvenSet, Matching]:
-    return {x: b for b, x in epsilon_pairs(d)}
+@lru_cache(maxsize=None)
+def epsilon_inverse(d: int) -> Mapping[EvenSet, Matching]:
+    """image -> member, built once per D; read-only because it is shared."""
+    return MappingProxyType({x: b for b, x in epsilon_pairs(d)})
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +176,34 @@ def recursion_check(d: int) -> tuple[Matching, int] | None:
 # the partial order and the change-of-basis matrices
 
 
+class CycleError(FalsificationError):
+    """The generating digraph has a cycle; ``cycle`` lists its masks, closed."""
+
+    def __init__(self, d: int, cycle: list[int]):
+        super().__init__(f"generating digraph at D={d} has a cycle through masks {cycle}")
+        self.cycle = cycle
+
+
 class Order:
     """The partial order on E_N generated by span membership of preimages.
 
     ``elements`` is the canonical linear extension (piece blocks in display
     order, ties broken by bit-vector value); ``down(x)`` is the full down-set.
-    Construction fails with a falsification error if the generating digraph
-    has a cycle, which would contradict antisymmetry.
+    The generating digraph X' -> span(preimage of X') - {X'} is the one
+    acyclicity certificate: construction raises ``CycleError`` with an
+    explicit cycle if Kahn's extension stalls, and the down-set pass checks
+    that every generating edge points backwards in the extension.
     """
 
     def __init__(self, d: int):
         n = ground_size(d)
         self.d = d
         self.n = n
-        inv = {x.mask: b for b, x in epsilon_pairs(d)}
         self.gen_spans: dict[int, frozenset[int]] = {
-            m: span_masks([pair_evenset(a, n) for a in b.arcs])
-            for m, b in inv.items()
+            x.mask: span_masks(b.pair_vectors()) for b, x in epsilon_pairs(d)
         }
-        succ: dict[int, list[int]] = {m: [] for m in inv}
-        indeg = {m: 0 for m in inv}
+        succ: dict[int, list[int]] = {m: [] for m in self.gen_spans}
+        indeg = {m: 0 for m in self.gen_spans}
         for m, span in self.gen_spans.items():
             for z in span:
                 if z != m:
@@ -219,11 +226,17 @@ class Order:
                 indeg[m2] -= 1
                 if indeg[m2] == 0:
                     heapq.heappush(heap, key(m2))
-        if len(order) != len(inv):
-            stuck = sorted(m for m, deg in indeg.items() if deg > 0)[:4]
-            raise FalsificationError(
-                f"generating digraph at D={d} has a cycle through masks {stuck}"
-            )
+        if len(order) != len(indeg):
+            # a stalled mask keeps a stalled span member, so this walk closes
+            stalled = {m for m, deg in indeg.items() if deg}
+            path: list[int] = []
+            step: dict[int, int] = {}
+            m = min(stalled)
+            while m not in step:
+                step[m] = len(path)
+                path.append(m)
+                m = min(z for z in self.gen_spans[m] if z in stalled and z != m)
+            raise CycleError(d, path[step[m]:] + [m])
         self.elements: list[EvenSet] = [EvenSet.from_mask(m, n) for m in order]
         self.position: dict[int, int] = {m: i for i, m in enumerate(order)}
         down: list[int] = []
@@ -231,7 +244,12 @@ class Order:
             bits = 1 << i
             for z in self.gen_spans[m]:
                 if z != m:
-                    bits |= down[self.position[z]]
+                    j = self.position[z]
+                    if j >= i:
+                        raise FalsificationError(
+                            f"linear extension at D={d} puts mask {z} after {m}"
+                        )
+                    bits |= down[j]
             down.append(bits)
         self.down = down
 
@@ -242,6 +260,23 @@ class Order:
         bits = self.down[self.position[y.mask]]
         return [self.elements[i] for i in range(bits.bit_length()) if bits >> i & 1]
 
+    def sector_elements(self, sector: str) -> list[EvenSet]:
+        """The extension restricted to a sector.
+
+        "all" covers even D; "plus"/"minus" restrict odd D to the even sets
+        avoiding/containing N.
+        """
+        if sector == "all":
+            if self.d % 2:
+                raise DomainError("sector 'all' needs even D")
+            return self.elements
+        if sector in ("plus", "minus"):
+            if self.d % 2 == 0:
+                raise DomainError(f"sector {sector!r} needs odd D")
+            want = sector == "minus"
+            return [x for x in self.elements if (self.n in x) == want]
+        raise DomainError(f"unknown sector {sector!r}")
+
 
 @lru_cache(maxsize=None)
 def build_order(d: int) -> Order:
@@ -251,38 +286,19 @@ def build_order(d: int) -> Order:
 def unique_bijection_check(d: int) -> dict | None:
     """Certificate that epsilon is the only span-compatible bijection.
 
-    Checks that epsilon is a perfect matching of the bipartite graph pairing
-    members with the even sets in their span, then searches the alternating
-    digraph for a cycle; finding one would mean a second perfect matching.
-    Returns None on success, a counterexample payload otherwise.
+    Epsilon must be a perfect matching of the bipartite graph pairing members
+    with the even sets in their span, and the matching is unique exactly when
+    the alternating digraph X' -> span(X') - {X'} is acyclic, which is the
+    order's own certificate.  Returns None on success, a counterexample
+    payload otherwise.
     """
-    pairs = epsilon_pairs(d)  # raises on any bijectivity failure
-    spans = {x.mask: span_masks(b.pair_vectors()) for b, x in pairs}
-    for b, x in pairs:
-        if x.mask not in spans[x.mask]:
+    try:
+        order = build_order(d)  # raises on any bijectivity failure
+    except CycleError as exc:
+        return {"kind": "alternating-cycle", "masks": exc.cycle}
+    for b, x in epsilon_pairs(d):
+        if x.mask not in order.gen_spans[x.mask]:
             return {"kind": "image-outside-span", "member": b.to_pairs()}
-    # alternating cycle <=> directed cycle in  X' -> (span(X') - {X'})
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {m: WHITE for m in spans}
-    for root in spans:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, list[int]]] = [(root, [z for z in spans[root] if z != root])]
-        color[root] = GRAY
-        while stack:
-            m, todo = stack[-1]
-            if not todo:
-                color[m] = BLACK
-                stack.pop()
-                continue
-            z = todo.pop()
-            if color[z] == GRAY:
-                path = [node for node, _ in stack]
-                cycle = path[path.index(z):] + [z]
-                return {"kind": "alternating-cycle", "masks": cycle}
-            if color[z] == WHITE:
-                color[z] = GRAY
-                stack.append((z, [w for w in spans[z] if w != z]))
     return None
 
 
@@ -319,22 +335,10 @@ def _assert_unitriangular(m: BasisMatrix, bound: int, what: str) -> None:
 def change_matrix(d: int, sector: str = "all") -> BasisMatrix:
     """Span-membership matrix over the canonical extension, unitriangular.
 
-    sector "all" covers even D; "plus"/"minus" restrict odd D to the even
-    sets avoiding/containing N.
+    The sector is read as in ``Order.sector_elements``.
     """
     order = build_order(d)
-    n = order.n
-    if sector == "all":
-        if d % 2:
-            raise DomainError("sector 'all' needs even D")
-        elements = order.elements
-    elif sector in ("plus", "minus"):
-        if d % 2 == 0:
-            raise DomainError(f"sector {sector!r} needs odd D")
-        want = sector == "minus"
-        elements = [x for x in order.elements if (n in x) == want]
-    else:
-        raise DomainError(f"unknown sector {sector!r}")
+    elements = order.sector_elements(sector)
     spans = [order.gen_spans[x.mask] for x in elements]
     rows = [
         [1 if x.mask in spans[j] else 0 for j in range(len(elements))]

@@ -10,7 +10,7 @@ import sys
 
 from .basis import build_order, change_matrix, series_size, symbol_of
 from .errors import DomainError, ResourceGuardError
-from .family import PieceLabel, ground_size
+from .family import PieceLabel
 from .limits import guard_d
 from .tables import render_table, table_json
 from .variants import sector_matrix
@@ -62,7 +62,6 @@ def _cmd_matrix(args) -> int:
 def _cmd_symbols(args) -> int:
     guard_d(args.d, 13, "symbol listing")
     d = args.d
-    n = ground_size(d)
     if d % 2 == 0:
         if args.sector:
             raise DomainError("even D has a single symbol flavor; drop --sector")
@@ -74,15 +73,8 @@ def _cmd_symbols(args) -> int:
     order = build_order(d)
     total = 0
     for sector in sectors:
-        if d % 2 == 0:
-            elements = order.elements
-        else:
-            if sector not in ("plus", "minus"):
-                raise DomainError(f"odd D takes sector plus|minus, got {sector!r}")
-            want = sector == "minus"
-            elements = [x for x in order.elements if (n in x) == want]
         groups: dict[int, list] = {}
-        for x in elements:
+        for x in order.sector_elements(sector):
             sym = symbol_of(x, d)
             groups.setdefault(sym.series(), []).append(sym)
         for s in sorted(groups):

@@ -45,7 +45,6 @@ def mask_of(members: Iterable[int], n: int) -> int:
 
 def members_of(mask: int) -> tuple[int, ...]:
     out = []
-    i = mask.bit_length() - 1
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)

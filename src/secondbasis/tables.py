@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arcs import Arc, Matching, classify_pair, pair_evenset
+from .arcs import Arc, Matching, arc_text, classify_pair, pair_evenset
 from .basis import build_order, epsilon
 from .errors import DomainError
 from .f2 import unique_decomposition
@@ -20,7 +20,6 @@ from .limits import guard_d
 
 __all__ = [
     "TableEntry",
-    "arc_text",
     "parse_entry",
     "render_entry",
     "render_table",
@@ -56,11 +55,6 @@ def table_entry(b: Matching, d: int) -> TableEntry:
     picked = {x.mask for x in part}
     bracketed = tuple(a for a in b.arcs if pair_evenset(a, b.n).mask in picked)
     return TableEntry(b, bracketed)
-
-
-def arc_text(arc: Arc, n: int) -> str:
-    # digit concatenation only while every index is a single digit
-    return f"{arc.i}{arc.j}" if n <= 9 else f"{arc.i}-{arc.j}"
 
 
 def render_entry(entry: TableEntry) -> str:

@@ -13,6 +13,7 @@ from typing import Callable
 
 from .arcs import cyclic_interval, lift_matching
 from .basis import (
+    CycleError,
     build_order,
     epsilon,
     epsilon_pairs,
@@ -23,7 +24,6 @@ from .basis import (
     unique_bijection_check,
 )
 from .errors import FalsificationError
-from .f2 import span_masks
 from .family import (
     PieceLabel,
     enumerate_family,
@@ -168,62 +168,12 @@ def _check_uniqueness(ds: list[int]) -> dict | None:
     return None
 
 
-def _tarjan_max_scc(nodes: list[int], succ: dict[int, list[int]]) -> int:
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    best = 1
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    size += 1
-                    if w == v:
-                        break
-                best = max(best, size)
-    return best
-
-
 def _check_antisymmetry(ds: list[int]) -> dict | None:
     for d in ds:
-        pairs = epsilon_pairs(d)
-        spans = {x.mask: span_masks(b.pair_vectors()) for b, x in pairs}
-        succ = {m: [z for z in span if z != m] for m, span in spans.items()}
-        worst = _tarjan_max_scc(list(succ), succ)
-        if worst > 1:
-            return {"D": d, "largest_scc": worst}
-        build_order(d)  # Kahn route must agree; raises on a cycle
+        try:
+            build_order(d)
+        except CycleError as exc:
+            return {"D": d, "cycle": exc.cycle}
     return None
 
 
@@ -330,7 +280,7 @@ def _ranges(max_d: int, slow: bool) -> dict[str, list[int]]:
         "primitive_closed_forms": all_d,
         "n_membership_transport": [d for d in odd_d if d >= 3],
         "piece_bijections": all_d,
-        "unique_bijection": [d for d in all_d if d <= 9],
+        "unique_bijection": all_d,
         "order_antisymmetry": all_d,
         "piece_counts": all_d,
         "triangular_closed_form": even_d,

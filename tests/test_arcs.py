@@ -165,3 +165,9 @@ def test_enumerate_matchings_guard(monkeypatch):
         enumerate_matchings(5)
     monkeypatch.setenv("SBL_MAX_D", "15")
     assert len(enumerate_matchings(5)) == 26
+
+
+def test_matching_repr_spells_arcs_like_the_tables():
+    # at N >= 10 every arc is hyphenated, even one with single-digit ends
+    assert repr(Matching([Arc(3, 4)], 11)) == "Matching([3-4], n=11)"
+    assert repr(Matching([Arc(3, 4)], 9)) == "Matching([34], n=9)"

@@ -1,0 +1,77 @@
+"""The order is the one span build and the one acyclicity certificate.
+
+Fault injection doctors the spans into a 2-cycle and shows that both the
+uniqueness and the antisymmetry checks FAIL with an explicit closed cycle.
+"""
+
+import pytest
+
+import secondbasis.basis as basis
+from secondbasis.basis import build_order, epsilon_pairs, unique_bijection_check
+from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, run_checks
+
+D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
+
+
+@pytest.fixture
+def fresh_orders():
+    build_order.cache_clear()
+    yield
+    build_order.cache_clear()
+
+
+@pytest.fixture
+def two_cycle(monkeypatch, fresh_orders):
+    """Spans at N = 3 in which two images lie in each other's span."""
+    a, b = sorted(x.mask for _, x in epsilon_pairs(D) if x.mask)[:2]
+    real = basis.span_masks
+
+    def doctored(gens):
+        span = real(gens)
+        return span | {a, b} if gens and gens[0].n == 3 and span & {a, b} else span
+
+    monkeypatch.setattr(basis, "span_masks", doctored)
+    return a, b
+
+
+def assert_closed_cycle(cycle):
+    """First mask = last, and each next mask is in the previous one's span."""
+    preimage = {x.mask: b for b, x in epsilon_pairs(D)}
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+    for m, z in zip(cycle, cycle[1:]):
+        assert z != m and z in basis.span_masks(preimage[m].pair_vectors())
+
+
+def test_uniqueness_reports_the_alternating_cycle(two_cycle):
+    bad = unique_bijection_check(D)
+    assert bad is not None and bad["kind"] == "alternating-cycle"
+    assert_closed_cycle(bad["masks"])
+    assert set(bad["masks"]) == set(two_cycle)
+
+
+def test_antisymmetry_reports_the_cycle(two_cycle):
+    bad = _check_antisymmetry([0, D])
+    assert bad is not None and bad["D"] == D and set(bad) == {"D", "cycle"}
+    assert_closed_cycle(bad["cycle"])
+    assert set(bad["cycle"]) == set(two_cycle)
+
+
+def test_run_checks_fails_both_and_runs_the_rest(two_cycle):
+    reports = {r.name: r for r in run_checks(D)}
+    assert list(reports) == CHECK_NAMES
+    assert reports["unique_bijection"].detail["kind"] == "alternating-cycle"
+    assert "cycle" in reports["order_antisymmetry"].detail
+    # D=1 shares N = 3, so the odd-D involution suite meets the cycle too
+    assert reports["involution_suite"].detail["kind"] == "falsification"
+    failed = {name for name, r in reports.items() if not r.passed}
+    assert failed == {"unique_bijection", "order_antisymmetry", "involution_suite"}
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
+    build_order(d)
+    calls = []
+    monkeypatch.setattr(basis, "span_masks", lambda gens: calls.append(gens))
+    assert unique_bijection_check(d) is None
+    assert _check_antisymmetry([d]) is None
+    assert calls == []
