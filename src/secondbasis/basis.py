@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .arcs import Matching, cyclic_interval_mask, embed_set, lift_matching
 from .errors import DomainError, FalsificationError
@@ -304,15 +304,43 @@ def unique_bijection_check(d: int) -> dict | None:
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """A square integer matrix with its row/column labels (shared order)."""
+    """A square integer matrix with its row/column labels (shared order).
+
+    Stored by column: ``columns[j]`` holds the nonzero entries of column j as
+    (row, value) pairs in increasing row order.
+    """
 
     labels: list[EvenSet]
-    rows: list[list[int]]
+    columns: list[tuple[tuple[int, int], ...]]
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The dense row lists, rebuilt on every access; no library path reads them."""
+        n = len(self.labels)
+        rows = [[0] * n for _ in range(n)]
+        for j, column in enumerate(self.columns):
+            for i, v in column:
+                rows[i][j] = v
+        return rows
+
+    def row_cells(self) -> Iterator[list[str]]:
+        """Each row as decimal strings, one row alive at a time."""
+        n = len(self.labels)
+        by_row: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for j, column in enumerate(self.columns):
+            for i, v in column:
+                by_row[i].append((j, v))
+        zeros = ["0"] * n
+        for entries in by_row:
+            cells = zeros.copy()
+            for j, v in entries:
+                cells[j] = str(v)
+            yield cells
 
     def to_json(self) -> dict:
         return {
             "labels": [x.to_json() for x in self.labels],
-            "rows": [list(r) for r in self.rows],
+            "rows": self.rows,
         }
 
     def size(self) -> int:
@@ -320,31 +348,45 @@ class BasisMatrix:
 
 
 def _assert_unitriangular(m: BasisMatrix, bound: int, what: str) -> None:
-    for i, row in enumerate(m.rows):
-        if row[i] != 1:
-            raise FalsificationError(f"{what}: diagonal entry {i} is {row[i]}")
-        for j, v in enumerate(row):
-            if v and j < i:
-                raise FalsificationError(
-                    f"{what}: nonzero entry below the diagonal at ({i}, {j})"
-                )
-            if not 0 <= v <= bound:
-                raise FalsificationError(f"{what}: entry {v} at ({i}, {j})")
+    """Upper unitriangular with entries in [0, bound], in O(nnz).
+
+    Reports the first fault a row-major scan would meet: in each row the
+    diagonal first, then the entries left to right.
+    """
+    first = None  # (row, column, message); column -1 is the diagonal test
+    for j, column in enumerate(m.columns):
+        diagonal = 0
+        for i, v in column:
+            if i == j:
+                diagonal = v
+            if i > j:
+                fault = (i, j, f"{what}: nonzero entry below the diagonal at ({i}, {j})")
+            elif not 0 <= v <= bound:
+                fault = (i, j, f"{what}: entry {v} at ({i}, {j})")
+            else:
+                continue
+            if first is None or fault[:2] < first[:2]:
+                first = fault
+        if diagonal != 1 and (first is None or (j, -1) < first[:2]):
+            first = (j, -1, f"{what}: diagonal entry {j} is {diagonal}")
+    if first is not None:
+        raise FalsificationError(first[2])
 
 
 def change_matrix(d: int, sector: str = "all") -> BasisMatrix:
     """Span-membership matrix over the canonical extension, unitriangular.
 
-    The sector is read as in ``Order.sector_elements``.
+    The sector is read as in ``Order.sector_elements``; column j lists the
+    positions of the span members of element j.
     """
     order = build_order(d)
     elements = order.sector_elements(sector)
-    spans = [order.gen_spans[x.mask] for x in elements]
-    rows = [
-        [1 if x.mask in spans[j] else 0 for j in range(len(elements))]
-        for x in elements
-    ]
-    matrix = BasisMatrix(elements, rows)
+    pos = {x.mask: i for i, x in enumerate(elements)}
+    columns = []
+    for y in elements:
+        rows = sorted(pos[z] for z in order.gen_spans[y.mask] if z in pos)
+        columns.append(tuple((i, 1) for i in rows))
+    matrix = BasisMatrix(elements, columns)
     _assert_unitriangular(matrix, 1, f"matrix D={d} sector={sector}")
     return matrix
 
@@ -354,13 +396,10 @@ def second_basis_vectors(
 ) -> list[tuple[EvenSet, tuple[tuple[EvenSet, int], ...]]]:
     """The columns of the change matrix as integer combinations of labels."""
     m = change_matrix(d, sector)
-    out = []
-    for j, label in enumerate(m.labels):
-        col = tuple(
-            (m.labels[i], m.rows[i][j]) for i in range(len(m.labels)) if m.rows[i][j]
-        )
-        out.append((label, col))
-    return out
+    return [
+        (label, tuple((m.labels[i], v) for i, v in column))
+        for label, column in zip(m.labels, m.columns)
+    ]
 
 
 # ---------------------------------------------------------------------------

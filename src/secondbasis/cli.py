@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -47,15 +46,20 @@ def _matrix_for(d: int, sector: str):
 def _cmd_matrix(args) -> int:
     guard_d(args.d, 11, "matrix rendering")
     matrix = _matrix_for(args.d, args.sector)
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps(matrix.to_json(), sort_keys=True))
+        # the bytes of print(json.dumps(matrix.to_json(), sort_keys=True)), row by row
+        labels = json.dumps([x.to_json() for x in matrix.labels])
+        out.write(f'{{"labels": {labels}, "rows": [')
+        for i, cells in enumerate(matrix.row_cells()):
+            out.write(("[" if i == 0 else ", [") + ", ".join(cells) + "]")
+        out.write("]}\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([""] + [" ".join(map(str, x.members)) for x in matrix.labels])
-        for label, row in zip(matrix.labels, matrix.rows):
-            writer.writerow([" ".join(map(str, label.members))] + row)
-        sys.stdout.write(buf.getvalue())
+        writer = csv.writer(out)
+        names = [" ".join(map(str, x.members)) for x in matrix.labels]
+        writer.writerow([""] + names)
+        for name, cells in zip(names, matrix.row_cells()):
+            writer.writerow([name] + cells)
     return 0
 
 

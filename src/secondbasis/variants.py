@@ -128,6 +128,10 @@ def pair_basis_set(coords: tuple[int, ...], d: int) -> EvenSet:
 # odd D: the block-flip involution
 
 
+def _block(d: int) -> int:
+    return ((1 << (d + 1)) - 1) << 1
+
+
 def involution(x: EvenSet, d: int) -> EvenSet:
     """x + [1, D+1]: flips membership below N, fixed-point free on E_N."""
     if d % 2 == 0:
@@ -135,8 +139,7 @@ def involution(x: EvenSet, d: int) -> EvenSet:
     n = ground_size(d)
     if x.n != n:
         raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
-    block = ((1 << (d + 1)) - 1) << 1
-    return EvenSet.from_mask(x.mask ^ block, n)
+    return EvenSet.from_mask(x.mask ^ _block(d), n)
 
 
 def matching_involution(b: Matching, d: int) -> Matching:
@@ -173,31 +176,47 @@ def sector_order_check(d: int) -> dict | None:
 
     Comparable plus-sector sets have equal t or strictly growing max(t, -t),
     and anything below the primed half of the (0,+) piece stays primed;
-    the minus sector uses max(t, -t-2).
+    the minus sector uses max(t, -t-2).  Each clause is a position bitset
+    of the sets that may not lie below y, met with y's down-set; the lowest
+    common bit is the first counterexample in extension order.
     """
     if d % 2 == 0:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
-    labels = {x.mask: sector_label(x, d) for x in order.elements}
-    for y in order.elements:
-        ly = labels[y.mask]
-        for x in order.below(y):
-            lx = labels[x.mask]
-            if lx.sign != ly.sign or x == y:
-                continue
-            if lx.t != ly.t and _rank(lx) >= _rank(ly):
-                return {
-                    "kind": "rank-violation",
-                    "x": x.to_json(),
-                    "y": y.to_json(),
-                    "pieces": [str(lx), str(ly)],
-                }
-            if (
-                ly == PieceLabel(0, "+")
-                and in_primed_zero_piece_set(y, d)
-                and not in_primed_zero_piece_set(x, d)
-            ):
-                return {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
+    zero_plus = PieceLabel(0, "+")
+    labels = [sector_label(x, d) for x in order.elements]
+    piece_bits: dict[PieceLabel, int] = {}
+    unprimed = 0  # (0,+) sets containing D+1
+    for i, (x, label) in enumerate(zip(order.elements, labels)):
+        piece_bits[label] = piece_bits.get(label, 0) | 1 << i
+        if label == zero_plus and not in_primed_zero_piece_set(x, d):
+            unprimed |= 1 << i
+    forbidden = {  # pieces are disjoint, so the sum of their bitsets is their union
+        ly: sum(
+            bits
+            for lx, bits in piece_bits.items()
+            if lx.sign == ly.sign and lx.t != ly.t and _rank(lx) >= _rank(ly)
+        )
+        for ly in piece_bits
+    }
+    for i, (y, ly) in enumerate(zip(order.elements, labels)):
+        rank_bad = order.down[i] & forbidden[ly]
+        primed_bad = 0
+        if ly == zero_plus and in_primed_zero_piece_set(y, d):
+            primed_bad = order.down[i] & unprimed
+        bad = rank_bad | primed_bad
+        if not bad:
+            continue
+        k = (bad & -bad).bit_length() - 1
+        x = order.elements[k]
+        if rank_bad >> k & 1:
+            return {
+                "kind": "rank-violation",
+                "x": x.to_json(),
+                "y": y.to_json(),
+                "pieces": [str(labels[k]), str(ly)],
+            }
+        return {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
     return None
 
 
@@ -242,18 +261,21 @@ def sector_matrix(d: int, which: str) -> BasisMatrix:
     """The doubled membership matrix over an orbit transversal.
 
     Entry (X, X') counts how many of X, X^! lie in the span of the preimage
-    of X'; unitriangular with entries in {0, 1, 2}.
+    of X'; unitriangular with entries in {0, 1, 2}.  Column X' is read off
+    its span: each member z adds one at the rows of z and of z^!.
     """
     reps = orbit_representatives(d, which)
     order = build_order(d)
-    rows = []
-    for x in reps:
-        flipped = involution(x, d)
-        row = []
-        for y in reps:
-            span = order.gen_spans[y.mask]
-            row.append((x.mask in span) + (flipped.mask in span))
-        rows.append(row)
-    matrix = BasisMatrix(list(reps), rows)
+    pos = {x.mask: i for i, x in enumerate(reps)}
+    block = _block(d)
+    columns = []
+    for y in reps:
+        counts: dict[int, int] = {}
+        for z in order.gen_spans[y.mask]:
+            for i in (pos.get(z), pos.get(z ^ block)):
+                if i is not None:
+                    counts[i] = counts.get(i, 0) + 1
+        columns.append(tuple(sorted(counts.items())))
+    matrix = BasisMatrix(list(reps), columns)
     _assert_unitriangular(matrix, 2, f"orbit matrix D={d} sector={which}")
     return matrix

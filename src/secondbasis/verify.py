@@ -245,8 +245,7 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
                 m = sector_matrix(d, which)
             except FalsificationError as exc:
                 return {"D": d, "kind": "orbit-matrix", "detail": str(exc)}
-            flat = [v for row in m.rows for v in row]
-            if min(flat) < 0 or max(flat) > 2:
+            if any(not 0 <= v <= 2 for column in m.columns for _, v in column):
                 return {"D": d, "kind": "orbit-entries", "sector": which}
     return None
 
@@ -318,6 +317,8 @@ def run_checks(
             detail = _CHECKS[name](ds)
         except FalsificationError as exc:
             detail = {"kind": "falsification", "message": str(exc)}
+        except Exception as exc:  # a check that raises fails alone; the suite goes on
+            detail = {"kind": "error", "type": type(exc).__name__, "message": str(exc)}
         reports.append(
             RunReport(
                 name=name,

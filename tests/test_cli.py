@@ -1,8 +1,14 @@
 """The command-line surface: formats, exit codes, round-trips, guards."""
 
+import csv
+import io
 import json
 
-from secondbasis.cli import main
+import pytest
+
+import secondbasis.verify as verify
+from secondbasis.cli import _matrix_for, main
+from secondbasis.errors import DomainError
 from secondbasis.tables import parse_entry, render_entry, table_data, table_json
 
 
@@ -117,6 +123,46 @@ def test_matrix_csv(capsys):
     rc, out, _ = run(capsys, "matrix", "--D", "1", "--sector", "mp", "--format", "csv")
     assert rc == 0
     assert out.splitlines() == [",2 3", "2 3,1"]
+
+
+def dense_renders(matrix):
+    """JSON and CSV rendered from the dense rows, as before streaming."""
+    as_json = json.dumps(matrix.to_json(), sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([""] + [" ".join(map(str, x.members)) for x in matrix.labels])
+    for label, row in zip(matrix.labels, matrix.rows):
+        writer.writerow([" ".join(map(str, label.members))] + row)
+    return {"json": as_json, "csv": buf.getvalue()}
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_matrix_streams_the_dense_bytes(capsys, d):
+    legal = ["all"] if d % 2 == 0 else ["plus", "minus", "pp", "pm", "mp", "mm"]
+    for sector in legal:
+        want = dense_renders(_matrix_for(d, sector))
+        for fmt in ("json", "csv"):
+            argv = ["matrix", "--D", str(d), "--sector", sector, "--format", fmt]
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0 and out == want[fmt], (sector, fmt)
+
+
+def test_a_raising_check_fails_alone(capsys, monkeypatch):
+    def broken(ds):
+        raise DomainError("stray domain error")
+
+    monkeypatch.setitem(verify._CHECKS, "laminarity", broken)
+    reports = verify.run_checks(3)
+    assert [r.name for r in reports] == verify.CHECK_NAMES
+    assert [r.name for r in reports if not r.passed] == ["laminarity"]
+    assert reports[1].detail == {
+        "kind": "error",
+        "type": "DomainError",
+        "message": "stray domain error",
+    }
+    rc, out, _ = run(capsys, "verify", "--max-D", "3")
+    assert rc == 1
+    assert out.count("PASS ") == 11 and "11/12 checks passed" in out
 
 
 def test_matrix_usage_error(capsys):

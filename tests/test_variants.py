@@ -2,8 +2,9 @@
 
 import pytest
 
+import secondbasis.variants as variants
 from secondbasis.arcs import Matching
-from secondbasis.basis import build_order, epsilon, sector_label
+from secondbasis.basis import Order, build_order, epsilon, sector_label
 from secondbasis.errors import DomainError
 from secondbasis.f2 import EvenSet
 from secondbasis.family import PieceLabel, enumerate_family, piece_of, pieces
@@ -117,6 +118,103 @@ def test_primed_classes():
 def test_sector_order_properties():
     for d in (1, 3, 5, 7):
         assert sector_order_check(d) is None
+
+
+def reference_sector_order_check(order, d):
+    """The direct reading of both clauses: every y, every x in its down-set."""
+    labels = {x.mask: sector_label(x, d) for x in order.elements}
+    for y in order.elements:
+        ly = labels[y.mask]
+        for x in order.below(y):
+            lx = labels[x.mask]
+            if lx.sign != ly.sign or x == y:
+                continue
+            if lx.t != ly.t and variants._rank(lx) >= variants._rank(ly):
+                return {
+                    "kind": "rank-violation",
+                    "x": x.to_json(),
+                    "y": y.to_json(),
+                    "pieces": [str(lx), str(ly)],
+                }
+            if (
+                ly == PieceLabel(0, "+")
+                and in_primed_zero_piece_set(y, d)
+                and not in_primed_zero_piece_set(x, d)
+            ):
+                return {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_sector_order_check_matches_reference(d):
+    assert sector_order_check(d) == reference_sector_order_check(build_order(d), d)
+
+
+@pytest.mark.slow
+def test_sector_order_check_matches_reference_d11():
+    assert sector_order_check(11) == reference_sector_order_check(build_order(11), 11)
+
+
+def _doctored(monkeypatch, d, *pairs):
+    """A fresh order with x put below y for each (x, y); the checks read it."""
+    order = Order(d)
+    for x, y in pairs:
+        order.down[order.position[y.mask]] |= 1 << order.position[x.mask]
+    monkeypatch.setattr(variants, "build_order", lambda _: order)
+    return order
+
+
+def _zero_plus(order, d, primed):
+    return [
+        x
+        for x in order.elements
+        if sector_label(x, d) == PieceLabel(0, "+")
+        and in_primed_zero_piece_set(x, d) == primed
+    ]
+
+
+def _rank_offender(order, d, y):
+    """A same-sign set of another piece whose rank is not below y's."""
+    ly = sector_label(y, d)
+    for x in order.elements:
+        lx = sector_label(x, d)
+        if lx.sign == ly.sign and lx.t != ly.t and variants._rank(lx) >= variants._rank(ly):
+            return x
+
+
+D_DOCTOR = 5
+
+
+def test_doctored_rank_violation(monkeypatch):
+    order = Order(D_DOCTOR)
+    y = order.elements[0]  # the empty set: nothing lies below it
+    x = _rank_offender(order, D_DOCTOR, y)
+    order = _doctored(monkeypatch, D_DOCTOR, (x, y))
+    got = sector_order_check(D_DOCTOR)
+    assert got == reference_sector_order_check(order, D_DOCTOR)
+    assert got["kind"] == "rank-violation" and got["y"] == y.to_json()
+
+
+def test_doctored_primed_violation(monkeypatch):
+    order = Order(D_DOCTOR)
+    y = _zero_plus(order, D_DOCTOR, primed=True)[0]
+    x = _zero_plus(order, D_DOCTOR, primed=False)[-1]
+    order = _doctored(monkeypatch, D_DOCTOR, (x, y))
+    got = sector_order_check(D_DOCTOR)
+    assert got == reference_sector_order_check(order, D_DOCTOR)
+    assert got == {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
+
+
+def test_doctored_clauses_report_the_lowest_position(monkeypatch):
+    order = Order(D_DOCTOR)
+    y = _zero_plus(order, D_DOCTOR, primed=True)[0]
+    ranked = _rank_offender(order, D_DOCTOR, y)
+    unprimed = _zero_plus(order, D_DOCTOR, primed=False)[-1]
+    assert order.position[unprimed.mask] < order.position[ranked.mask]
+    order = _doctored(monkeypatch, D_DOCTOR, (ranked, y), (unprimed, y))
+    got = sector_order_check(D_DOCTOR)
+    assert got == reference_sector_order_check(order, D_DOCTOR)
+    assert got["kind"] == "primed-violation" and got["x"] == unprimed.to_json()
 
 
 def test_orbit_representatives():
