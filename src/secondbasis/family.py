@@ -2,7 +2,7 @@
 
 X_D is built two independent ways.  The inductive route starts from a short
 list of primitive matchings and closes under the gap-inserting lift; the
-filter route scans the whole matching space for three structural properties:
+filter route keeps the matchings with three structural properties:
 
   * the double-primed part is the nested pairing of an increasing sequence
     i_1 < ... < i_{2s} (largest with smallest, and so on inward);
@@ -13,23 +13,36 @@ filter route scans the whole matching space for three structural properties:
     segments) can each be tiled by disjoint primed-arc intervals leaving
     exactly 0 or 1 elements uncovered, as prescribed.
 
+The filter does not scan the whole matching space.  The first property
+fixes the double-primed part once its sorted support is known, so
+``nested_candidates`` generates exactly the matchings that have it: every
+sequence whose nested pairing is all double-primed (i_r and i_{2s+1-r} of
+one parity), built outside-in, and for each one every primed-only matching
+of the remaining points.  At N = 13 that is 225,270 candidates instead of
+568,504 matchings.  The other two properties are tested on each candidate by
+``parity_ok`` and ``coverings_ok``, and the members found are re-checked by
+``is_member``, the definition itself.
+
 The two constructions are proved equal; ``verify``-level checks re-derive
 that equality exhaustively.  The boundary clauses of the third property only
 make sense when the double-primed part is non-empty, and are applied exactly
 then; for an all-primed matching only the interiors are constrained.
 
 The covering test deliberately uses a budgeted search over arbitrary interval
-systems instead of a greedy outermost-arc rule: the filter runs on raw
-matchings whose intervals may cross, and laminarity only holds after
-membership is established.
+systems instead of a greedy outermost-arc rule: the filter runs on
+candidates whose primed intervals may cross, and laminarity only holds after
+membership is established.  ``cover_interval`` and ``coverings_ok`` share
+one tiling recursion; ``coverings_ok`` builds its table of primed arcs once
+per matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from .arcs import Arc, Matching, iter_matchings, lift_matching, split_parts
+from .arcs import Arc, Matching, iter_primed_matchings, lift_matching, split_parts
 from .errors import DomainError, FalsificationError
 from .limits import guard_d
 
@@ -45,6 +58,7 @@ __all__ = [
     "ground_size",
     "is_member",
     "labeled_primitives",
+    "nested_candidates",
     "nested_pairing",
     "parity_ok",
     "parity_target",
@@ -208,21 +222,13 @@ def _starts(b: Matching) -> dict[int, list[int]]:
     return starts
 
 
-def cover_interval(
-    b: Matching, lo: int, hi: int, skip: int
-) -> CoverWitness | None:
-    """Tile [lo, hi] with disjoint primed-arc intervals, skipping `skip` points.
-
-    Returns a witness (arc list in increasing order plus the skipped points)
-    or None.  An empty interval (lo > hi) is covered exactly when skip == 0,
-    and no interval is coverable when its size and skip disagree mod 2.
-    """
-    if skip not in (0, 1):
-        raise DomainError(f"skip budget must be 0 or 1, got {skip}")
-    size = max(0, hi - lo + 1)
-    if size % 2 != skip % 2:
+def _tile(
+    starts: dict[int, list[int]], lo: int, hi: int, skip: int
+) -> tuple[list[Arc], list[int]] | None:
+    # tile [lo, hi] with the arcs in `starts` (first point -> second points),
+    # leaving exactly `skip` points uncovered: (arcs, skipped points) or None
+    if max(0, hi - lo + 1) % 2 != skip % 2:
         return None
-    starts = _starts(b)
 
     def rec(p: int, budget: int) -> tuple[list[Arc], list[int]] | None:
         if p > hi:
@@ -238,7 +244,21 @@ def cover_interval(
                 return (rest[0], [p] + rest[1])
         return None
 
-    found = rec(lo, skip)
+    return rec(lo, skip)
+
+
+def cover_interval(
+    b: Matching, lo: int, hi: int, skip: int
+) -> CoverWitness | None:
+    """Tile [lo, hi] with disjoint primed-arc intervals, skipping `skip` points.
+
+    Returns a witness (arc list in increasing order plus the skipped points)
+    or None.  An empty interval (lo > hi) is covered exactly when skip == 0,
+    and no interval is coverable when its size and skip disagree mod 2.
+    """
+    if skip not in (0, 1):
+        raise DomainError(f"skip budget must be 0 or 1, got {skip}")
+    found = _tile(_starts(b), lo, hi, skip)
     if found is None:
         return None
     return CoverWitness(tuple(found[0]), tuple(found[1]))
@@ -303,8 +323,9 @@ def coverings_ok(b: Matching, d: int, seq: tuple[int, ...] | None = None) -> boo
         seq = nested_pairing(b)
         if seq is None:
             raise DomainError("covering test needs the nested-pairing witness")
+    starts = _starts(b)
     return all(
-        cover_interval(b, lo, hi, e) is not None
+        _tile(starts, lo, hi, e) is not None
         for lo, hi, e in covering_requirements(b, d, seq)
     )
 
@@ -321,11 +342,60 @@ def is_member(b: Matching, d: int) -> bool:
     return coverings_ok(b, d, seq)
 
 
+def _nested_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    # every i_1 < ... < i_2s in [1, n] with i_r and i_{2s+1-r} of one parity,
+    # so that its nested pairing is all double-primed; pairs chosen outside-in
+    def rec(first: int, last: int, los: tuple, his: tuple):
+        yield los + his[::-1]
+        for lo in range(first, last - 1):
+            for hi in range(lo + 2, last + 1, 2):
+                yield from rec(lo + 1, hi - 1, los + (lo,), his + (hi,))
+
+    yield from rec(1, n, (), ())
+
+
+def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
+    """Every matching of [1, n] with the first filter property, with its witness.
+
+    These are the matchings whose double-primed part is the nested pairing of
+    an increasing sequence: each such sequence (outer loop) together with
+    each primed-only matching of the remaining points (inner loop).  Yields
+    (matching, sequence); the sequence is ``nested_pairing`` of the matching.
+    """
+    everything = ((1 << n) - 1) << 1
+    for seq in _nested_sequences(n):
+        s = len(seq) // 2
+        inner = tuple(Arc(seq[-1 - r], seq[r]) for r in range(s))  # by lower point
+        supp = sum(1 << i for i in seq)
+        for outer, primed_supp in iter_primed_matchings(everything ^ supp):
+            arcs = inner + outer
+            if inner and outer:
+                arcs = tuple(sorted(arcs, key=min))  # by lower point
+            yield Matching._make(arcs, n, supp | primed_supp), seq
+
+
 def filter_family(d: int) -> list[Matching]:
-    """X_D by exhaustive filtering of the full matching space."""
+    """X_D by the three-property filter, in the order of ``enumerate_family``.
+
+    The first property is built in by ``nested_candidates``; the other two are
+    tested on every candidate.  Each accepted matching is then re-checked by
+    ``is_member``, so a faulty generator raises instead of returning a
+    non-member.
+    """
     guard_d(d, 11, "family filtering")
-    n = ground_size(d)
-    return [b for b in iter_matchings(n) if is_member(b, d)]
+    members = sorted(
+        (
+            b
+            for b, seq in nested_candidates(ground_size(d))
+            if parity_ok(b, d) and coverings_ok(b, d, seq)
+        ),
+        key=lambda b: b.arcs,
+    )
+    # certificate: each member passes the definition with its witness recomputed
+    for b in members:
+        if not is_member(b, d):
+            raise FalsificationError(f"generated candidate {b!r} is not in X_{d}")
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,9 @@ class RunReport:
 
 def _check_construction_equivalence(ds: list[int]) -> dict | None:
     for d in ds:
-        if set(enumerate_family(d)) != set(filter_family(d)):
-            extra = set(filter_family(d)) - set(enumerate_family(d))
-            missing = set(enumerate_family(d)) - set(filter_family(d))
+        filtered, inductive = set(filter_family(d)), set(enumerate_family(d))
+        if filtered != inductive:
+            extra, missing = filtered - inductive, inductive - filtered
             return {
                 "D": d,
                 "filter_only": [b.to_pairs() for b in sorted(extra, key=lambda b: b.arcs)[:3]],

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from secondbasis.arcs import Arc, Matching, cyclic_interval
-from secondbasis.errors import DomainError, ResourceGuardError
+import secondbasis.family as family
+import secondbasis.verify as verify
+from secondbasis.arcs import Arc, Matching, cyclic_interval, iter_matchings
+from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.family import (
     PieceLabel,
     cover_interval,
@@ -17,6 +19,7 @@ from secondbasis.family import (
     ground_size,
     is_member,
     labeled_primitives,
+    nested_candidates,
     nested_pairing,
     parity_ok,
     parity_target,
@@ -103,8 +106,6 @@ def test_nested_pairing_against_brute_force():
                 return seq
         return None
 
-    from secondbasis.arcs import iter_matchings
-
     for b in iter_matchings(7):
         assert (nested_pairing(b) is None) == (brute(b) is None)
         if nested_pairing(b) is not None:
@@ -146,9 +147,85 @@ def test_coverings_examples():
     assert is_member(m([(6, 7), (5, 1), (4, 2)], 7), 5)
 
 
+def raw_scan(d):
+    """The oracle: every partial matching of [1, N] that passes is_member."""
+    return [b for b in iter_matchings(ground_size(d)) if is_member(b, d)]
+
+
 def test_filter_matches_enumeration():
-    for d in range(0, 8):
-        assert set(filter_family(d)) == set(enumerate_family(d))
+    # the raw scan's members, listed in the order of enumerate_family
+    for d in range(0, 10):
+        want = sorted(raw_scan(d), key=lambda b: b.arcs)
+        assert filter_family(d) == want == list(enumerate_family(d)), f"D={d}"
+
+
+@pytest.mark.parametrize("n", range(1, 12, 2))
+def test_candidates_are_the_raw_matchings_with_a_nested_pairing(n):
+    candidates = list(nested_candidates(n))
+    assert all(nested_pairing(b) == seq for b, seq in candidates)
+    assert len({b for b, _ in candidates}) == len(candidates)
+    assert len(candidates) == sum(
+        1 for b in iter_matchings(n) if nested_pairing(b) is not None
+    )
+
+
+@pytest.mark.slow
+def test_candidate_and_raw_counts_at_n13():
+    assert sum(1 for _ in nested_candidates(13)) == 225_270
+    assert sum(1 for _ in iter_matchings(13)) == 568_504
+
+
+def test_doctored_parity_fails_filter_and_equivalence(monkeypatch):
+    d = 5
+    victim = enumerate_family(d)[7]
+    real = family.parity_ok
+    monkeypatch.setattr(
+        family, "parity_ok", lambda b, dd: b != victim and real(b, dd)
+    )
+    assert filter_family(d) == [b for b in enumerate_family(d) if b != victim]
+    assert verify._check_construction_equivalence(list(range(d + 1))) == {
+        "D": d,
+        "filter_only": [],
+        "inductive_only": [victim.to_pairs()],
+    }
+    report = verify.run_checks(d)[0]
+    assert report.name == "construction_equivalence" and not report.passed
+
+
+def test_generated_non_member_is_refused(monkeypatch):
+    # crossing double-primed arcs with an empty witness pass parity and the
+    # coverings at D=4; only the recomputed witness in is_member rejects it
+    fake = m([(4, 2), (5, 3)], 5)
+    assert parity_ok(fake, 4) and coverings_ok(fake, 4, ()) and not is_member(fake, 4)
+    real = family.nested_candidates
+
+    def doctored(n):
+        yield from real(n)
+        yield fake, ()
+
+    monkeypatch.setattr(family, "nested_candidates", doctored)
+    with pytest.raises(FalsificationError, match="not in X_4"):
+        filter_family(4)
+
+
+def test_equivalence_builds_each_family_once_per_d(monkeypatch):
+    real = verify.filter_family
+    calls = []
+    dropped = enumerate_family(3)[2]
+    stranger = m([(4, 2), (5, 3)], 5)
+
+    def doctored(d):
+        calls.append(d)
+        members = real(d)
+        return [b for b in members if b != dropped] + [stranger] if d == 3 else members
+
+    monkeypatch.setattr(verify, "filter_family", doctored)
+    assert verify._check_construction_equivalence([0, 1, 2, 3, 4]) == {
+        "D": 3,
+        "filter_only": [stranger.to_pairs()],
+        "inductive_only": [dropped.to_pairs()],
+    }
+    assert calls == [0, 1, 2, 3]
 
 
 def test_filter_guard(monkeypatch):
