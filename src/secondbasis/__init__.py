@@ -29,6 +29,7 @@ from .basis import (
     epsilon,
     epsilon_inverse,
     epsilon_pairs,
+    lift_images,
     piece_cardinality,
     primitive_image,
     recursion_check,

@@ -41,6 +41,7 @@ __all__ = [
     "epsilon",
     "epsilon_inverse",
     "epsilon_pairs",
+    "lift_images",
     "piece_cardinality",
     "primitive_image",
     "recursion_check",
@@ -116,6 +117,27 @@ def epsilon_inverse(d: int) -> Mapping[EvenSet, Matching]:
     return MappingProxyType({x: b for b, x in epsilon_pairs(d)})
 
 
+@lru_cache(maxsize=None)
+def lift_images(d: int) -> tuple[tuple[int, ...], ...]:
+    """The lift grid X_{D-2} x [1, D], read through the image table of X_D.
+
+    Row r holds the image masks of ``lift_matching(k, b', d)`` for k = 1..D,
+    b' being member r of X_{D-2} in family order; each image is looked up in
+    ``epsilon_pairs(d)``, so a lift outside X_D is a falsification.
+    """
+    image = {b: x.mask for b, x in epsilon_pairs(d)}
+    rows = []
+    for bp, _ in epsilon_pairs(d - 2):
+        row = []
+        for k in range(1, d + 1):
+            mask = image.get(lift_matching(k, bp, d))
+            if mask is None:
+                raise FalsificationError(f"lift k={k} of {bp!r} is not in X_{d}")
+            row.append(mask)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # closed-form images of the primitives
 
@@ -160,13 +182,12 @@ def recursion_check(d: int) -> tuple[Matching, int] | None:
     """First (member, slot) violating the lifting recursion, or None.
 
     The image of a lifted member must be the embedded image of the original,
-    up to one optional copy of {k, k+1}.
+    up to one optional copy of {k, k+1}.  Both images are read from the
+    per-D tables, ``epsilon_pairs(d - 2)`` and ``lift_images(d)``.
     """
-    for bp in enumerate_family(d - 2):
-        ex = epsilon(bp, d - 2)
-        for k in range(1, d + 1):
-            lifted = epsilon(lift_matching(k, bp, d), d)
-            diff = (lifted ^ embed_set(k, ex)).mask
+    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+        for k, lifted in enumerate(row, start=1):
+            diff = lifted ^ embed_set(k, ex).mask
             if diff and diff != (1 << k) | (1 << (k + 1)):
                 return (bp, k)
     return None

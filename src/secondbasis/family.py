@@ -31,9 +31,10 @@ then; for an all-primed matching only the interiors are constrained.
 The covering test deliberately uses a budgeted search over arbitrary interval
 systems instead of a greedy outermost-arc rule: the filter runs on
 candidates whose primed intervals may cross, and laminarity only holds after
-membership is established.  ``cover_interval`` and ``coverings_ok`` share
-one tiling recursion; ``coverings_ok`` builds its table of primed arcs once
-per matching.
+membership is established.  ``cover_interval``, ``coverings_ok`` and
+``distinguished_element`` share one tiling recursion; the last reads its
+boundary segment from ``covering_requirements``.  ``coverings_ok`` builds its
+table of primed arcs once per matching.
 """
 
 from __future__ import annotations
@@ -264,27 +265,6 @@ def cover_interval(
     return CoverWitness(tuple(found[0]), tuple(found[1]))
 
 
-def _all_leftovers(b: Matching, lo: int, hi: int) -> set[int]:
-    """Every point that some 1-cover of [lo, hi] leaves uncovered."""
-    starts = _starts(b)
-    out: set[int] = set()
-
-    def rec(p: int, leftover: int | None) -> None:
-        if p > hi:
-            if leftover is not None:
-                out.add(leftover)
-            return
-        for q in starts.get(p, ()):
-            if q <= hi:
-                rec(q + 1, leftover)
-        if leftover is None:
-            rec(p + 1, p)
-
-    if (hi - lo + 1) % 2 == 1 and hi >= lo:
-        rec(lo, None)
-    return out
-
-
 def covering_requirements(
     b: Matching, d: int, seq: tuple[int, ...]
 ) -> list[tuple[int, int, int]]:
@@ -410,25 +390,27 @@ def distinguished_element(b: Matching, d: int) -> int:
     asserted here at runtime, so a violation surfaces as a falsification
     instead of silently picking one.
     """
-    n = b.n
-    b0, _, i_b = split_parts(b)
-    if d % 2 == 0 or not b0 or (b.support_mask >> n & 1):
+    if d % 2 == 0 or not b.double_primed() or (b.support_mask >> b.n & 1):
         raise DomainError(
             "distinguished element needs odd D, double-primed arcs, and N unmatched"
         )
     seq = nested_pairing(b)
     if seq is None:
         raise DomainError("not a member: no nested-pairing witness")
-    if i_b % 2 == 1:
-        lo, hi = seq[-1] + 1, n - 1
-    else:
-        lo, hi = 1, seq[0] - 1
-    leftovers = _all_leftovers(b, lo, hi)
+    # the one boundary segment the third property tiles with a leftover
+    ((lo, hi, _),) = [seg for seg in covering_requirements(b, d, seq) if seg[2] == 1]
+    starts = _starts(b)
+    leftovers = [
+        p
+        for p in range(lo, hi + 1, 2)
+        if _tile(starts, lo, p - 1, 0) is not None
+        and _tile(starts, p + 1, hi, 0) is not None
+    ]
     if len(leftovers) != 1:
         raise FalsificationError(
-            f"boundary segment [{lo},{hi}] of {b!r} admits leftovers {sorted(leftovers)}"
+            f"boundary segment [{lo},{hi}] of {b!r} admits leftovers {leftovers}"
         )
-    return leftovers.pop()
+    return leftovers[0]
 
 
 def piece_of(b: Matching, d: int) -> PieceLabel:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arcs import Arc, Matching, arc_text, classify_pair, pair_evenset
-from .basis import build_order, epsilon
+from .basis import build_order, epsilon_pairs
 from .errors import DomainError
-from .f2 import unique_decomposition
+from .f2 import EvenSet, unique_decomposition
 from .family import PieceLabel, ground_size, pieces
 from .limits import guard_d
 
@@ -49,8 +49,8 @@ class TableEntry:
         }
 
 
-def table_entry(b: Matching, d: int) -> TableEntry:
-    image = epsilon(b, d)
+def table_entry(b: Matching, image: EvenSet) -> TableEntry:
+    """The entry of a member given its image: the arcs whose pair-vectors sum to it."""
     part = unique_decomposition(b.pair_vectors(), image)
     picked = {x.mask for x in part}
     bracketed = tuple(a for a in b.arcs if pair_evenset(a, b.n).mask in picked)
@@ -100,14 +100,12 @@ def table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def _table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
-    order = build_order(d)
+    position = build_order(d).position
+    image = dict(epsilon_pairs(d))
     out = []
     for label, members in pieces(d).items():
-        entries = sorted(
-            (table_entry(b, d) for b in members),
-            key=lambda e: order.position[epsilon(e.matching, d).mask],
-        )
-        out.append((label, tuple(entries)))
+        ranked = sorted(members, key=lambda b: position[image[b].mask])
+        out.append((label, tuple(table_entry(b, image[b]) for b in ranked)))
     return tuple(out)
 
 

@@ -11,23 +11,26 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .arcs import cyclic_interval, lift_matching
+from .arcs import cyclic_interval
 from .basis import (
     CycleError,
     build_order,
     epsilon,
     epsilon_pairs,
+    lift_images,
     piece_cardinality,
     primitive_image,
     recursion_check,
     sector_label,
     unique_bijection_check,
 )
-from .errors import FalsificationError
+from .errors import DomainError, FalsificationError
+from .f2 import EvenSet
 from .family import (
     PieceLabel,
     enumerate_family,
     filter_family,
+    ground_size,
     labeled_primitives,
     pieces,
 )
@@ -110,10 +113,11 @@ def _check_recursion(ds: list[int]) -> dict | None:
 
 def _check_gamma_invariance(ds: list[int]) -> dict | None:
     for d in ds:
-        for bp in enumerate_family(d - 2):
-            g = epsilon(bp, d - 2).gamma()
-            for k in range(1, d + 1):
-                if epsilon(lift_matching(k, bp, d), d).gamma() != g:
+        n = ground_size(d)
+        for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+            g = ex.gamma()
+            for k, lifted in enumerate(row, start=1):
+                if EvenSet.from_mask(lifted, n).gamma() != g:
                     return {"D": d, "member": bp.to_pairs(), "k": k}
     return None
 
@@ -132,19 +136,20 @@ def _check_primitive_forms(ds: list[int]) -> dict | None:
 
 def _check_n_transport(ds: list[int]) -> dict | None:
     for d in ds:
-        for bp in enumerate_family(d - 2):
-            inner = bp.n in epsilon(bp, d - 2)  # bp.n is N-2 of the target
-            for k in range(1, d + 1):
-                b = lift_matching(k, bp, d)
-                if (b.n in epsilon(b, d)) != inner:
+        n = ground_size(d)
+        for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+            inner = n - 2 in ex  # the top point of [1, N-2]
+            for k, lifted in enumerate(row, start=1):
+                if bool(lifted >> n & 1) != inner:
                     return {"D": d, "member": bp.to_pairs(), "k": k}
     return None
 
 
 def _check_piece_bijections(ds: list[int]) -> dict | None:
     for d in ds:
+        image = dict(epsilon_pairs(d))
         for label, members in pieces(d).items():
-            images = {epsilon(b, d) for b in members}
+            images = {image[b] for b in members}
             if len(images) != len(members):
                 return {"D": d, "piece": str(label), "kind": "collision"}
             for x in images:
@@ -180,7 +185,7 @@ def _check_antisymmetry(ds: list[int]) -> dict | None:
 def _check_counting(ds: list[int]) -> dict | None:
     for d in ds:
         fam = enumerate_family(d)
-        n = d + 1 if d % 2 == 0 else d + 2
+        n = ground_size(d)
         if len(fam) != 1 << (n - 1):
             return {"D": d, "size": len(fam), "expected": 1 << (n - 1)}
         by_piece = pieces(d)
@@ -200,8 +205,8 @@ def _check_counting(ds: list[int]) -> dict | None:
 
 def _check_triangular_form(ds: list[int]) -> dict | None:
     for d in ds:
-        for b in enumerate_family(d):
-            if triangular_epsilon(b, d) != epsilon(b, d):
+        for b, x in epsilon_pairs(d):
+            if triangular_epsilon(b, d) != x:
                 return {"D": d, "member": b.to_pairs(), "kind": "closed-form"}
             if not triangle_identity_ok(b, d):
                 return {"D": d, "member": b.to_pairs(), "kind": "point-identity"}
@@ -226,17 +231,13 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
                 in_primed_zero_piece_set(x, d) == in_primed_zero_piece_set(bang, d)
             ):
                 return {"D": d, "kind": "primed-not-swapped", "x": x.to_json()}
-        for b, x in epsilon_pairs(d):
-            if epsilon(matching_involution(b, d), d) != involution(x, d):
+        image = dict(epsilon_pairs(d))
+        for b, x in image.items():
+            if image[matching_involution(b, d)] != involution(x, d):
                 return {"D": d, "kind": "not-equivariant", "member": b.to_pairs()}
-        for label, members in pieces(d).items():
-            if label != zero_plus:
-                continue
-            for b in members:
-                if in_primed_zero_piece(b, d) != in_primed_zero_piece_set(
-                    epsilon(b, d), d
-                ):
-                    return {"D": d, "kind": "primed-class", "member": b.to_pairs()}
+        for b in pieces(d).get(zero_plus, ()):
+            if in_primed_zero_piece(b, d) != in_primed_zero_piece_set(image[b], d):
+                return {"D": d, "kind": "primed-class", "member": b.to_pairs()}
         bad = sector_order_check(d)
         if bad is not None:
             return {"D": d, **bad}
@@ -248,22 +249,6 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
             if any(not 0 <= v <= 2 for column in m.columns for _, v in column):
                 return {"D": d, "kind": "orbit-entries", "sector": which}
     return None
-
-
-CHECK_NAMES = [
-    "construction_equivalence",
-    "laminarity",
-    "lifting_recursion",
-    "gamma_invariance",
-    "primitive_closed_forms",
-    "n_membership_transport",
-    "piece_bijections",
-    "unique_bijection",
-    "order_antisymmetry",
-    "piece_counts",
-    "triangular_closed_form",
-    "involution_suite",
-]
 
 
 def _ranges(max_d: int, slow: bool) -> dict[str, list[int]]:
@@ -302,11 +287,15 @@ _CHECKS: dict[str, Callable[[list[int]], dict | None]] = {
     "involution_suite": _check_involution_suite,
 }
 
+CHECK_NAMES = list(_CHECKS)
+
 
 def run_checks(
     max_d: int, slow: bool = False, inject_failure: bool = False
 ) -> list[RunReport]:
     """Run the twelve checks up to max_d; per-check caps keep the sweep sane."""
+    if max_d < 0:
+        raise DomainError(f"max-D must be >= 0, got {max_d}")
     guard_d(max_d, 13 if slow else 11, "verification")
     ranges = _ranges(max_d, slow)
     reports = []

@@ -104,6 +104,17 @@ def test_verify_guard(capsys):
     assert rc == 2 and "SBL_MAX_D" in err
 
 
+def test_verify_refuses_a_negative_bound(capsys):
+    rc, out, err = run(capsys, "verify", "--max-D", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: max-D must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("slow", [False, True])
+def test_every_check_has_one_range(slow):
+    assert list(verify._ranges(11, slow)) == verify.CHECK_NAMES
+
+
 def test_matrix_json_labels_round_trip(capsys):
     rc, out, _ = run(capsys, "matrix", "--D", "2", "--sector", "all")
     assert rc == 0

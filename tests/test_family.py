@@ -253,6 +253,19 @@ def test_distinguished_element():
         distinguished_element(m([(1, 2)], 5), 3)  # no double-primed arcs
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(1, 4), (2, 5), (8, 6)], "boundary segment [1,5] of Matching([14, 25, 86], n=9) admits leftovers [1, 5]"),
+        ([(6, 4)], "boundary segment [1,3] of Matching([64], n=9) admits leftovers []"),
+    ],
+)
+def test_distinguished_element_needs_exactly_one_leftover(pairs, message):
+    with pytest.raises(FalsificationError) as exc:
+        distinguished_element(m(pairs, 9), 7)
+    assert str(exc.value) == message
+
+
 def test_piece_of_examples():
     assert piece_of(m([], 5), 4) == PieceLabel(0)
     assert piece_of(m([], 5), 3) == PieceLabel(0, "+")
