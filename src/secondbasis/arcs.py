@@ -116,10 +116,18 @@ def embed_index(k: int, i: int, n: int) -> int:
     return i if i < k else i + 2
 
 
+def _splice(mask: int, k: int) -> int:
+    # the embedding on a bitmask: bits below k stay, the rest move up by two
+    low = (1 << k) - 1
+    return mask & low | (mask & ~low) << 2
+
+
 def embed_set(k: int, x: EvenSet) -> EvenSet:
     """Element-wise image of an even set under the embedding into [1, x.n + 2]."""
     n = x.n + 2
-    return EvenSet((embed_index(k, i, n) for i in x), n)
+    if not 1 <= k <= n - 1:
+        raise DomainError(f"slot index {k} outside [1, {n - 1}]")
+    return EvenSet.from_mask(_splice(x.mask, k), n)
 
 
 class Matching:
@@ -206,17 +214,34 @@ def split_parts(b: Matching) -> tuple[tuple[Arc, ...], tuple[Arc, ...], int | No
 def lift_matching(k: int, bp: Matching, d: int | None = None) -> Matching:
     """Insert the short arc {k, k+1} and shift the rest through the embedding.
 
-    The embedding misses k and k+1, so the image arcs stay disjoint from the
-    new one.  If the target D is supplied, k is checked against [1, D].
+    The embedding [1, n-2] -> [1, n] is strictly increasing, misses k and
+    k+1, and keeps the parity of every difference.  So each shifted arc keeps
+    its canonical writing, the arcs keep their order by lower point and stay
+    disjoint from {k, k+1}, and the support mask is a splice: nothing needs
+    re-checking, and the result is built through ``Matching._make``.  That
+    the lifts land in X_D is certified elsewhere, by the ``lift_images``
+    table lookup and by ``construction_equivalence``.  If the target D is
+    supplied, k is checked against [1, D].
     """
     n = bp.n + 2
     if d is not None and not 1 <= k <= d:
         raise DomainError(f"slot index {k} outside [1, {d}]")
-    arcs = [
-        classify_pair(embed_index(k, a.i, n), embed_index(k, a.j, n)) for a in bp.arcs
-    ]
-    arcs.append(Arc(k, k + 1))
-    return Matching(arcs, n)
+    if not 1 <= k <= n - 1:
+        raise DomainError(f"slot index {k} outside [1, {n - 1}]")
+    short = Arc(k, k + 1)
+    arcs = []
+    for i, j in bp.arcs:
+        if i >= k:
+            i += 2
+        if j >= k:
+            j += 2
+        if short is not None and (i if i < j else j) > k:
+            arcs.append(short)
+            short = None
+        arcs.append(Arc(i, j))
+    if short is not None:
+        arcs.append(short)
+    return Matching._make(tuple(arcs), n, _splice(bp.support_mask, k) | 3 << k)
 
 
 def _arc_sets(free: int, primed_only: bool) -> Iterator[tuple[tuple[Arc, ...], int]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -209,11 +209,14 @@ class Order:
     """The partial order on E_N generated by span membership of preimages.
 
     ``elements`` is the canonical linear extension (piece blocks in display
-    order, ties broken by bit-vector value); ``down(x)`` is the full down-set.
-    The generating digraph X' -> span(preimage of X') - {X'} is the one
-    acyclicity certificate: construction raises ``CycleError`` with an
-    explicit cycle if Kahn's extension stalls, and the down-set pass checks
-    that every generating edge points backwards in the extension.
+    order, ties broken by bit-vector value); ``down[i]`` is the full down-set
+    of element i as a bitset over positions.  The generating digraph
+    X' -> span(preimage of X') - {X'} is the one acyclicity certificate:
+    construction raises ``CycleError`` with an explicit cycle if Kahn's
+    extension stalls.  Kahn's pop order already puts every generating edge
+    backwards, so the down-sets, which only the order queries and
+    ``sector_order_check`` read, are built on first read; the
+    ``order_antisymmetry`` check forces that pass at every D it sweeps.
     """
 
     def __init__(self, d: int):
@@ -260,19 +263,29 @@ class Order:
             raise CycleError(d, path[step[m]:] + [m])
         self.elements: list[EvenSet] = [EvenSet.from_mask(m, n) for m in order]
         self.position: dict[int, int] = {m: i for i, m in enumerate(order)}
+
+    @cached_property
+    def down(self) -> list[int]:
+        """Down-set bitsets over extension positions, built on first read.
+
+        Kahn pops a mask only after every other member of its span, so the
+        raise below cannot fire once construction has succeeded; it stays as
+        a check of that argument.
+        """
         down: list[int] = []
-        for i, m in enumerate(order):
+        for i, x in enumerate(self.elements):
+            m = x.mask
             bits = 1 << i
             for z in self.gen_spans[m]:
                 if z != m:
                     j = self.position[z]
                     if j >= i:
                         raise FalsificationError(
-                            f"linear extension at D={d} puts mask {z} after {m}"
+                            f"linear extension at D={self.d} puts mask {z} after {m}"
                         )
                     bits |= down[j]
             down.append(bits)
-        self.down = down
+        return down
 
     def leq(self, x: EvenSet, y: EvenSet) -> bool:
         return bool(self.down[self.position[y.mask]] >> self.position[x.mask] & 1)

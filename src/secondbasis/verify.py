@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .arcs import cyclic_interval
+from .arcs import cyclic_interval_mask
 from .basis import (
     CycleError,
     build_order,
@@ -94,7 +94,7 @@ def _check_construction_equivalence(ds: list[int]) -> dict | None:
 def _check_laminarity(ds: list[int]) -> dict | None:
     for d in ds:
         for b in enumerate_family(d):
-            ivals = [cyclic_interval(a, b.n).mask for a in b.arcs]
+            ivals = [cyclic_interval_mask(a, b.n) for a in b.arcs]
             for i in range(len(ivals)):
                 for j in range(i + 1, len(ivals)):
                     meet = ivals[i] & ivals[j]
@@ -176,7 +176,7 @@ def _check_uniqueness(ds: list[int]) -> dict | None:
 def _check_antisymmetry(ds: list[int]) -> dict | None:
     for d in ds:
         try:
-            build_order(d)
+            build_order(d).down  # the down-set pass re-checks every edge
         except CycleError as exc:
             return {"D": d, "cycle": exc.cycle}
     return None

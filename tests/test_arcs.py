@@ -70,6 +70,25 @@ def test_embed_set():
     assert embed_set(1, EvenSet([1, 3], 3)) == EvenSet([3, 5], 5)
 
 
+@pytest.mark.parametrize("members", [[], [1, 2]])
+@pytest.mark.parametrize("k", [0, 5, 99])
+def test_embed_set_checks_the_slot_of_every_set(members, k):
+    with pytest.raises(DomainError, match=rf"^slot index {k} outside \[1, 4\]$"):
+        embed_set(k, EvenSet(members, 3))
+
+
+def test_embed_set_splice_is_the_elementwise_embedding():
+    import itertools
+
+    for n in (1, 3, 5, 7, 9):
+        for size in range(0, n + 1, 2):
+            for members in itertools.combinations(range(1, n + 1), size):
+                x = EvenSet(members, n)
+                for k in range(1, n + 2):
+                    want = EvenSet((embed_index(k, i, n + 2) for i in x), n + 2)
+                    assert embed_set(k, x) == want
+
+
 def test_embed_preserves_gamma():
     n = 7
     import itertools
@@ -107,6 +126,13 @@ def test_lift_matching_examples():
     )
     with pytest.raises(DomainError):
         lift_matching(4, Matching([], 3), 3)  # slot outside [1, D]
+
+
+@pytest.mark.parametrize("k", [0, 5, 99])
+def test_lift_matching_checks_the_slot_of_every_matching(k):
+    for bp in (Matching([], 3), Matching([Arc(1, 2)], 3)):
+        with pytest.raises(DomainError, match=rf"^slot index {k} outside \[1, 4\]$"):
+            lift_matching(k, bp)
 
 
 def test_lift_injective_and_avoids_slot():

@@ -112,6 +112,56 @@ def test_order_is_partial_order():
                     assert not order.leq(y, x)
 
 
+@pytest.fixture
+def fresh_orders():
+    build_order.cache_clear()
+    yield
+    build_order.cache_clear()
+
+
+def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
+    from secondbasis.cli import main
+
+    for d in range(6):
+        assert main(["table", "--D", str(d)]) == 0
+        assert main(["symbols", "--D", str(d)]) == 0
+        for sector in ("plus", "minus", "pp", "mm") if d % 2 else ("all",):
+            assert main(["matrix", "--D", str(d), "--sector", sector]) == 0
+    capsys.readouterr()
+    assert build_order.cache_info().currsize == 6
+    for d in range(6):
+        assert "down" not in build_order(d).__dict__, d
+
+
+def test_order_antisymmetry_builds_the_down_sets(fresh_orders):
+    from secondbasis.verify import _check_antisymmetry
+
+    ds = list(range(6))
+    for d in ds:
+        assert "down" not in build_order(d).__dict__
+    assert _check_antisymmetry(ds) is None
+    for d in ds:
+        assert "down" in build_order(d).__dict__, d
+
+
+def _eager_down(order):
+    # the closure read straight off the spans, member by member in extension order
+    down = {}
+    for x in order.elements:
+        bits = 1 << order.position[x.mask]
+        for z in order.gen_spans[x.mask]:
+            if z != x.mask:
+                bits |= down[z]
+        down[x.mask] = bits
+    return [down[x.mask] for x in order.elements]
+
+
+def test_lazy_down_sets_equal_the_eager_closure():
+    for d in range(10):
+        order = build_order(d)
+        assert order.down == _eager_down(order), d
+
+
 def test_unique_bijection_certificate():
     for d in (0, 1, 2, 3, 4, 7):
         assert unique_bijection_check(d) is None

@@ -4,14 +4,22 @@
 tables exist, the lift checks, ``piece_bijections`` and
 ``triangular_closed_form`` run with the lift and epsilon functions
 disabled.  A doctored lift that leaves X_D makes all three lift checks FAIL
-with a message naming D, the member and the slot.
+with a message naming D, the member and the slot.  The spliced
+``lift_matching`` is checked against the lift computed arc by arc.
 """
 
 import pytest
 
 import secondbasis.basis as basis
 import secondbasis.verify as verify
-from secondbasis.arcs import iter_matchings, lift_matching
+from secondbasis.arcs import (
+    Arc,
+    Matching,
+    classify_pair,
+    embed_index,
+    iter_matchings,
+    lift_matching,
+)
 from secondbasis.basis import epsilon, epsilon_pairs, lift_images
 from secondbasis.errors import FalsificationError
 from secondbasis.family import enumerate_family, ground_size
@@ -25,6 +33,39 @@ def fresh_lifts():
     lift_images.cache_clear()
     yield
     lift_images.cache_clear()
+
+
+def oracle_lift(k, bp):
+    """The lift arc by arc: embed both endpoints, re-canonicalise, validate."""
+    n = bp.n + 2
+    arcs = [
+        classify_pair(embed_index(k, a.i, n), embed_index(k, a.j, n)) for a in bp.arcs
+    ]
+    return Matching(arcs + [Arc(k, k + 1)], n)
+
+
+def assert_lifts_match_the_oracle(bps, slots, d=None):
+    for bp in bps:
+        for k in slots:
+            got, want = lift_matching(k, bp, d), oracle_lift(k, bp)
+            assert (got.n, got.arcs, got.support_mask) == (
+                want.n, want.arcs, want.support_mask
+            ), (bp, k)
+
+
+def test_lift_equals_the_oracle_on_every_small_matching():
+    for n in (1, 3, 5, 7):
+        assert_lifts_match_the_oracle(iter_matchings(n), range(1, n + 2))
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_lift_equals_the_oracle_on_the_lift_grid(d):
+    assert_lifts_match_the_oracle(enumerate_family(d - 2), range(1, d + 1), d)
+
+
+@pytest.mark.slow
+def test_lift_equals_the_oracle_on_the_lift_grid_d13():
+    assert_lifts_match_the_oracle(enumerate_family(11), range(1, 14), 13)
 
 
 def test_rows_are_the_lifted_images(fresh_lifts):
