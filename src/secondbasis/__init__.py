@@ -27,6 +27,7 @@ from .basis import (
     build_order,
     change_matrix,
     epsilon,
+    epsilon_images,
     epsilon_inverse,
     epsilon_pairs,
     lift_images,

@@ -219,11 +219,12 @@ def lift_matching(k: int, bp: Matching, d: int | None = None) -> Matching:
     its canonical writing, the arcs keep their order by lower point and stay
     disjoint from {k, k+1}, and the support mask is a splice: nothing needs
     re-checking, and the result is built through ``Matching._make``.  That
-    the lifts land in X_D is certified elsewhere, by the ``lift_images``
-    table lookup and by ``construction_equivalence``.  If the target D is
-    supplied, k is checked against [1, D].
+    the lifts land in X_D is certified by ``construction_equivalence``.  If
+    the target D is supplied, the lift must land on its ground set and k in [1, D].
     """
     n = bp.n + 2
+    if d is not None and n != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
+        raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
     if d is not None and not 1 <= k <= d:
         raise DomainError(f"slot index {k} outside [1, {d}]")
     if not 1 <= k <= n - 1:

@@ -19,7 +19,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .arcs import Matching, cyclic_interval_mask, embed_set, lift_matching
+from .arcs import Matching, cyclic_interval_mask, embed_set
 from .errors import DomainError, FalsificationError
 from .f2 import EvenSet, span_masks
 from .family import (
@@ -27,6 +27,7 @@ from .family import (
     distinguished_element,
     enumerate_family,
     ground_size,
+    lift_positions,
     piece_of,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "build_order",
     "change_matrix",
     "epsilon",
+    "epsilon_images",
     "epsilon_inverse",
     "epsilon_pairs",
     "lift_images",
@@ -112,6 +114,12 @@ def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
 
 
 @lru_cache(maxsize=None)
+def epsilon_images(d: int) -> Mapping[Matching, EvenSet]:
+    """member -> image, built once per D; read-only because it is shared."""
+    return MappingProxyType(dict(epsilon_pairs(d)))
+
+
+@lru_cache(maxsize=None)
 def epsilon_inverse(d: int) -> Mapping[EvenSet, Matching]:
     """image -> member, built once per D; read-only because it is shared."""
     return MappingProxyType({x: b for b, x in epsilon_pairs(d)})
@@ -122,20 +130,15 @@ def lift_images(d: int) -> tuple[tuple[int, ...], ...]:
     """The lift grid X_{D-2} x [1, D], read through the image table of X_D.
 
     Row r holds the image masks of ``lift_matching(k, b', d)`` for k = 1..D,
-    b' being member r of X_{D-2} in family order; each image is looked up in
-    ``epsilon_pairs(d)``, so a lift outside X_D is a falsification.
+    b' being member r of X_{D-2} in family order: the positions the inductive
+    walk recorded (``lift_positions``), read through ``epsilon_pairs(d)``.
     """
-    image = {b: x.mask for b, x in epsilon_pairs(d)}
-    rows = []
-    for bp, _ in epsilon_pairs(d - 2):
-        row = []
-        for k in range(1, d + 1):
-            mask = image.get(lift_matching(k, bp, d))
-            if mask is None:
-                raise FalsificationError(f"lift k={k} of {bp!r} is not in X_{d}")
-            row.append(mask)
-        rows.append(tuple(row))
-    return tuple(rows)
+    if d < 2:
+        raise DomainError(f"the lift grid needs D >= 2, got {d}")
+    masks = [x.mask for _, x in epsilon_pairs(d)]
+    grid = lift_positions(d)
+    rows = range(0, len(grid), d)
+    return tuple(tuple(masks[p] for p in grid[r : r + d]) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +212,9 @@ class Order:
     """The partial order on E_N generated by span membership of preimages.
 
     ``elements`` is the canonical linear extension (piece blocks in display
-    order, ties broken by bit-vector value); ``down[i]`` is the full down-set
-    of element i as a bitset over positions.  The generating digraph
+    order, ties broken by bit-vector value) and ``labels`` their pieces, one
+    interned label per mask; ``down[i]`` is the full down-set of element i as
+    a bitset over positions.  The generating digraph
     X' -> span(preimage of X') - {X'} is the one acyclicity certificate:
     construction raises ``CycleError`` with an explicit cycle if Kahn's
     extension stalls.  Kahn's pop order already puts every generating edge
@@ -234,22 +238,26 @@ class Order:
                     succ[z].append(m)
                     indeg[m] += 1
 
-        def key(mask: int) -> tuple:
-            return (
-                sector_label(EvenSet.from_mask(mask, n), d).sort_key(),
-                mask,
-            )
+        interned: dict[PieceLabel, PieceLabel] = {}
 
-        heap = [key(m) for m, deg in indeg.items() if deg == 0]
+        def entry(mask: int) -> tuple:
+            # each mask is pushed once, so its label is computed once
+            piece = sector_label(EvenSet.from_mask(mask, n), d)
+            piece = interned.setdefault(piece, piece)
+            return (piece.sort_key(), mask, piece)
+
+        heap = [entry(m) for m, deg in indeg.items() if deg == 0]
         heapq.heapify(heap)
         order: list[int] = []
+        self.labels: list[PieceLabel] = []
         while heap:
-            m = heapq.heappop(heap)[-1]
+            _, m, piece = heapq.heappop(heap)
             order.append(m)
+            self.labels.append(piece)
             for m2 in succ[m]:
                 indeg[m2] -= 1
                 if indeg[m2] == 0:
-                    heapq.heappush(heap, key(m2))
+                    heapq.heappush(heap, entry(m2))
         if len(order) != len(indeg):
             # a stalled mask keeps a stalled span member, so this walk closes
             stalled = {m for m, deg in indeg.items() if deg}
@@ -307,8 +315,8 @@ class Order:
         if sector in ("plus", "minus"):
             if self.d % 2 == 0:
                 raise DomainError(f"sector {sector!r} needs odd D")
-            want = sector == "minus"
-            return [x for x in self.elements if (self.n in x) == want]
+            sign = "-" if sector == "minus" else "+"
+            return [x for x, l in zip(self.elements, self.labels) if l.sign == sign]
         raise DomainError(f"unknown sector {sector!r}")
 
 

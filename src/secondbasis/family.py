@@ -23,10 +23,12 @@ of the remaining points.  At N = 13 that is 225,270 candidates instead of
 ``parity_ok`` and ``coverings_ok``, and the members found are re-checked by
 ``is_member``, the definition itself.
 
-The two constructions are proved equal; ``verify``-level checks re-derive
-that equality exhaustively.  The boundary clauses of the third property only
-make sense when the double-primed part is non-empty, and are applied exactly
-then; for an all-primed matching only the interiors are constrained.
+The inductive route walks the lift grid once per D and records where each
+lift lands (``lift_positions``).  The two constructions are proved equal;
+``verify``-level checks re-derive that equality exhaustively.  The boundary
+clauses of the third property only make sense when the double-primed part is
+non-empty, and are applied exactly then; for an all-primed matching only the
+interiors are constrained.
 
 The covering test deliberately uses a budgeted search over arbitrary interval
 systems instead of a greedy outermost-arc rule: the filter runs on
@@ -39,6 +41,7 @@ table of primed arcs once per matching.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -59,6 +62,7 @@ __all__ = [
     "ground_size",
     "is_member",
     "labeled_primitives",
+    "lift_positions",
     "nested_candidates",
     "nested_pairing",
     "parity_ok",
@@ -157,23 +161,36 @@ def primitives(d: int) -> list[Matching]:
 
 
 @lru_cache(maxsize=None)
-def _family(d: int) -> tuple[Matching, ...]:
+def _family(d: int) -> tuple[tuple[Matching, ...], array]:
     if d == 0:
-        return (Matching((), 1),)
+        return (Matching((), 1),), array("I")
     if d == 1:
         base = primitives(1) + [Matching((Arc(1, 2),), 3)]
-        return tuple(sorted(base, key=lambda b: b.arcs))
-    seen = set(primitives(d))
-    for bp in _family(d - 2):
-        for k in range(1, d + 1):
-            seen.add(lift_matching(k, bp, d))
-    return tuple(sorted(seen, key=lambda b: b.arcs))
+        return tuple(sorted(base, key=lambda b: b.arcs)), array("I")
+    seen = {b: b for b in primitives(d)}
+    lifts = (
+        lift_matching(k, bp, d) for bp in _family(d - 2)[0] for k in range(1, d + 1)
+    )
+    walk = [seen.setdefault(b, b) for b in lifts]  # one object kept per member
+    members = sorted(seen, key=lambda b: b.arcs)
+    position = {id(b): i for i, b in enumerate(members)}  # no re-hashing
+    return tuple(members), array("I", [position[id(b)] for b in walk])
 
 
 def enumerate_family(d: int) -> tuple[Matching, ...]:
     """X_D by induction: primitives plus every lift of X_{D-2}, deduplicated."""
     guard_d(d, 15, "family enumeration")
-    return _family(d)
+    return _family(d)[0]
+
+
+def lift_positions(d: int) -> memoryview:
+    """The lift grid as positions in X_D: flat, row-major, read-only (shared).
+
+    Entry r*D + k-1 is the position of ``lift_matching(k, b', d)``, b' being
+    member r of X_{D-2}, as the walk that builds X_D recorded it; empty for D < 2.
+    """
+    guard_d(d, 15, "family enumeration")
+    return memoryview(_family(d)[1]).toreadonly()
 
 
 # ---------------------------------------------------------------------------

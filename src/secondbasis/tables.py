@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arcs import Arc, Matching, arc_text, classify_pair, pair_evenset
-from .basis import build_order, epsilon_pairs
+from .basis import build_order, epsilon_images
 from .errors import DomainError
 from .f2 import EvenSet, unique_decomposition
 from .family import PieceLabel, ground_size, pieces
@@ -101,7 +101,7 @@ def table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
 @lru_cache(maxsize=None)
 def _table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
     position = build_order(d).position
-    image = dict(epsilon_pairs(d))
+    image = epsilon_images(d)
     out = []
     for label, members in pieces(d).items():
         ranked = sorted(members, key=lambda b: position[image[b].mask])
@@ -109,35 +109,31 @@ def _table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]
     return tuple(out)
 
 
+def _selected(d: int, piece: PieceLabel | None) -> list:
+    # every piece, or the one asked for; a table always has a piece
+    data = table_data(d)
+    chosen = [item for item in data if piece is None or item[0] == piece]
+    if not chosen:
+        raise DomainError(f"no piece {piece} at D={d}")
+    return chosen
+
+
 def render_table(d: int, piece: PieceLabel | None = None) -> str:
     lines = [f"table D={d} (ground set [1,{ground_size(d)}])"]
-    found = False
-    for label, entries in table_data(d):
-        if piece is not None and label != piece:
-            continue
-        found = True
+    for label, entries in _selected(d, piece):
         lines.append(f"piece {label}:")
         lines.extend(render_entry(e) for e in entries)
-    if piece is not None and not found:
-        raise DomainError(f"no piece {piece} at D={d}")
     return "\n".join(lines) + "\n"
 
 
 def table_json(d: int, piece: PieceLabel | None = None) -> dict:
-    pieces_json = []
-    found = False
-    for label, entries in table_data(d):
-        if piece is not None and label != piece:
-            continue
-        found = True
-        pieces_json.append(
-            {
-                "label": str(label),
-                "t": label.t,
-                "sign": label.sign,
-                "entries": [e.to_json() for e in entries],
-            }
-        )
-    if piece is not None and not found:
-        raise DomainError(f"no piece {piece} at D={d}")
+    pieces_json = [
+        {
+            "label": str(label),
+            "t": label.t,
+            "sign": label.sign,
+            "entries": [e.to_json() for e in entries],
+        }
+        for label, entries in _selected(d, piece)
+    ]
     return {"D": d, "N": ground_size(d), "pieces": pieces_json}

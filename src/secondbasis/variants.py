@@ -17,7 +17,7 @@ from .arcs import Matching, cyclic_interval_mask
 from .basis import (
     BasisMatrix,
     build_order,
-    epsilon,
+    epsilon_images,
     epsilon_inverse,
     sector_label,
     _assert_unitriangular,
@@ -143,8 +143,8 @@ def involution(x: EvenSet, d: int) -> EvenSet:
 
 
 def matching_involution(b: Matching, d: int) -> Matching:
-    """The involution transported through epsilon: the preimage of eps(b)^!."""
-    return epsilon_inverse(d)[involution(epsilon(b, d), d)]
+    """The preimage of eps(b)^!, both directions read from the per-D epsilon tables."""
+    return epsilon_inverse(d)[involution(epsilon_images(d)[b], d)]
 
 
 def in_primed_zero_piece_set(x: EvenSet, d: int) -> bool:
@@ -184,7 +184,7 @@ def sector_order_check(d: int) -> dict | None:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
     zero_plus = PieceLabel(0, "+")
-    labels = [sector_label(x, d) for x in order.elements]
+    labels = order.labels  # one piece label per element, aligned with elements
     piece_bits: dict[PieceLabel, int] = {}
     unprimed = 0  # (0,+) sets containing D+1
     for i, (x, label) in enumerate(zip(order.elements, labels)):
@@ -202,7 +202,7 @@ def sector_order_check(d: int) -> dict | None:
     for i, (y, ly) in enumerate(zip(order.elements, labels)):
         rank_bad = order.down[i] & forbidden[ly]
         primed_bad = 0
-        if ly == zero_plus and in_primed_zero_piece_set(y, d):
+        if ly == zero_plus and not unprimed >> i & 1:
             primed_bad = order.down[i] & unprimed
         bad = rank_bad | primed_bad
         if not bad:
@@ -238,18 +238,12 @@ def orbit_representatives(d: int, which: str) -> tuple[EvenSet, ...]:
         raise DomainError("orbit representatives concern odd D only")
     order = build_order(d)
     chosen = []
-    for pos, x in enumerate(order.elements):
-        label = sector_label(x, d)
-        if which[0] == "+":
-            if label.sign != "+":
-                continue
-            if label.t == 0:
-                keep = in_primed_zero_piece_set(x, d)
-            else:
-                keep = (label.t > 0) == (which[1] == "+")
-        else:
-            if label.sign != "-":
-                continue
+    for pos, (x, label) in enumerate(zip(order.elements, order.labels)):
+        if label.sign != which[0]:
+            continue
+        if label.sign == "+" and label.t == 0:
+            keep = in_primed_zero_piece_set(x, d)
+        else:  # a plus-sector t here is nonzero, so t >= 0 means t > 0
             keep = (label.t >= 0) == (which[1] == "+")
         if keep:
             chosen.append((_rank(label), pos, x))

@@ -16,6 +16,7 @@ from .basis import (
     CycleError,
     build_order,
     epsilon,
+    epsilon_images,
     epsilon_pairs,
     lift_images,
     piece_cardinality,
@@ -147,7 +148,7 @@ def _check_n_transport(ds: list[int]) -> dict | None:
 
 def _check_piece_bijections(ds: list[int]) -> dict | None:
     for d in ds:
-        image = dict(epsilon_pairs(d))
+        image = epsilon_images(d)
         for label, members in pieces(d).items():
             images = {image[b] for b in members}
             if len(images) != len(members):
@@ -217,11 +218,11 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
     for d in ds:
         order = build_order(d)
         zero_plus = PieceLabel(0, "+")
-        for x in order.elements:
+        for x, lx in zip(order.elements, order.labels):
             bang = involution(x, d)
             if bang == x:
                 return {"D": d, "kind": "fixed-point", "x": x.to_json()}
-            lx, lb = sector_label(x, d), sector_label(bang, d)
+            lb = order.labels[order.position[bang.mask]]
             if lx.sign != lb.sign:
                 return {"D": d, "kind": "sector-broken", "x": x.to_json()}
             want_t = -lx.t if lx.sign == "+" else -lx.t - 2
@@ -231,7 +232,7 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
                 in_primed_zero_piece_set(x, d) == in_primed_zero_piece_set(bang, d)
             ):
                 return {"D": d, "kind": "primed-not-swapped", "x": x.to_json()}
-        image = dict(epsilon_pairs(d))
+        image = epsilon_images(d)
         for b, x in image.items():
             if image[matching_involution(b, d)] != involution(x, d):
                 return {"D": d, "kind": "not-equivariant", "member": b.to_pairs()}

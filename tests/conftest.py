@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,29 @@ def load_corpus(d):
 @pytest.fixture
 def corpus_loader():
     return load_corpus
+
+
+def library_modules():
+    """Every loaded secondbasis module, the package itself included."""
+    return [
+        mod
+        for name, mod in list(sys.modules.items())
+        if mod is not None and name.split(".")[0] == "secondbasis"
+    ]
+
+
+def clear_library_caches():
+    """Empty every per-process cache: each library attribute with ``cache_clear``."""
+    for mod in library_modules():
+        for value in list(vars(mod).values()):
+            clear = getattr(value, "cache_clear", None)
+            if callable(clear):
+                clear()
+
+
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Point every library name bound to ``original`` at ``replacement``."""
+    for mod in library_modules():
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, replacement)

@@ -35,7 +35,7 @@ from secondbasis.verify import (
     _check_recursion,
     _check_triangular_form,
 )
-from tests.conftest import load_corpus
+from tests.conftest import clear_library_caches, load_corpus
 
 
 @contextmanager
@@ -48,23 +48,9 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number} PASS: {description}")
 
 
-def _clear_caches():
-    import secondbasis.basis as basis
-    import secondbasis.family as family
-    import secondbasis.tables as tables
-    import secondbasis.variants as variants
-
-    family._family.cache_clear()
-    family.pieces.cache_clear()
-    basis.epsilon_pairs.cache_clear()
-    basis.build_order.cache_clear()
-    tables._table_data.cache_clear()
-    variants.orbit_representatives.cache_clear()
-
-
 def test_criterion_1_golden_tables():
     with criterion(1, "tables D=1..7 match the reference corpus, under 2 s"):
-        _clear_caches()
+        clear_library_caches()  # the 2 s gate times a cold build
         start = time.perf_counter()
         rendered = {d: table_data(d) for d in range(1, 8)}
         elapsed = time.perf_counter() - start

@@ -128,6 +128,19 @@ def test_lift_matching_examples():
         lift_matching(4, Matching([], 3), 3)  # slot outside [1, D]
 
 
+def test_lift_matching_refuses_a_d_that_does_not_fit():
+    from secondbasis.family import enumerate_family
+
+    bp = enumerate_family(4)[3]  # over [1, 5]: lifts to D = 5 or 6, on [1, 7]
+    message = r"^matching over \[1, 5\] does not lift to D=7$"
+    with pytest.raises(DomainError, match=message):
+        lift_matching(2, bp, 7)
+    for d in (3, 4, 8):
+        with pytest.raises(DomainError, match=rf"does not lift to D={d}$"):
+            lift_matching(1, bp, d)
+    assert lift_matching(2, bp, 5) == lift_matching(2, bp, 6) == lift_matching(2, bp)
+
+
 @pytest.mark.parametrize("k", [0, 5, 99])
 def test_lift_matching_checks_the_slot_of_every_matching(k):
     for bp in (Matching([], 3), Matching([Arc(1, 2)], 3)):

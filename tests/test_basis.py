@@ -112,6 +112,16 @@ def test_order_is_partial_order():
                     assert not order.leq(y, x)
 
 
+@pytest.mark.parametrize("d", range(12))
+def test_order_labels_are_the_sector_labels(d):
+    order = build_order(d)
+    assert len(order.labels) == len(order.elements)
+    for x, label in zip(order.elements, order.labels):
+        assert label == sector_label(x, d)
+    # interned: one label object per piece
+    assert len({id(label) for label in order.labels}) == len(set(order.labels))
+
+
 @pytest.fixture
 def fresh_orders():
     build_order.cache_clear()

@@ -203,3 +203,61 @@ def test_table_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("SBL_MAX_D", "2")
     rc, _, err = run(capsys, "table", "--D", "3")
     assert rc == 2 and "SBL_MAX_D" in err
+
+
+def test_table_at_d0(capsys):
+    rc, out, _ = run(capsys, "table", "--D", "0")
+    assert rc == 0
+    assert out == "table D=0 (ground set [1,1])\npiece 0:\n([∅])\n"
+    rc, out, _ = run(capsys, "table", "--D", "0", "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "D": 0,
+        "N": 1,
+        "pieces": [
+            {
+                "label": "0",
+                "t": 0,
+                "sign": None,
+                "entries": [{"arcs": [], "bracketed": []}],
+            }
+        ],
+    }
+
+
+def test_matrix_at_d0(capsys):
+    rc, out, _ = run(capsys, "matrix", "--D", "0", "--sector", "all")
+    assert rc == 0 and json.loads(out) == {"labels": [[]], "rows": [[1]]}
+    rc, out, _ = run(capsys, "matrix", "--D", "0", "--sector", "all", "--format", "csv")
+    assert rc == 0 and out.splitlines() == [",", ",1"]
+
+
+def test_symbols_at_d0(capsys):
+    rc, out, _ = run(capsys, "symbols", "--D", "0")
+    assert rc == 0
+    assert out == "series s=1 (1 symbols)\n(∅ ; 1)\ntotal 1\n"
+
+
+def test_verify_at_d0(capsys):
+    rc, out, _ = run(capsys, "verify", "--max-D", "0")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[-1] == "12/12 checks passed"
+    spans = {line.split()[1]: line.split()[2] for line in lines[:-1]}
+    assert list(spans) == verify.CHECK_NAMES
+    none = {
+        "lifting_recursion",
+        "gamma_invariance",
+        "n_membership_transport",
+        "involution_suite",
+    }
+    assert {name for name, span in spans.items() if span == "D=(none)"} == none
+    assert all(span == "D=0..0" for name, span in spans.items() if name not in none)
+
+
+@pytest.mark.parametrize("raw", ["abc", "11.5", ""])
+def test_a_non_integer_cap_exits_2_and_names_the_variable(capsys, monkeypatch, raw):
+    monkeypatch.setenv("SBL_MAX_D", raw)
+    rc, out, err = run(capsys, "table", "--D", "3")
+    assert rc == 2 and out == ""
+    assert err == f"error: SBL_MAX_D must be an integer, got {raw!r}\n"

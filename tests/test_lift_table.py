@@ -1,16 +1,19 @@
-"""The lift grid is walked once per D, and images come from the epsilon table.
+"""The lift grid is walked once per D, by the inductive construction.
 
-``lift_images(d)`` is checked against a direct recomputation; once the
-tables exist, the lift checks, ``piece_bijections`` and
-``triangular_closed_form`` run with the lift and epsilon functions
-disabled.  A doctored lift that leaves X_D makes all three lift checks FAIL
-with a message naming D, the member and the slot.  The spliced
+``enumerate_family`` records where every lift of X_{D-2} lands in X_D
+(``lift_positions``), and ``lift_images(d)`` reads those positions through
+the epsilon table; building both calls ``lift_matching`` exactly
+|X_{D-2}|·D times.  ``lift_images(d)`` is checked against a direct
+recomputation; once the tables exist, the lift checks, ``piece_bijections``
+and ``triangular_closed_form`` run with the lift and epsilon functions
+disabled.  A doctored lift that leaves X_D enters the inductive family:
+``construction_equivalence`` names it, and every check that reads the
+epsilon table FAILs with the collision it causes.  The spliced
 ``lift_matching`` is checked against the lift computed arc by arc.
 """
 
 import pytest
 
-import secondbasis.basis as basis
 import secondbasis.verify as verify
 from secondbasis.arcs import (
     Arc,
@@ -21,18 +24,19 @@ from secondbasis.arcs import (
     lift_matching,
 )
 from secondbasis.basis import epsilon, epsilon_pairs, lift_images
-from secondbasis.errors import FalsificationError
-from secondbasis.family import enumerate_family, ground_size
+from secondbasis.errors import DomainError, FalsificationError
+from secondbasis.family import enumerate_family, ground_size, lift_positions
+from tests.conftest import clear_library_caches, rebind_everywhere
 
 LIFT_CHECKS = ["lifting_recursion", "gamma_invariance", "n_membership_transport"]
 TABLE_READERS = LIFT_CHECKS + ["piece_bijections", "triangular_closed_form"]
 
 
 @pytest.fixture
-def fresh_lifts():
-    lift_images.cache_clear()
+def cold_caches():
+    clear_library_caches()
     yield
-    lift_images.cache_clear()
+    clear_library_caches()
 
 
 def oracle_lift(k, bp):
@@ -68,7 +72,7 @@ def test_lift_equals_the_oracle_on_the_lift_grid_d13():
     assert_lifts_match_the_oracle(enumerate_family(11), range(1, 14), 13)
 
 
-def test_rows_are_the_lifted_images(fresh_lifts):
+def test_rows_are_the_lifted_images(cold_caches):
     for d in range(2, 10):
         want = tuple(
             tuple(epsilon(lift_matching(k, bp, d), d).mask for k in range(1, d + 1))
@@ -77,7 +81,40 @@ def test_rows_are_the_lifted_images(fresh_lifts):
         assert lift_images(d) == want
 
 
-def test_checks_read_the_tables(monkeypatch, fresh_lifts):
+@pytest.mark.parametrize("d", range(2, 12))
+def test_positions_are_where_the_lifts_land(d):
+    family = enumerate_family(d)
+    slots = range(1, d + 1)
+    lifts = [lift_matching(k, bp, d) for bp in enumerate_family(d - 2) for k in slots]
+    assert [family[p] for p in lift_positions(d)] == lifts
+    with pytest.raises(TypeError):
+        lift_positions(d)[0] = 0  # the cached grid is shared, so read-only
+
+
+def test_no_lift_grid_below_d2():
+    assert len(lift_positions(0)) == len(lift_positions(1)) == 0
+    for d in (0, 1):
+        message = rf"^the lift grid needs D >= 2, got {d}$"
+        with pytest.raises(DomainError, match=message):
+            lift_images(d)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_the_lift_grid_is_walked_once(monkeypatch, cold_caches, d):
+    enumerate_family(d - 2)  # the levels below walk their own grids
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift_matching(*args)
+
+    rebind_everywhere(monkeypatch, lift_matching, counted)
+    enumerate_family(d)
+    lift_images(d)
+    assert len(calls) == len(enumerate_family(d - 2)) * d
+
+
+def test_checks_read_the_tables(monkeypatch, cold_caches):
     ranges = verify._ranges(7, False)
     for d in range(8):
         epsilon_pairs(d)
@@ -87,9 +124,8 @@ def test_checks_read_the_tables(monkeypatch, fresh_lifts):
     def disabled(*args):
         raise AssertionError("recomputed instead of read from a table")
 
-    monkeypatch.setattr(basis, "lift_matching", disabled)
-    monkeypatch.setattr(basis, "epsilon", disabled)
-    monkeypatch.setattr(verify, "epsilon", disabled)
+    rebind_everywhere(monkeypatch, lift_matching, disabled)
+    rebind_everywhere(monkeypatch, epsilon, disabled)
     for name in TABLE_READERS:
         assert verify._CHECKS[name](ranges[name]) is None, name
 
@@ -98,8 +134,12 @@ D, K = 5, 2  # an odd D, so all three lift checks sweep it
 
 
 @pytest.fixture
-def stray_lift(monkeypatch, fresh_lifts):
-    """One lift at (D, member 0 of X_{D-2}, K) replaced by a non-member."""
+def stray_lift(monkeypatch):
+    """The walk's lift at (D, member 0 of X_{D-2}, K) replaced by a non-member.
+
+    Returns (stray, the true lift it displaced).  Every per-D cache is
+    cleared before and after the doctored run.
+    """
     bp = enumerate_family(D - 2)[0]
     members = set(enumerate_family(D))
     stray = next(b for b in iter_matchings(ground_size(D)) if b not in members)
@@ -107,21 +147,42 @@ def stray_lift(monkeypatch, fresh_lifts):
     def doctored(k, b, d=None):
         return stray if (d, b, k) == (D, bp, K) else lift_matching(k, b, d)
 
-    monkeypatch.setattr(basis, "lift_matching", doctored)
-    return bp
+    clear_library_caches()
+    rebind_everywhere(monkeypatch, lift_matching, doctored)
+    yield stray, lift_matching(K, bp, D)
+    clear_library_caches()
 
 
 def test_a_stray_lift_is_a_falsification(stray_lift):
+    stray, _ = stray_lift
+    assert stray in enumerate_family(D)
     with pytest.raises(FalsificationError) as exc:
-        lift_images(D)
-    assert str(exc.value) == f"lift k={K} of {stray_lift!r} is not in X_{D}"
+        epsilon_pairs(D)
+    message = str(exc.value)
+    assert message.startswith(f"epsilon collision at D={D}: ")
+    assert repr(stray) in message
 
 
 def test_run_checks_fails_the_three_lift_checks(stray_lift):
-    reports = verify.run_checks(D)
-    assert [r.name for r in reports] == verify.CHECK_NAMES
-    assert [r.name for r in reports if not r.passed] == LIFT_CHECKS
-    message = f"lift k={K} of {stray_lift!r} is not in X_{D}"
-    for r in reports:
-        if not r.passed:
-            assert r.detail == {"kind": "falsification", "message": message}
+    stray, displaced = stray_lift
+    reports = {r.name: r for r in verify.run_checks(D)}
+    assert list(reports) == verify.CHECK_NAMES
+    assert reports["construction_equivalence"].detail == {
+        "D": D,
+        "filter_only": [displaced.to_pairs()],
+        "inductive_only": [stray.to_pairs()],
+    }
+    table_readers = LIFT_CHECKS + [
+        "piece_bijections",
+        "unique_bijection",
+        "order_antisymmetry",
+        "involution_suite",
+    ]
+    for name in table_readers:
+        detail = reports[name].detail
+        assert detail["kind"] == "falsification", name
+        assert detail["message"].startswith(f"epsilon collision at D={D}: "), name
+    failed = [name for name, r in reports.items() if not r.passed]
+    assert sorted(failed) == sorted(
+        ["construction_equivalence", "piece_counts"] + table_readers
+    )

@@ -97,6 +97,22 @@ def test_matching_involution():
             assert lbang.t == want
 
 
+def test_matching_involution_reads_the_tables(monkeypatch):
+    from tests.conftest import rebind_everywhere
+
+    members = {d: enumerate_family(d) for d in (1, 3, 5, 7)}
+    want = {
+        d: [matching_involution(b, d) for b in family] for d, family in members.items()
+    }
+
+    def disabled(*args):
+        raise AssertionError("epsilon recomputed instead of read from the table")
+
+    rebind_everywhere(monkeypatch, epsilon, disabled)
+    for d, family in members.items():
+        assert [matching_involution(b, d) for b in family] == want[d]
+
+
 def test_primed_classes():
     assert in_primed_zero_piece(m([], 5), 3)
     b = m([(2, 3), (1, 4)], 5)  # support contains D+1 = 4
