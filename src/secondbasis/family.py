@@ -19,9 +19,15 @@ fixes the double-primed part once its sorted support is known, so
 sequence whose nested pairing is all double-primed (i_r and i_{2s+1-r} of
 one parity), built outside-in, and for each one every primed-only matching
 of the remaining points.  At N = 13 that is 225,270 candidates instead of
-568,504 matchings.  The other two properties are tested on each candidate by
-``parity_ok`` and ``coverings_ok``, and the members found are re-checked by
-``is_member``, the definition itself.
+568,504 matchings.  The parity target and the gap and boundary segments
+depend only on the sequence and on whether N is matched, so
+``filter_family`` works them out once per sequence, for both cases, from
+the same helpers ``parity_target`` and ``covering_requirements`` call.  A
+case that fails the parity property, or has a segment no tiling can fill,
+is dropped before its candidates are generated.  Each remaining candidate
+costs one bit test of N and the tilings of its segments by its primed arcs.
+The survivors must pass ``parity_ok`` and ``coverings_ok``, and each member
+found is re-checked by ``is_member``, the definition itself.
 
 The inductive route walks the lift grid once per D and records where each
 lift lands (``lift_positions``).  The two constructions are proved equal;
@@ -212,13 +218,19 @@ def nested_pairing(b: Matching) -> tuple[int, ...] | None:
     return tuple(seq) if want == set(b0) else None
 
 
+def _parity_target(seq: tuple[int, ...], d: int, n: int, n_matched: bool) -> int:
+    # the parity target read off the sorted double-primed support `seq`: it
+    # holds 2|B0| points, and its last one is i_b, the largest first coordinate
+    s = len(seq) // 2
+    if d % 2 == 0 or not s:
+        return s % 2
+    return 0 if n_matched and seq[-1] != n else 1
+
+
 def parity_target(b: Matching, d: int) -> int:
     """The parity the double-primed part must have (0 or 1)."""
-    b0, _, i_b = split_parts(b)
-    if d % 2 == 0 or not b0:
-        return len(b0) % 2
-    n_matched = bool(b.support_mask >> b.n & 1)
-    return 0 if n_matched and i_b != b.n else 1
+    support = sorted(x for a in b.double_primed() for x in a)
+    return _parity_target(support, d, b.n, bool(b.support_mask >> b.n & 1))
 
 
 def parity_ok(b: Matching, d: int) -> bool:
@@ -282,26 +294,19 @@ def cover_interval(
     return CoverWitness(tuple(found[0]), tuple(found[1]))
 
 
-def covering_requirements(
-    b: Matching, d: int, seq: tuple[int, ...]
+def _sequence_segments(
+    seq: tuple[int, ...], d: int, n: int, n_matched: bool
 ) -> list[tuple[int, int, int]]:
-    """The interval/budget table the third property demands, materialized.
-
-    Each triple (lo, hi, e) asks for [lo, hi] to be tiled with exactly e
-    uncovered points.  The case split on the boundary segments follows the
-    parity of D, whether N is matched, and the parity of the largest
-    double-primed coordinate; it only applies when the sequence is non-empty.
-    """
-    n = b.n
-    segs = [(a.i + 1, a.j - 1, 0) for a in b.primed()]
+    # the rows of the covering table that depend on the sequence alone: the
+    # gaps within each half, then the two boundary segments
     s = len(seq) // 2
+    segs = []
     for r in range(s - 1):
         segs.append((seq[r] + 1, seq[r + 1] - 1, 0))
     for r in range(s, 2 * s - 1):
         segs.append((seq[r] + 1, seq[r + 1] - 1, 0))
     if s:
         i1, i2s = seq[0], seq[-1]
-        n_matched = bool(b.support_mask >> n & 1)
         if d % 2 == 0 or n_matched:
             segs.append((1, i1 - 1, 0))
             segs.append((i2s + 1, n, 0))
@@ -312,6 +317,22 @@ def covering_requirements(
             segs.append((1, i1 - 1, 1))
             segs.append((i2s + 1, n - 1, 0))
     return segs
+
+
+def covering_requirements(
+    b: Matching, d: int, seq: tuple[int, ...]
+) -> list[tuple[int, int, int]]:
+    """The interval/budget table the third property demands, materialized.
+
+    Each triple (lo, hi, e) asks for [lo, hi] to be tiled with exactly e
+    uncovered points: first the primed-arc interiors, then the segments of
+    the sequence.  The case split on the boundary segments follows the
+    parity of D, whether N is matched, and the parity of the largest
+    double-primed coordinate; it only applies when the sequence is non-empty.
+    """
+    n = b.n
+    interiors = [(a.i + 1, a.j - 1, 0) for a in b.primed()]
+    return interiors + _sequence_segments(seq, d, n, bool(b.support_mask >> n & 1))
 
 
 def coverings_ok(b: Matching, d: int, seq: tuple[int, ...] | None = None) -> bool:
@@ -351,6 +372,21 @@ def _nested_sequences(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, n, (), ())
 
 
+def _pairing(seq: tuple[int, ...]) -> tuple[tuple[Arc, ...], int]:
+    # the nested pairing of seq as arcs by lower point, and its support mask
+    s = len(seq) // 2
+    return tuple(Arc(seq[-1 - r], seq[r]) for r in range(s)), sum(1 << i for i in seq)
+
+
+def _joined(
+    inner: tuple[Arc, ...], outer: tuple[Arc, ...], n: int, supp: int
+) -> Matching:
+    arcs = inner + outer
+    if inner and outer:
+        arcs = tuple(sorted(arcs, key=min))  # by lower point
+    return Matching._make(arcs, n, supp)
+
+
 def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
     """Every matching of [1, n] with the first filter property, with its witness.
 
@@ -361,33 +397,69 @@ def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
     """
     everything = ((1 << n) - 1) << 1
     for seq in _nested_sequences(n):
-        s = len(seq) // 2
-        inner = tuple(Arc(seq[-1 - r], seq[r]) for r in range(s))  # by lower point
-        supp = sum(1 << i for i in seq)
+        inner, supp = _pairing(seq)
         for outer, primed_supp in iter_primed_matchings(everything ^ supp):
-            arcs = inner + outer
-            if inner and outer:
-                arcs = tuple(sorted(arcs, key=min))  # by lower point
-            yield Matching._make(arcs, n, supp | primed_supp), seq
+            yield _joined(inner, outer, n, supp | primed_supp), seq
+
+
+def _sequence_states(seq: tuple[int, ...], d: int, n: int) -> list:
+    # [N unmatched, N matched] -> the sequence segments a candidate must tile,
+    # or None when no candidate in that state can pass: N lies in the sequence
+    # (so it is matched), the parity property fails, or a segment's size and
+    # budget disagree mod 2 (no tiling exists)
+    states = []
+    for n_matched in (False, True):
+        segs = None
+        reachable = n_matched or seq[-1:] != (n,)  # N in the sequence is matched
+        if reachable and len(seq) // 2 % 2 == _parity_target(seq, d, n, n_matched):
+            segs = _sequence_segments(seq, d, n, n_matched)
+            if any(max(0, hi - lo + 1) % 2 != e for lo, hi, e in segs):
+                segs = None
+        states.append(segs)
+    return states
 
 
 def filter_family(d: int) -> list[Matching]:
     """X_D by the three-property filter, in the order of ``enumerate_family``.
 
-    The first property is built in by ``nested_candidates``; the other two are
-    tested on every candidate.  Each accepted matching is then re-checked by
-    ``is_member``, so a faulty generator raises instead of returning a
-    non-member.
+    The first property is built in: the candidates are those of
+    ``nested_candidates``, generated sequence by sequence.  What depends on
+    the sequence alone (the parity target and the gap and boundary segments,
+    for N unmatched and for N matched) is worked out once per sequence.  A
+    sequence with neither case alive is skipped whole, and one whose
+    N-matched case is dead leaves N out of its primed matchings.  Each
+    candidate then costs one bit test of N and the tilings of its segments by
+    its primed arcs, sequence segments first.  Survivors must pass
+    ``parity_ok`` and ``coverings_ok``, and each member is re-checked by
+    ``is_member``, so a faulty pre-filter can only drop members (which
+    ``construction_equivalence`` reports), and a faulty generator raises
+    instead of returning a non-member.
     """
-    guard_d(d, 11, "family filtering")
-    members = sorted(
-        (
-            b
-            for b, seq in nested_candidates(ground_size(d))
-            if parity_ok(b, d) and coverings_ok(b, d, seq)
-        ),
-        key=lambda b: b.arcs,
-    )
+    guard_d(d, 13, "family filtering")
+    n = ground_size(d)
+    everything = ((1 << n) - 1) << 1
+    members = []
+    for seq in _nested_sequences(n):
+        states = _sequence_states(seq, d, n)
+        if states == [None, None]:
+            continue
+        inner, supp = _pairing(seq)
+        free = everything ^ supp
+        if states[1] is None:
+            free &= ~(1 << n)  # only candidates leaving N unmatched can pass
+        for outer, primed_supp in iter_primed_matchings(free):
+            segs = states[(supp | primed_supp) >> n & 1]
+            if segs is None:
+                continue
+            starts = {i: [j] for i, j in outer}  # disjoint arcs: one per first point
+            if any(_tile(starts, lo, hi, e) is None for lo, hi, e in segs):
+                continue
+            if any(_tile(starts, i + 1, j - 1, 0) is None for i, j in outer):
+                continue
+            b = _joined(inner, outer, n, supp | primed_supp)
+            if parity_ok(b, d) and coverings_ok(b, d, seq):
+                members.append(b)
+    members.sort(key=lambda b: b.arcs)
     # certificate: each member passes the definition with its witness recomputed
     for b in members:
         if not is_member(b, d):

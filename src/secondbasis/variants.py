@@ -189,7 +189,7 @@ def sector_order_check(d: int) -> dict | None:
     unprimed = 0  # (0,+) sets containing D+1
     for i, (x, label) in enumerate(zip(order.elements, labels)):
         piece_bits[label] = piece_bits.get(label, 0) | 1 << i
-        if label == zero_plus and not in_primed_zero_piece_set(x, d):
+        if label == zero_plus and x.mask >> (d + 1) & 1:
             unprimed |= 1 << i
     forbidden = {  # pieces are disjoint, so the sum of their bitsets is their union
         ly: sum(
@@ -241,8 +241,8 @@ def orbit_representatives(d: int, which: str) -> tuple[EvenSet, ...]:
     for pos, (x, label) in enumerate(zip(order.elements, order.labels)):
         if label.sign != which[0]:
             continue
-        if label.sign == "+" and label.t == 0:
-            keep = in_primed_zero_piece_set(x, d)
+        if label.sign == "+" and label.t == 0:  # the primed half avoids D+1
+            keep = not x.mask >> (d + 1) & 1
         else:  # a plus-sector t here is nonzero, so t >= 0 means t > 0
             keep = (label.t >= 0) == (which[1] == "+")
         if keep:

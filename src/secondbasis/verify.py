@@ -228,9 +228,8 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
             want_t = -lx.t if lx.sign == "+" else -lx.t - 2
             if lb.t != want_t:
                 return {"D": d, "kind": "piece-transport", "x": x.to_json()}
-            if lx == zero_plus and (
-                in_primed_zero_piece_set(x, d) == in_primed_zero_piece_set(bang, d)
-            ):
+            # both labels are (0,+) here, so the primed half is the D+1 bit
+            if lx == zero_plus and not (x.mask ^ bang.mask) >> (d + 1) & 1:
                 return {"D": d, "kind": "primed-not-swapped", "x": x.to_json()}
         image = epsilon_images(d)
         for b, x in image.items():
@@ -256,7 +255,7 @@ def _ranges(max_d: int, slow: bool) -> dict[str, list[int]]:
     all_d = list(range(0, max_d + 1))
     even_d = [d for d in all_d if d % 2 == 0]
     odd_d = [d for d in all_d if d % 2 == 1]
-    filter_cap = 11 if slow else 9
+    filter_cap = 13 if slow else 9
     return {
         "construction_equivalence": [d for d in all_d if d <= filter_cap],
         "laminarity": all_d,

@@ -159,6 +159,68 @@ def test_filter_matches_enumeration():
         assert filter_family(d) == want == list(enumerate_family(d)), f"D={d}"
 
 
+def candidate_route(d):
+    """The oracle: every nested candidate that passes parity_ok and coverings_ok."""
+    return sorted(
+        (
+            b
+            for b, seq in nested_candidates(ground_size(d))
+            if parity_ok(b, d) and coverings_ok(b, d, seq)
+        ),
+        key=lambda b: b.arcs,
+    )
+
+
+@pytest.mark.parametrize(
+    "d", [*range(0, 10), *(pytest.param(d, marks=pytest.mark.slow) for d in (10, 11))]
+)
+def test_filter_equals_the_candidate_route(d):
+    assert filter_family(d) == candidate_route(d)
+
+
+def test_filter_runs_the_predicates_on_survivors_only(monkeypatch):
+    # once for each survivor, once inside the is_member re-check
+    from tests.conftest import rebind_everywhere
+
+    calls = {"parity_ok": 0, "coverings_ok": 0}
+    for name in calls:
+        real = getattr(family, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        rebind_everywhere(monkeypatch, real, counted)
+    for d in range(0, 10):
+        calls.update(parity_ok=0, coverings_ok=0)
+        members = filter_family(d)
+        for name, count in calls.items():
+            assert len(members) <= count <= 2 * len(members), (d, name, count)
+
+
+def test_doctored_segment_helper_fails_equivalence(monkeypatch):
+    d = 5
+    # no other member of X_5 has this sequence: its one free point stays alone
+    victim = m([(7, 1), (6, 2), (5, 3)], 7)
+    seq = nested_pairing(victim)
+    real = family._sequence_segments
+
+    def doctored(s, dd, n, n_matched):
+        segs = real(s, dd, n, n_matched)
+        # an empty segment cannot leave a point uncovered
+        return segs + [(1, 0, 1)] if s == seq else segs
+
+    monkeypatch.setattr(family, "_sequence_segments", doctored)
+    assert filter_family(d) == [b for b in enumerate_family(d) if b != victim]
+    assert verify._check_construction_equivalence(list(range(d + 1))) == {
+        "D": d,
+        "filter_only": [],
+        "inductive_only": [victim.to_pairs()],
+    }
+    report = verify.run_checks(d)[0]
+    assert report.name == "construction_equivalence" and not report.passed
+
+
 @pytest.mark.parametrize("n", range(1, 12, 2))
 def test_candidates_are_the_raw_matchings_with_a_nested_pairing(n):
     candidates = list(nested_candidates(n))
@@ -197,13 +259,15 @@ def test_generated_non_member_is_refused(monkeypatch):
     # coverings at D=4; only the recomputed witness in is_member rejects it
     fake = m([(4, 2), (5, 3)], 5)
     assert parity_ok(fake, 4) and coverings_ok(fake, 4, ()) and not is_member(fake, 4)
-    real = family.nested_candidates
+    real = family.iter_primed_matchings
+    everything = 0b111110  # the points 1..5, all free for the empty sequence
 
-    def doctored(n):
-        yield from real(n)
-        yield fake, ()
+    def doctored(free):
+        yield from real(free)
+        if free == everything:
+            yield fake.arcs, fake.support_mask
 
-    monkeypatch.setattr(family, "nested_candidates", doctored)
+    monkeypatch.setattr(family, "iter_primed_matchings", doctored)
     with pytest.raises(FalsificationError, match="not in X_4"):
         filter_family(4)
 

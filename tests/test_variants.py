@@ -131,6 +131,28 @@ def test_primed_classes():
             )
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_order_readers_do_not_relabel(monkeypatch, d):
+    # the sector order check, the orbit transversals and the involution suite
+    # read each element's label from the order; only the primed-class clause,
+    # which holds no label for a member's image, labels it: once per member
+    from secondbasis.basis import epsilon_images
+    from secondbasis.verify import _check_involution_suite
+    from tests.conftest import rebind_everywhere
+
+    build_order(d), epsilon_images(d)  # built before counting
+    orbit_representatives.cache_clear()
+    calls = []
+
+    def counted(x, dd):
+        calls.append(x)
+        return sector_label(x, dd)
+
+    rebind_everywhere(monkeypatch, sector_label, counted)
+    assert _check_involution_suite([d]) is None
+    assert len(calls) == len(pieces(d)[PieceLabel(0, "+")])
+
+
 def test_sector_order_properties():
     for d in (1, 3, 5, 7):
         assert sector_order_check(d) is None
