@@ -13,21 +13,15 @@ filter route keeps the matchings with three structural properties:
     segments) can each be tiled by disjoint primed-arc intervals leaving
     exactly 0 or 1 elements uncovered, as prescribed.
 
-The filter does not scan the whole matching space.  The first property
-fixes the double-primed part once its sorted support is known, so
-``nested_candidates`` generates exactly the matchings that have it: every
-sequence whose nested pairing is all double-primed (i_r and i_{2s+1-r} of
-one parity), built outside-in, and for each one every primed-only matching
-of the remaining points.  At N = 13 that is 225,270 candidates instead of
-568,504 matchings.  The parity target and the gap and boundary segments
-depend only on the sequence and on whether N is matched, so
-``filter_family`` works them out once per sequence, for both cases, from
-the same helpers ``parity_target`` and ``covering_requirements`` call.  A
-case that fails the parity property, or has a segment no tiling can fill,
-is dropped before its candidates are generated.  Each remaining candidate
-costs one bit test of N and the tilings of its segments by its primed arcs.
-The survivors must pass ``parity_ok`` and ``coverings_ok``, and each member
-found is re-checked by ``is_member``, the definition itself.
+The filter does not search the matching space; ``filter_family`` builds
+each member from the properties.  The first fixes the double-primed part as
+the nested pairing of a sequence (built outside-in), and the second which
+states of N, matched or not, that sequence allows.  By the third, no primed
+arc crosses a sequence point (its interior could not be tiled), so the
+primed part is a product of ``_tilings`` of the regions between consecutive
+points of 0, i_1, ..., i_2s, N+1.  Each member is then certified by
+``is_member``, the definition itself.  ``nested_candidates``, every primed
+matching of the free points of each sequence, stays as the test oracle.
 
 The inductive route walks the lift grid once per D and records where each
 lift lands (``lift_positions``).  The two constructions are proved equal;
@@ -37,9 +31,10 @@ non-empty, and are applied exactly then; for an all-primed matching only the
 interiors are constrained.
 
 The covering test deliberately uses a budgeted search over arbitrary interval
-systems instead of a greedy outermost-arc rule: the filter runs on
-candidates whose primed intervals may cross, and laminarity only holds after
-membership is established.  ``cover_interval``, ``coverings_ok`` and
+systems instead of a greedy outermost-arc rule: ``is_member`` and the oracle
+run on matchings whose primed intervals may cross, and laminarity only holds
+after membership is established.  Being apart from ``_tilings``, it makes the
+certificate a real re-check.  ``cover_interval``, ``coverings_ok`` and
 ``distinguished_element`` share one tiling recursion; the last reads its
 boundary segment from ``covering_requirements``.  ``coverings_ok`` builds its
 table of primed arcs once per matching.
@@ -50,6 +45,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .arcs import Arc, Matching, iter_primed_matchings, lift_matching, split_parts
@@ -402,63 +398,60 @@ def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
             yield _joined(inner, outer, n, supp | primed_supp), seq
 
 
-def _sequence_states(seq: tuple[int, ...], d: int, n: int) -> list:
-    # [N unmatched, N matched] -> the sequence segments a candidate must tile,
-    # or None when no candidate in that state can pass: N lies in the sequence
-    # (so it is matched), the parity property fails, or a segment's size and
-    # budget disagree mod 2 (no tiling exists)
-    states = []
+def _tilings(lo: int, hi: int, left: int | None) -> Iterator[tuple[tuple[Arc, ...], int]]:
+    # every set of disjoint primed arcs tiling [lo, hi] with exactly `left`
+    # points uncovered (any number when None), each arc's interior tiled with
+    # none left: (arcs by lower point, support mask)
+    if left is not None and max(0, hi - lo + 1) % 2 != left:
+        return
+    if lo > hi:
+        yield (), 0
+        return
+    if left != 0:  # lo stays uncovered
+        yield from _tilings(lo + 1, hi, None if left is None else left - 1)
+    for q in range(lo + 1, hi + 1, 2):  # the arc {lo, q}
+        for inner, inner_supp in _tilings(lo + 1, q - 1, 0):
+            for rest, rest_supp in _tilings(q + 1, hi, left):
+                yield (Arc(lo, q),) + inner + rest, 1 << lo | 1 << q | inner_supp | rest_supp
+
+
+def _state_regions(seq: tuple[int, ...], d: int, n: int) -> Iterator[list]:
+    # per state of N that passes the parity property, the regions by lo as
+    # (lo, hi, budget): the sequence segments, then the gap between the halves
+    # (all of [1, N] for the empty sequence) with any number left.  With N
+    # unmatched the segments stop at N-1, unless one must cover N (even D)
+    s = len(seq) // 2
+    if not s:  # no segments and parity target 0, whatever N does
+        yield [(1, n, None)]
+        return
     for n_matched in (False, True):
-        segs = None
-        reachable = n_matched or seq[-1:] != (n,)  # N in the sequence is matched
-        if reachable and len(seq) // 2 % 2 == _parity_target(seq, d, n, n_matched):
-            segs = _sequence_segments(seq, d, n, n_matched)
-            if any(max(0, hi - lo + 1) % 2 != e for lo, hi, e in segs):
-                segs = None
-        states.append(segs)
-    return states
+        segs = _sequence_segments(seq, d, n, n_matched)
+        if s % 2 != _parity_target(seq, d, n, n_matched) or (
+            not n_matched and any(hi == n for _, hi, _ in segs)
+        ):
+            continue
+        yield sorted(segs + [(seq[s - 1] + 1, seq[s] - 1, None)], key=lambda r: r[0])
 
 
 def filter_family(d: int) -> list[Matching]:
     """X_D by the three-property filter, in the order of ``enumerate_family``.
 
-    The first property is built in: the candidates are those of
-    ``nested_candidates``, generated sequence by sequence.  What depends on
-    the sequence alone (the parity target and the gap and boundary segments,
-    for N unmatched and for N matched) is worked out once per sequence.  A
-    sequence with neither case alive is skipped whole, and one whose
-    N-matched case is dead leaves N out of its primed matchings.  Each
-    candidate then costs one bit test of N and the tilings of its segments by
-    its primed arcs, sequence segments first.  Survivors must pass
-    ``parity_ok`` and ``coverings_ok``, and each member is re-checked by
-    ``is_member``, so a faulty pre-filter can only drop members (which
-    ``construction_equivalence`` reports), and a faulty generator raises
-    instead of returning a non-member.
+    Each member is generated, not searched for: for each nested sequence and
+    each state of N its parity allows, every product of ``_tilings`` of the
+    regions outside the sequence.  Each member is then certified by
+    ``is_member``, so a faulty generator raises instead of returning a
+    non-member, and a dropped member shows up in ``construction_equivalence``.
     """
     guard_d(d, 13, "family filtering")
     n = ground_size(d)
-    everything = ((1 << n) - 1) << 1
     members = []
     for seq in _nested_sequences(n):
-        states = _sequence_states(seq, d, n)
-        if states == [None, None]:
-            continue
         inner, supp = _pairing(seq)
-        free = everything ^ supp
-        if states[1] is None:
-            free &= ~(1 << n)  # only candidates leaving N unmatched can pass
-        for outer, primed_supp in iter_primed_matchings(free):
-            segs = states[(supp | primed_supp) >> n & 1]
-            if segs is None:
-                continue
-            starts = {i: [j] for i, j in outer}  # disjoint arcs: one per first point
-            if any(_tile(starts, lo, hi, e) is None for lo, hi, e in segs):
-                continue
-            if any(_tile(starts, i + 1, j - 1, 0) is None for i, j in outer):
-                continue
-            b = _joined(inner, outer, n, supp | primed_supp)
-            if parity_ok(b, d) and coverings_ok(b, d, seq):
-                members.append(b)
+        for regions in _state_regions(seq, d, n):
+            for parts in product(*(_tilings(*region) for region in regions)):
+                outer = tuple(arc for arcs, _ in parts for arc in arcs)
+                primed_supp = sum(mask for _, mask in parts)
+                members.append(_joined(inner, outer, n, supp | primed_supp))
     members.sort(key=lambda b: b.arcs)
     # certificate: each member passes the definition with its witness recomputed
     for b in members:

@@ -8,7 +8,7 @@ import pytest
 
 import secondbasis.verify as verify
 from secondbasis.cli import _matrix_for, main
-from secondbasis.errors import DomainError
+from secondbasis.errors import DomainError, ResourceGuardError
 from secondbasis.tables import parse_entry, render_entry, table_data, table_json
 
 
@@ -174,6 +174,18 @@ def test_a_raising_check_fails_alone(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--max-D", "3")
     assert rc == 1
     assert out.count("PASS ") == 11 and "11/12 checks passed" in out
+
+
+def test_slow_verify_reaches_d13_without_an_override(monkeypatch):
+    # --slow caps the sweep at 13 by itself; only the default sweep stops at 11
+    monkeypatch.delenv("SBL_MAX_D", raising=False)
+    for name in verify.CHECK_NAMES:
+        monkeypatch.setitem(verify._CHECKS, name, lambda ds: None)
+    reports = verify.run_checks(13, slow=True)
+    assert [r.name for r in reports] == verify.CHECK_NAMES
+    assert all(r.passed for r in reports) and len(reports) == 12
+    with pytest.raises(ResourceGuardError):
+        verify.run_checks(13)
 
 
 def test_matrix_usage_error(capsys):

@@ -1,12 +1,19 @@
 """The families X_D: primitives, induction, the three-property filter, pieces."""
 
+import re
 from itertools import combinations
 
 import pytest
 
 import secondbasis.family as family
 import secondbasis.verify as verify
-from secondbasis.arcs import Arc, Matching, cyclic_interval, iter_matchings
+from secondbasis.arcs import (
+    Arc,
+    Matching,
+    cyclic_interval,
+    iter_matchings,
+    iter_primed_matchings,
+)
 from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.family import (
     PieceLabel,
@@ -179,7 +186,7 @@ def test_filter_equals_the_candidate_route(d):
 
 
 def test_filter_runs_the_predicates_on_survivors_only(monkeypatch):
-    # once for each survivor, once inside the is_member re-check
+    # once per member, inside the is_member certificate
     from tests.conftest import rebind_everywhere
 
     calls = {"parity_ok": 0, "coverings_ok": 0}
@@ -195,7 +202,34 @@ def test_filter_runs_the_predicates_on_survivors_only(monkeypatch):
         calls.update(parity_ok=0, coverings_ok=0)
         members = filter_family(d)
         for name, count in calls.items():
-            assert len(members) <= count <= 2 * len(members), (d, name, count)
+            assert count == len(members), (d, name, count)
+
+
+def brute_tilings(lo, hi, left):
+    """The oracle: primed matchings of [lo, hi] whose arcs' interiors and,
+    when a budget is given, [lo, hi] itself tile as ``_tilings`` demands."""
+    free = sum(1 << p for p in range(lo, hi + 1))
+    for arcs, supp in iter_primed_matchings(free):
+        starts = {i: [j] for i, j in arcs}
+        if any(family._tile(starts, i + 1, j - 1, 0) is None for i, j in arcs):
+            continue
+        if left is None or family._tile(starts, lo, hi, left) is not None:
+            yield arcs, supp
+
+
+def test_tilings_equal_the_brute_force():
+    cases = 0
+    for lo in range(1, 11):
+        for hi in range(lo - 1, 11):
+            for left in (0, 1, None):
+                got = list(family._tilings(lo, hi, left))
+                assert len(set(got)) == len(got), (lo, hi, left)
+                for arcs, supp in got:
+                    assert list(arcs) == sorted(arcs, key=min), (lo, hi, left, arcs)
+                    assert supp == sum(1 << p for a in arcs for p in a), arcs
+                assert set(got) == set(brute_tilings(lo, hi, left)), (lo, hi, left)
+                cases += 1
+    assert cases == 195
 
 
 def test_doctored_segment_helper_fails_equivalence(monkeypatch):
@@ -238,20 +272,19 @@ def test_candidate_and_raw_counts_at_n13():
 
 
 def test_doctored_parity_fails_filter_and_equivalence(monkeypatch):
+    # the generator does not read parity_ok, so the certificate refuses the victim
     d = 5
     victim = enumerate_family(d)[7]
     real = family.parity_ok
     monkeypatch.setattr(
         family, "parity_ok", lambda b, dd: b != victim and real(b, dd)
     )
-    assert filter_family(d) == [b for b in enumerate_family(d) if b != victim]
-    assert verify._check_construction_equivalence(list(range(d + 1))) == {
-        "D": d,
-        "filter_only": [],
-        "inductive_only": [victim.to_pairs()],
-    }
+    with pytest.raises(FalsificationError, match=re.escape(f"{victim!r} is not in X_5")):
+        filter_family(d)
     report = verify.run_checks(d)[0]
     assert report.name == "construction_equivalence" and not report.passed
+    assert report.detail["kind"] == "falsification"
+    assert repr(victim) in report.detail["message"]
 
 
 def test_generated_non_member_is_refused(monkeypatch):
@@ -259,15 +292,14 @@ def test_generated_non_member_is_refused(monkeypatch):
     # coverings at D=4; only the recomputed witness in is_member rejects it
     fake = m([(4, 2), (5, 3)], 5)
     assert parity_ok(fake, 4) and coverings_ok(fake, 4, ()) and not is_member(fake, 4)
-    real = family.iter_primed_matchings
-    everything = 0b111110  # the points 1..5, all free for the empty sequence
+    real = family._tilings
 
-    def doctored(free):
-        yield from real(free)
-        if free == everything:
+    def doctored(lo, hi, left):
+        yield from real(lo, hi, left)
+        if (lo, hi, left) == (1, 5, None):  # the free region of the empty sequence
             yield fake.arcs, fake.support_mask
 
-    monkeypatch.setattr(family, "iter_primed_matchings", doctored)
+    monkeypatch.setattr(family, "_tilings", doctored)
     with pytest.raises(FalsificationError, match="not in X_4"):
         filter_family(4)
 
