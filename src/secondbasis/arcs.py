@@ -211,7 +211,7 @@ def split_parts(b: Matching) -> tuple[tuple[Arc, ...], tuple[Arc, ...], int | No
     return b0, b1, i_b
 
 
-def lift_matching(k: int, bp: Matching, d: int | None = None) -> Matching:
+def lift_matching(k: int, bp: Matching, d: int) -> Matching:
     """Insert the short arc {k, k+1} and shift the rest through the embedding.
 
     The embedding [1, n-2] -> [1, n] is strictly increasing, misses k and
@@ -219,16 +219,14 @@ def lift_matching(k: int, bp: Matching, d: int | None = None) -> Matching:
     its canonical writing, the arcs keep their order by lower point and stay
     disjoint from {k, k+1}, and the support mask is a splice: nothing needs
     re-checking, and the result is built through ``Matching._make``.  That
-    the lifts land in X_D is certified by ``construction_equivalence``.  If
-    the target D is supplied, the lift must land on its ground set and k in [1, D].
+    the lifts land in X_D is certified by ``construction_equivalence``.  The
+    lift must land on the ground set of the target D, and k lie in [1, D].
     """
     n = bp.n + 2
-    if d is not None and n != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
+    if n != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
         raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
-    if d is not None and not 1 <= k <= d:
+    if not 1 <= k <= d:
         raise DomainError(f"slot index {k} outside [1, {d}]")
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"slot index {k} outside [1, {n - 1}]")
     short = Arc(k, k + 1)
     arcs = []
     for i, j in bp.arcs:

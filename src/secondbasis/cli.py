@@ -28,7 +28,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_checks(args.max_d, slow=args.slow, inject_failure=args.inject_failure)
+    reports = run_checks(args.max_d, slow=args.slow)
     for report in reports:
         print(report.line())
     failed = [r for r in reports if not r.passed]
@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the exhaustive check suite")
     p_verify.add_argument("--max-D", dest="max_d", type=int, required=True)
     p_verify.add_argument("--slow", action="store_true")
-    p_verify.add_argument(
-        "--inject-failure", action="store_true", help=argparse.SUPPRESS
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_matrix = sub.add_parser("matrix", help="emit a change-of-basis matrix")

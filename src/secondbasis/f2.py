@@ -5,6 +5,13 @@ is unused.  Addition is symmetric difference, i.e. XOR, and cardinality is a
 popcount.  ``EvenSet`` enforces even cardinality at construction; odd
 cardinality vectors only occur as transient masks inside this module.
 
+Spans are only ever taken of one matching's pair-vectors: pairwise-disjoint
+2-element sets.  Those are linearly independent, and any sum of them is
+their union, so the span of k pairs is the 2^k unions of sub-collections,
+and x lies in it exactly when x is the union of the pairs it contains.  That
+is the one span rule here; ``span_masks``, ``span_membership`` and
+``unique_decomposition`` refuse any other generators.
+
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.
 """
@@ -142,78 +149,50 @@ def f2_sum(sets: Iterable[EvenSet], n: int) -> EvenSet:
     return EvenSet.from_mask(mask, n)
 
 
-def _reduced_rows(generators: Sequence[EvenSet]) -> dict[int, int]:
-    """Row-echelon basis of the span, keyed by pivot bit.
+def _pair_masks(generators: Sequence[EvenSet], n: int | None = None) -> list[int]:
+    """The generators' masks, once they are checked to be disjoint pairs.
 
-    The pivot of a row is its lowest set bit (lowest ground-set index), which
-    fixes the elimination order and makes every reduction deterministic.
+    All generators must share one ground set [1, n] (that of the first
+    generator if n is not given), have two elements each, and be pairwise
+    disjoint.
     """
-    rows: dict[int, int] = {}
-    n = None
+    masks = []
+    seen = 0
     for g in generators:
         if n is None:
             n = g.n
-        elif g.n != n:
+        if g.n != n:
             raise DimensionMismatchError(f"ground sizes differ: {g.n} != {n}")
-        mask = g.mask
-        while mask:
-            pivot = mask & -mask
-            row = rows.get(pivot)
-            if row is None:
-                rows[pivot] = mask
-                break
-            mask ^= row
-    return rows
-
-
-def _reduce(mask: int, rows: dict[int, int]) -> int:
-    while mask:
-        pivot = mask & -mask
-        row = rows.get(pivot)
-        if row is None:
-            return mask
-        mask ^= row
-    return 0
+        if len(g) != 2:
+            raise ValueError(f"generators must be 2-element sets, got {g!r}")
+        if seen & g.mask:
+            raise ValueError("generators must be pairwise disjoint")
+        seen |= g.mask
+        masks.append(g.mask)
+    return masks
 
 
 def span_membership(generators: Sequence[EvenSet], x: EvenSet) -> bool:
-    """Whether x lies in the F2 span of the generators."""
-    for g in generators:
-        if g.n != x.n:
-            raise DimensionMismatchError(f"ground sizes differ: {g.n} != {x.n}")
-    return _reduce(x.mask, _reduced_rows(generators)) == 0
+    """Whether x lies in the span: x is the union of the pairs inside it."""
+    union = 0
+    for g in _pair_masks(generators, x.n):
+        if g & x.mask == g:
+            union |= g
+    return union == x.mask
 
 
 def span_masks(generators: Sequence[EvenSet]) -> frozenset[int]:
-    """All 2^rank member masks of the span of the generators."""
-    members = {0}
-    for row in _reduced_rows(generators).values():
-        members |= {m ^ row for m in members}
+    """All 2^k unions of the k pairs."""
+    members = [0]
+    for g in _pair_masks(generators):
+        members += [m | g for m in members]
     return frozenset(members)
 
 
 def unique_decomposition(
     generators: Sequence[EvenSet], x: EvenSet
 ) -> list[EvenSet]:
-    """The unique sub-collection of pairwise-disjoint generators summing to x.
-
-    Generators must be disjoint 2-element sets, so they are linearly
-    independent and the sum of any sub-collection is its union: a generator
-    participates iff it is contained in x.
-    """
-    seen = 0
-    for g in generators:
-        if g.n != x.n:
-            raise DimensionMismatchError(f"ground sizes differ: {g.n} != {x.n}")
-        if len(g) != 2:
-            raise ValueError(f"generators must be 2-element sets, got {g!r}")
-        if seen & g.mask:
-            raise ValueError("generators must be pairwise disjoint")
-        seen |= g.mask
-    picked = [g for g in generators if g.mask & x.mask == g.mask]
-    total = 0
-    for g in picked:
-        total ^= g.mask
-    if total != x.mask:
+    """The unique sub-collection of the pairs summing to x: those inside x."""
+    if not span_membership(generators, x):
         raise DecompositionError(f"{x!r} is not in the span of the generators")
-    return picked
+    return [g for g in generators if g.mask & x.mask == g.mask]

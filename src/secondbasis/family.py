@@ -331,12 +331,11 @@ def covering_requirements(
     return interiors + _sequence_segments(seq, d, n, bool(b.support_mask >> n & 1))
 
 
-def coverings_ok(b: Matching, d: int, seq: tuple[int, ...] | None = None) -> bool:
-    """Whether every prescribed segment admits its prescribed cover."""
-    if seq is None:
-        seq = nested_pairing(b)
-        if seq is None:
-            raise DomainError("covering test needs the nested-pairing witness")
+def coverings_ok(b: Matching, d: int, seq: tuple[int, ...]) -> bool:
+    """Whether every prescribed segment admits its prescribed cover.
+
+    ``seq`` is the nested-pairing witness of b, from ``nested_pairing``.
+    """
     starts = _starts(b)
     return all(
         _tile(starts, lo, hi, e) is not None

@@ -290,9 +290,7 @@ _CHECKS: dict[str, Callable[[list[int]], dict | None]] = {
 CHECK_NAMES = list(_CHECKS)
 
 
-def run_checks(
-    max_d: int, slow: bool = False, inject_failure: bool = False
-) -> list[RunReport]:
+def run_checks(max_d: int, slow: bool = False) -> list[RunReport]:
     """Run the twelve checks up to max_d; per-check caps keep the sweep sane."""
     if max_d < 0:
         raise DomainError(f"max-D must be >= 0, got {max_d}")
@@ -315,16 +313,6 @@ def run_checks(
                 passed=detail is None,
                 detail=detail,
                 seconds=time.perf_counter() - start,
-            )
-        )
-    if inject_failure:
-        reports.append(
-            RunReport(
-                name="injected_failure",
-                d_values=[],
-                passed=False,
-                detail={"kind": "injected", "message": "failure injection requested"},
-                seconds=0.0,
             )
         )
     return reports

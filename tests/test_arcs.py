@@ -117,11 +117,11 @@ def test_interval_lifting_law():
 
 
 def test_lift_matching_examples():
-    assert lift_matching(1, Matching([], 1)) == Matching([Arc(1, 2)], 3)
-    assert lift_matching(1, Matching([Arc(3, 1)], 3)) == Matching(
+    assert lift_matching(1, Matching([], 1), 1) == Matching([Arc(1, 2)], 3)
+    assert lift_matching(1, Matching([Arc(3, 1)], 3), 3) == Matching(
         [Arc(5, 3), Arc(1, 2)], 5
     )
-    assert lift_matching(3, Matching([Arc(1, 2)], 3)) == Matching(
+    assert lift_matching(3, Matching([Arc(1, 2)], 3), 3) == Matching(
         [Arc(1, 2), Arc(3, 4)], 5
     )
     with pytest.raises(DomainError):
@@ -138,14 +138,14 @@ def test_lift_matching_refuses_a_d_that_does_not_fit():
     for d in (3, 4, 8):
         with pytest.raises(DomainError, match=rf"does not lift to D={d}$"):
             lift_matching(1, bp, d)
-    assert lift_matching(2, bp, 5) == lift_matching(2, bp, 6) == lift_matching(2, bp)
+    assert lift_matching(2, bp, 5) == lift_matching(2, bp, 6)
 
 
 @pytest.mark.parametrize("k", [0, 5, 99])
 def test_lift_matching_checks_the_slot_of_every_matching(k):
     for bp in (Matching([], 3), Matching([Arc(1, 2)], 3)):
         with pytest.raises(DomainError, match=rf"^slot index {k} outside \[1, 4\]$"):
-            lift_matching(k, bp)
+            lift_matching(k, bp, 4)
 
 
 def test_lift_injective_and_avoids_slot():
@@ -154,7 +154,7 @@ def test_lift_injective_and_avoids_slot():
     for k in (1, 2, 3, 4):
         seen = set()
         for bp in iter_matchings(3):
-            b = lift_matching(k, bp)
+            b = lift_matching(k, bp, 4)
             assert b not in seen
             seen.add(b)
             for arc in b.arcs:

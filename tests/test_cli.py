@@ -93,12 +93,6 @@ def test_run_reports_are_machine_readable():
         assert json.dumps(payload)  # JSON-serializable, reproducer included
 
 
-def test_verify_injected_failure(capsys):
-    rc, out, _ = run(capsys, "verify", "--max-D", "1", "--inject-failure")
-    assert rc == 1
-    assert "FAIL injected_failure" in out and "counterexample" in out
-
-
 def test_verify_guard(capsys):
     rc, _, err = run(capsys, "verify", "--max-D", "12")
     assert rc == 2 and "SBL_MAX_D" in err
@@ -174,6 +168,8 @@ def test_a_raising_check_fails_alone(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--max-D", "3")
     assert rc == 1
     assert out.count("PASS ") == 11 and "11/12 checks passed" in out
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fail.startswith("FAIL laminarity") and "counterexample: " in fail
 
 
 def test_slow_verify_reaches_d13_without_an_override(monkeypatch):

@@ -77,7 +77,6 @@ def test_coverings_ok_against_brute_force(b, odd):
         brute_cover(b, lo, hi, e) for lo, hi, e in covering_requirements(b, d, seq)
     )
     assert coverings_ok(b, d, seq) == want
-    assert coverings_ok(b, d) == want
 
 
 @st.composite

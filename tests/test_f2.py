@@ -92,15 +92,38 @@ def test_span_membership_examples():
     assert span_membership([], es([], 3)) and not span_membership([], es([1, 2], 3))
 
 
+def random_pairs(rng, n=9):
+    """A random partial matching of [1, n], as its pair-vectors."""
+    universe = list(range(1, n + 1))
+    rng.shuffle(universe)
+    count = rng.randint(0, n // 2)
+    return [EvenSet(universe[2 * i : 2 * i + 2], n) for i in range(count)]
+
+
 def test_span_membership_against_brute_force():
     rng = random.Random(3)
     for _ in range(60):
-        gens = [random_even_set(rng, 9) for _ in range(rng.randint(0, 12))]
+        gens = random_pairs(rng)
         sums = subset_sums(gens)
-        for _ in range(10):
-            x = random_even_set(rng, 9)
+        inside = [EvenSet.from_mask(m, 9) for m in rng.choices(sorted(sums), k=3)]
+        for x in inside + [random_even_set(rng, 9) for _ in range(10)]:
             assert span_membership(gens, x) == (x.mask in sums)
         assert span_masks(gens) == frozenset(sums)
+
+
+@pytest.mark.parametrize(
+    "gens, error",
+    [
+        ([es([1, 2]), es([2, 3])], ValueError),  # overlapping pairs
+        ([es([1, 2, 3, 4])], ValueError),  # not a pair
+        ([es([1, 2], 3), es([4, 5])], DimensionMismatchError),  # two ground sets
+    ],
+)
+def test_spans_refuse_generators_that_are_not_disjoint_pairs(gens, error):
+    with pytest.raises(error):
+        span_masks(gens)
+    with pytest.raises(error):
+        span_membership(gens, es([]))
 
 
 def test_unique_decomposition_examples():
@@ -122,10 +145,7 @@ def test_unique_decomposition_errors():
 def test_unique_decomposition_against_brute_force():
     rng = random.Random(5)
     for _ in range(60):
-        universe = list(range(1, 10))
-        rng.shuffle(universe)
-        count = rng.randint(0, 4)
-        gens = [EvenSet(universe[2 * i : 2 * i + 2], 9) for i in range(count)]
+        gens = random_pairs(rng)
         sums = subset_sums(gens)
         target_mask = rng.choice(sorted(sums))
         x = EvenSet.from_mask(target_mask, 9)

@@ -48,7 +48,7 @@ def oracle_lift(k, bp):
     return Matching(arcs + [Arc(k, k + 1)], n)
 
 
-def assert_lifts_match_the_oracle(bps, slots, d=None):
+def assert_lifts_match_the_oracle(bps, slots, d):
     for bp in bps:
         for k in slots:
             got, want = lift_matching(k, bp, d), oracle_lift(k, bp)
@@ -58,8 +58,8 @@ def assert_lifts_match_the_oracle(bps, slots, d=None):
 
 
 def test_lift_equals_the_oracle_on_every_small_matching():
-    for n in (1, 3, 5, 7):
-        assert_lifts_match_the_oracle(iter_matchings(n), range(1, n + 2))
+    for n in (1, 3, 5, 7):  # to [1, n + 2], whose even D = n + 1 has every slot
+        assert_lifts_match_the_oracle(iter_matchings(n), range(1, n + 2), n + 1)
 
 
 @pytest.mark.parametrize("d", range(2, 12))
