@@ -13,6 +13,7 @@ Symbols are the bridge to the classical bookkeeping: complementary pairs
 from __future__ import annotations
 
 import heapq
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -214,53 +215,58 @@ class Order:
     ``elements`` is the canonical linear extension (piece blocks in display
     order, ties broken by bit-vector value) and ``labels`` their pieces, one
     interned label per mask; ``down[i]`` is the full down-set of element i as
-    a bitset over positions.  The generating digraph
-    X' -> span(preimage of X') - {X'} is the one acyclicity certificate:
-    construction raises ``CycleError`` with an explicit cycle if Kahn's
-    extension stalls.  Kahn's pop order already puts every generating edge
-    backwards, so the down-sets, which only the order queries and
-    ``sector_order_check`` read, are built on first read; the
-    ``order_antisymmetry`` check forces that pass at every D it sweeps.
+    a bitset over positions.  ``gen_spans`` maps each image mask to the span
+    of its preimage's pair-vectors, held as the preimage's pair masks
+    (``f2.Span``); only size, membership and iteration are read from it.
+    The generating digraph X' -> span(preimage of X') - {X'} is the one
+    acyclicity certificate: Kahn's extension runs over family positions and
+    construction raises ``CycleError`` with an explicit cycle if it stalls.
+    Kahn's pop order already puts every generating edge backwards, so the
+    down-sets, which only the order queries and ``sector_order_check`` read,
+    are built on first read; the ``order_antisymmetry`` check forces that
+    pass at every D it sweeps.
     """
 
     def __init__(self, d: int):
-        n = ground_size(d)
         self.d = d
-        self.n = n
-        self.gen_spans: dict[int, frozenset[int]] = {
-            x.mask: span_masks(b.pair_vectors()) for b, x in epsilon_pairs(d)
-        }
-        succ: dict[int, list[int]] = {m: [] for m in self.gen_spans}
-        indeg = {m: 0 for m in self.gen_spans}
-        for m, span in self.gen_spans.items():
+        self.n = ground_size(d)
+        pairs = epsilon_pairs(d)
+        masks = [x.mask for _, x in pairs]
+        spans = [span_masks(b.pair_vectors()) for b, _ in pairs]
+        self.gen_spans: dict[int, Set[int]] = dict(zip(masks, spans))
+        index = {m: i for i, m in enumerate(masks)}
+        # Kahn over family positions: an edge z -> m for each other member z
+        # of m's span, so m waits for all of them
+        indeg = [len(span) - (m in span) for m, span in zip(masks, spans)]
+        succ: list[list[int]] = [[] for _ in masks]
+        for i, (m, span) in enumerate(zip(masks, spans)):
             for z in span:
                 if z != m:
-                    succ[z].append(m)
-                    indeg[m] += 1
+                    succ[index[z]].append(i)
 
         interned: dict[PieceLabel, PieceLabel] = {}
 
-        def entry(mask: int) -> tuple:
-            # each mask is pushed once, so its label is computed once
-            piece = sector_label(EvenSet.from_mask(mask, n), d)
+        def entry(i: int) -> tuple:
+            # each position is pushed once, so its label is computed once
+            piece = sector_label(pairs[i][1], d)
             piece = interned.setdefault(piece, piece)
-            return (piece.sort_key(), mask, piece)
+            return (piece.sort_key(), masks[i], i, piece)
 
-        heap = [entry(m) for m, deg in indeg.items() if deg == 0]
+        heap = [entry(i) for i, deg in enumerate(indeg) if deg == 0]
         heapq.heapify(heap)
         order: list[int] = []
         self.labels: list[PieceLabel] = []
         while heap:
-            _, m, piece = heapq.heappop(heap)
-            order.append(m)
+            _, _, i, piece = heapq.heappop(heap)
+            order.append(i)
             self.labels.append(piece)
-            for m2 in succ[m]:
-                indeg[m2] -= 1
-                if indeg[m2] == 0:
-                    heapq.heappush(heap, entry(m2))
-        if len(order) != len(indeg):
+            for j in succ[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(heap, entry(j))
+        if len(order) != len(masks):
             # a stalled mask keeps a stalled span member, so this walk closes
-            stalled = {m for m, deg in indeg.items() if deg}
+            stalled = {m for m, deg in zip(masks, indeg) if deg}
             path: list[int] = []
             step: dict[int, int] = {}
             m = min(stalled)
@@ -269,8 +275,8 @@ class Order:
                 path.append(m)
                 m = min(z for z in self.gen_spans[m] if z in stalled and z != m)
             raise CycleError(d, path[step[m]:] + [m])
-        self.elements: list[EvenSet] = [EvenSet.from_mask(m, n) for m in order]
-        self.position: dict[int, int] = {m: i for i, m in enumerate(order)}
+        self.elements: list[EvenSet] = [pairs[i][1] for i in order]
+        self.position: dict[int, int] = {masks[i]: p for p, i in enumerate(order)}
 
     @cached_property
     def down(self) -> list[int]:

@@ -10,7 +10,9 @@ Spans are only ever taken of one matching's pair-vectors: pairwise-disjoint
 their union, so the span of k pairs is the 2^k unions of sub-collections,
 and x lies in it exactly when x is the union of the pairs it contains.  That
 is the one span rule here; ``span_masks``, ``span_membership`` and
-``unique_decomposition`` refuse any other generators.
+``unique_decomposition`` refuse any other generators.  A ``Span`` holds only
+its k pair masks: its size and membership follow from the rule without
+listing the unions, which are generated afresh on each iteration.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.
@@ -18,6 +20,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -25,6 +28,7 @@ from .errors import DecompositionError, DimensionMismatchError
 
 __all__ = [
     "EvenSet",
+    "Span",
     "check_ground_size",
     "f2_sum",
     "mask_of",
@@ -172,21 +176,58 @@ def _pair_masks(generators: Sequence[EvenSet], n: int | None = None) -> list[int
     return masks
 
 
+class Span(Set):
+    """The span of k disjoint pairs as a set of masks, held as the k pair masks.
+
+    It has 2^k members, x is one exactly when x is the union of the pairs
+    inside it, and it compares and hashes equal to the frozenset of its
+    members.  The set operators return frozensets.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[int]):
+        object.__setattr__(self, "pairs", tuple(pairs))
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("Span is immutable")
+
+    def __len__(self) -> int:
+        return 1 << len(self.pairs)
+
+    def __contains__(self, x) -> bool:
+        if not isinstance(x, int):
+            return False
+        union = 0
+        for g in self.pairs:
+            if g & x == g:
+                union |= g
+        return union == x
+
+    def __iter__(self) -> Iterator[int]:
+        members = [0]
+        for g in self.pairs:
+            members += [m | g for m in members]
+        return iter(members)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
+        return frozenset(it)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"Span({list(self.pairs)})"
+
+
 def span_membership(generators: Sequence[EvenSet], x: EvenSet) -> bool:
     """Whether x lies in the span: x is the union of the pairs inside it."""
-    union = 0
-    for g in _pair_masks(generators, x.n):
-        if g & x.mask == g:
-            union |= g
-    return union == x.mask
+    return x.mask in Span(_pair_masks(generators, x.n))
 
 
-def span_masks(generators: Sequence[EvenSet]) -> frozenset[int]:
-    """All 2^k unions of the k pairs."""
-    members = [0]
-    for g in _pair_masks(generators):
-        members += [m | g for m in members]
-    return frozenset(members)
+def span_masks(generators: Sequence[EvenSet]) -> Span:
+    """The 2^k unions of the k pairs, held as the pairs."""
+    return Span(_pair_masks(generators))
 
 
 def unique_decomposition(

@@ -1,5 +1,6 @@
 """Epsilon, the order it generates, the matrices, and the symbol bijections."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from secondbasis.basis import (
     change_matrix,
     epsilon,
     epsilon_inverse,
+    epsilon_pairs,
     piece_cardinality,
     primitive_image,
     recursion_check,
@@ -23,7 +25,7 @@ from secondbasis.basis import (
     unique_bijection_check,
 )
 from secondbasis.errors import DomainError
-from secondbasis.f2 import EvenSet
+from secondbasis.f2 import EvenSet, span_masks
 from secondbasis.family import (
     PieceLabel,
     enumerate_family,
@@ -170,6 +172,51 @@ def test_lazy_down_sets_equal_the_eager_closure():
     for d in range(10):
         order = build_order(d)
         assert order.down == _eager_down(order), d
+
+
+def reference_extension(d):
+    """Kahn's extension keyed by mask over frozenset spans, as Order once built it."""
+    n = ground_size(d)
+    spans = {
+        x.mask: frozenset(span_masks(b.pair_vectors())) for b, x in epsilon_pairs(d)
+    }
+    succ = {m: [] for m in spans}
+    indeg = {m: 0 for m in spans}
+    for m, span in spans.items():
+        for z in span:
+            if z != m:
+                succ[z].append(m)
+                indeg[m] += 1
+
+    def entry(mask):
+        piece = sector_label(EvenSet.from_mask(mask, n), d)
+        return (piece.sort_key(), mask, piece)
+
+    heap = [entry(m) for m, deg in indeg.items() if deg == 0]
+    heapq.heapify(heap)
+    masks, labels = [], []
+    while heap:
+        _, m, piece = heapq.heappop(heap)
+        masks.append(m)
+        labels.append(piece)
+        for m2 in succ[m]:
+            indeg[m2] -= 1
+            if indeg[m2] == 0:
+                heapq.heappush(heap, entry(m2))
+    assert len(masks) == len(spans)
+    return masks, labels
+
+
+@pytest.mark.parametrize(
+    "d", [*range(10), *(pytest.param(d, marks=pytest.mark.slow) for d in (11, 13))]
+)
+def test_extension_equals_the_mask_keyed_reference(d):
+    masks, labels = reference_extension(d)
+    order = build_order(d)
+    assert [x.mask for x in order.elements] == masks
+    assert [EvenSet.from_mask(m, ground_size(d)) for m in masks] == order.elements
+    assert order.labels == labels
+    assert list(order.position.items()) == [(m, i) for i, m in enumerate(masks)]
 
 
 def test_unique_bijection_certificate():

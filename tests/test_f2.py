@@ -8,6 +8,7 @@ import pytest
 from secondbasis.errors import DecompositionError, DimensionMismatchError
 from secondbasis.f2 import (
     EvenSet,
+    Span,
     f2_sum,
     span_masks,
     span_membership,
@@ -109,6 +110,33 @@ def test_span_membership_against_brute_force():
         for x in inside + [random_even_set(rng, 9) for _ in range(10)]:
             assert span_membership(gens, x) == (x.mask in sums)
         assert span_masks(gens) == frozenset(sums)
+
+
+def test_span_behaves_as_the_frozenset_it_replaces():
+    rng = random.Random(3)
+    evens = [m for m in range(0, 1 << 10, 2) if m.bit_count() % 2 == 0]
+    for _ in range(60):
+        gens = random_pairs(rng)
+        span = span_masks(gens)
+        sums = frozenset(subset_sums(gens))
+        assert isinstance(span, Span)
+        assert len(span) == len(sums) == 1 << len(gens)
+        assert [m for m in evens if m in span] == [m for m in evens if m in sums]
+        assert 0 in span and "0" not in span
+        listed = list(span)
+        assert len(listed) == len(set(listed)) and set(listed) == sums
+        assert span == sums and sums == span and not span != sums
+        assert hash(span) == hash(sums)
+        other = frozenset(rng.sample(evens, 5))
+        for got, want in [
+            (span | other, sums | other),
+            (other | span, other | sums),
+            (span - other, sums - other),
+            (other - span, other - sums),
+            (span & other, sums & other),
+            (other & span, other & sums),
+        ]:
+            assert type(got) is frozenset and got == want
 
 
 @pytest.mark.parametrize(

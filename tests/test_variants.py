@@ -84,6 +84,20 @@ def test_involution_basics():
         involution(EvenSet([], 5), 4)
 
 
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_involution_over_every_even_set(d):
+    # every even subset of [1, N], listed without the order or the family
+    n = d + 2
+    evens = [m for m in range(0, 1 << (n + 1), 2) if m.bit_count() % 2 == 0]
+    assert len(evens) == 1 << (n - 1)
+    for m in evens:
+        x = EvenSet.from_mask(m, n)
+        bang = involution(x, d)
+        assert bang != x  # no fixed point
+        assert (n in bang) == (n in x)  # the N-sector is kept
+        assert (d + 1 in bang) != (d + 1 in x)  # D+1 is flipped
+
+
 def test_matching_involution():
     assert matching_involution(m([], 3), 1) == m([(1, 2)], 3)
     assert matching_involution(m([(3, 1)], 5), 3) == m([(4, 2)], 5)
