@@ -211,6 +211,16 @@ def split_parts(b: Matching) -> tuple[tuple[Arc, ...], tuple[Arc, ...], int | No
     return b0, b1, i_b
 
 
+# one Arc object per (i, j) for every lift in the process, so the members of
+# a family share their arcs instead of each holding its own copies
+_SHARED_ARCS: dict[tuple[int, int], Arc] = {}
+
+
+def _shared_arc(i: int, j: int) -> Arc:
+    arc = _SHARED_ARCS.get((i, j))
+    return arc if arc is not None else _SHARED_ARCS.setdefault((i, j), Arc(i, j))
+
+
 def lift_matching(k: int, bp: Matching, d: int) -> Matching:
     """Insert the short arc {k, k+1} and shift the rest through the embedding.
 
@@ -221,15 +231,21 @@ def lift_matching(k: int, bp: Matching, d: int) -> Matching:
     re-checking, and the result is built through ``Matching._make``.  That
     the lifts land in X_D is certified by ``construction_equivalence``.  The
     lift must land on the ground set of the target D, and k lie in [1, D].
+    An arc below k is ``bp``'s own object; the short arc and every shifted
+    arc come from one process-wide table, so lifts share their arcs.
     """
     n = bp.n + 2
     if n != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
         raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
     if not 1 <= k <= d:
         raise DomainError(f"slot index {k} outside [1, {d}]")
-    short = Arc(k, k + 1)
+    short = _shared_arc(k, k + 1)
     arcs = []
-    for i, j in bp.arcs:
+    for arc in bp.arcs:
+        i, j = arc
+        if i < k and j < k:
+            arcs.append(arc)
+            continue
         if i >= k:
             i += 2
         if j >= k:
@@ -237,7 +253,7 @@ def lift_matching(k: int, bp: Matching, d: int) -> Matching:
         if short is not None and (i if i < j else j) > k:
             arcs.append(short)
             short = None
-        arcs.append(Arc(i, j))
+        arcs.append(_shared_arc(i, j))
     if short is not None:
         arcs.append(short)
     return Matching._make(tuple(arcs), n, _splice(bp.support_mask, k) | 3 << k)

@@ -13,6 +13,7 @@ Symbols are the bridge to the classical bookkeeping: complementary pairs
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -219,8 +220,9 @@ class Order:
     of its preimage's pair-vectors, held as the preimage's pair masks
     (``f2.Span``); only size, membership and iteration are read from it.
     The generating digraph X' -> span(preimage of X') - {X'} is the one
-    acyclicity certificate: Kahn's extension runs over family positions and
-    construction raises ``CycleError`` with an explicit cycle if it stalls.
+    acyclicity certificate: Kahn's extension runs over family positions, with
+    ``array('I')`` successor lists and in-degrees, and construction raises
+    ``CycleError`` with an explicit cycle if it stalls.
     Kahn's pop order already puts every generating edge backwards, so the
     down-sets, which only the order queries and ``sector_order_check`` read,
     are built on first read; the ``order_antisymmetry`` check forces that
@@ -236,13 +238,15 @@ class Order:
         self.gen_spans: dict[int, Set[int]] = dict(zip(masks, spans))
         index = {m: i for i, m in enumerate(masks)}
         # Kahn over family positions: an edge z -> m for each other member z
-        # of m's span, so m waits for all of them
-        indeg = [len(span) - (m in span) for m, span in zip(masks, spans)]
-        succ: list[list[int]] = [[] for _ in masks]
+        # of m's span, so m waits for all of them; about a million successor
+        # entries at D=13, so positions are held in arrays, not lists
+        indeg = array("I", [len(span) - (m in span) for m, span in zip(masks, spans)])
+        succ = [array("I") for _ in masks]
         for i, (m, span) in enumerate(zip(masks, spans)):
             for z in span:
                 if z != m:
                     succ[index[z]].append(i)
+        del index
 
         interned: dict[PieceLabel, PieceLabel] = {}
 

@@ -77,23 +77,24 @@ def _cmd_symbols(args) -> int:
     order = build_order(d)
     total = 0
     for sector in sectors:
-        groups: dict[int, list] = {}
+        # each symbol is built and validated, then kept only as its line
+        groups: dict[int, list[str]] = {}
         for x in order.sector_elements(sector):
             sym = symbol_of(x, d)
-            groups.setdefault(sym.series(), []).append(sym)
+            left = ",".join(map(str, sorted(sym.s))) or "∅"
+            right = ",".join(map(str, sorted(sym.t))) or "∅"
+            groups.setdefault(sym.series(), []).append(f"({left} ; {right})")
         for s in sorted(groups):
-            syms = groups[s]
+            lines = groups[s]
             expected = series_size(d, s)
-            if expected != len(syms):
+            if expected != len(lines):
                 raise DomainError(
-                    f"series size mismatch at D={d}, s={s}: {len(syms)} != {expected}"
+                    f"series size mismatch at D={d}, s={s}: {len(lines)} != {expected}"
                 )
-            print(f"series s={s} ({len(syms)} symbols)")
-            for sym in syms:
-                left = ",".join(map(str, sorted(sym.s))) or "∅"
-                right = ",".join(map(str, sorted(sym.t))) or "∅"
-                print(f"({left} ; {right})")
-            total += len(syms)
+            print(f"series s={s} ({len(lines)} symbols)")
+            for line in lines:
+                print(line)
+            total += len(lines)
     print(f"total {total}")
     return 0
 

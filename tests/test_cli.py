@@ -207,6 +207,16 @@ def test_symbols_sector_and_totals(capsys):
     assert "total 16" in out  # both sectors together biject with E_N
 
 
+def test_symbols_series_size_mismatch_exits_2(capsys, monkeypatch):
+    import secondbasis.cli as cli
+
+    true_size = cli.series_size
+    monkeypatch.setattr(cli, "series_size", lambda d, s: true_size(d, s) + 1)
+    rc, _, err = run(capsys, "symbols", "--D", "5")
+    assert rc == 2
+    assert "error: series size mismatch at D=5" in err
+
+
 def test_table_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("SBL_MAX_D", "2")
     rc, _, err = run(capsys, "table", "--D", "3")

@@ -9,7 +9,9 @@ and ``triangular_closed_form`` run with the lift and epsilon functions
 disabled.  A doctored lift that leaves X_D enters the inductive family:
 ``construction_equivalence`` names it, and every check that reads the
 epsilon table FAILs with the collision it causes.  The spliced
-``lift_matching`` is checked against the lift computed arc by arc.
+``lift_matching`` is checked against the lift computed arc by arc, and its
+arcs are shared: an arc below the slot is the original's own object, and
+equal shifted arcs are one object across all lifts.
 """
 
 import pytest
@@ -70,6 +72,19 @@ def test_lift_equals_the_oracle_on_the_lift_grid(d):
 @pytest.mark.slow
 def test_lift_equals_the_oracle_on_the_lift_grid_d13():
     assert_lifts_match_the_oracle(enumerate_family(11), range(1, 14), 13)
+
+
+def test_lifts_share_their_arcs():
+    shared = {}
+    for bp in enumerate_family(7):
+        for k in range(1, 10):
+            lift = lift_matching(k, bp, 9)
+            below = [a for a in lift.arcs if a.hi < k]
+            own = [a for a in bp.arcs if a.hi < k]
+            assert len(below) == len(own), (bp, k)
+            assert all(a is b for a, b in zip(below, own)), (bp, k)
+            for arc in (a for a in lift.arcs if a.hi > k):  # shifted or short
+                assert shared.setdefault(arc, arc) is arc, (bp, k, arc)
 
 
 def test_rows_are_the_lifted_images(cold_caches):

@@ -1,9 +1,11 @@
 """Peak memory of the write path: ``symbols --D 13`` in a fresh process.
 
 It is the only D=13 order build among the emission commands, so its
-high-water RSS (``VmHWM``) is the write path's peak.  The child reads its own
-``/proc/self/status`` after the command; the test is skipped where that file
-does not exist.
+high-water RSS (``VmHWM``) is the write path's peak: about 36 MB on CPython
+3.11 (x86-64 Linux), with lifted arcs shared, Kahn's successor lists held as
+arrays and the symbols kept only as their output lines.  The child reads its
+own ``/proc/self/status`` after the command; the test is skipped where that
+file does not exist.
 """
 
 import os
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
-PEAK_MB = 90
+PEAK_MB = 45
 
 CHILD = """
 import contextlib, os
