@@ -21,7 +21,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .arcs import Matching, cyclic_interval_mask, embed_set
+from .arcs import Matching, embed_set
 from .errors import DomainError, FalsificationError
 from .f2 import EvenSet, span_masks
 from .family import (
@@ -87,11 +87,22 @@ def boundary_correction(b: Matching, d: int) -> EvenSet:
 
 
 def epsilon(b: Matching, d: int) -> EvenSet:
-    """Sum of the cyclic intervals of all arcs, plus the boundary correction."""
+    """Sum of the cyclic intervals of all arcs, plus the boundary correction.
+
+    The intervals are folded as masks: [i, j] for a primed arc, [i, N] and
+    [1, j] for a double-primed one.  The correction is empty for even D; for
+    odd D it is read on every call, so its parity and uniqueness checks run.
+    """
+    n = b.n
     mask = 0
-    for arc in b.arcs:
-        mask ^= cyclic_interval_mask(arc, b.n)
-    return EvenSet.from_mask(mask, b.n) ^ boundary_correction(b, d)
+    for i, j in b.arcs:
+        if i < j:
+            mask ^= (2 << j) - (1 << i)
+        else:
+            mask ^= (2 << n) - (1 << i) + (2 << j) - 2
+    if d % 2:
+        mask ^= boundary_correction(b, d).mask
+    return EvenSet.from_mask(mask, n)
 
 
 @lru_cache(maxsize=None)
@@ -220,9 +231,12 @@ class Order:
     of its preimage's pair-vectors, held as the preimage's pair masks
     (``f2.Span``); only size, membership and iteration are read from it.
     The generating digraph X' -> span(preimage of X') - {X'} is the one
-    acyclicity certificate: Kahn's extension runs over family positions, with
-    ``array('I')`` successor lists and in-degrees, and construction raises
-    ``CycleError`` with an explicit cycle if it stalls.
+    acyclicity certificate: Kahn's extension runs over family positions with
+    watch lists instead of successor lists and in-degrees.  Each position
+    holds an ``array('I')`` of its span members' positions and waits on the
+    first unpopped one other than itself; when that one pops, it resumes the
+    scan there, and its array is dropped once it is ready.  Construction
+    raises ``CycleError`` with an explicit cycle if the extension stalls.
     Kahn's pop order already puts every generating edge backwards, so the
     down-sets, which only the order queries and ``sector_order_check`` read,
     are built on first read; the ``order_antisymmetry`` check forces that
@@ -237,40 +251,47 @@ class Order:
         spans = [span_masks(b.pair_vectors()) for b, _ in pairs]
         self.gen_spans: dict[int, Set[int]] = dict(zip(masks, spans))
         index = {m: i for i, m in enumerate(masks)}
-        # Kahn over family positions: an edge z -> m for each other member z
-        # of m's span, so m waits for all of them; about a million successor
-        # entries at D=13, so positions are held in arrays, not lists
-        indeg = array("I", [len(span) - (m in span) for m, span in zip(masks, spans)])
-        succ = [array("I") for _ in masks]
-        for i, (m, span) in enumerate(zip(masks, spans)):
-            for z in span:
-                if z != m:
-                    succ[index[z]].append(i)
+        # Kahn on watch lists, as the class docstring describes: about a
+        # million span entries at D=13, freed position by position as they
+        # become ready; no successor lists and no in-degrees
+        preds: list[array | None] = [
+            array("I", map(index.__getitem__, span)) for span in spans
+        ]
         del index
-
+        cursor = array("I", [0]) * len(masks)
+        popped = bytearray(len(masks))
+        watch: dict[int, list[int]] = {}
         interned: dict[PieceLabel, PieceLabel] = {}
+        heap: list[tuple] = []
 
-        def entry(i: int) -> tuple:
+        def settle(i: int) -> None:
+            p = preds[i]
+            for c in range(cursor[i], len(p)):
+                z = p[c]
+                if z != i and not popped[z]:
+                    cursor[i] = c
+                    watch.setdefault(z, []).append(i)
+                    return
+            preds[i] = None
             # each position is pushed once, so its label is computed once
             piece = sector_label(pairs[i][1], d)
             piece = interned.setdefault(piece, piece)
-            return (piece.sort_key(), masks[i], i, piece)
+            heapq.heappush(heap, (piece.sort_key(), masks[i], i, piece))
 
-        heap = [entry(i) for i, deg in enumerate(indeg) if deg == 0]
-        heapq.heapify(heap)
+        for i in range(len(masks)):
+            settle(i)
         order: list[int] = []
         self.labels: list[PieceLabel] = []
         while heap:
             _, _, i, piece = heapq.heappop(heap)
+            popped[i] = 1
             order.append(i)
             self.labels.append(piece)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(heap, entry(j))
+            for j in watch.pop(i, ()):
+                settle(j)
         if len(order) != len(masks):
             # a stalled mask keeps a stalled span member, so this walk closes
-            stalled = {m for m, deg in zip(masks, indeg) if deg}
+            stalled = {m for m, done in zip(masks, popped) if not done}
             path: list[int] = []
             step: dict[int, int] = {}
             m = min(stalled)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -55,11 +54,11 @@ def _cmd_matrix(args) -> int:
             out.write(("[" if i == 0 else ", [") + ", ".join(cells) + "]")
         out.write("]}\n")
     else:
-        writer = csv.writer(out)
+        # the bytes csv.writer emits: no field here needs quoting
         names = [" ".join(map(str, x.members)) for x in matrix.labels]
-        writer.writerow([""] + names)
+        out.write("," + ",".join(names) + "\r\n")
         for name, cells in zip(names, matrix.row_cells()):
-            writer.writerow([name] + cells)
+            out.write(name + "," + ",".join(cells) + "\r\n")
     return 0
 
 

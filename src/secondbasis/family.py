@@ -169,12 +169,13 @@ def _family(d: int) -> tuple[tuple[Matching, ...], array]:
     if d == 1:
         base = primitives(1) + [Matching((Arc(1, 2),), 3)]
         return tuple(sorted(base, key=lambda b: b.arcs)), array("I")
-    seen = {b: b for b in primitives(d)}
+    seen = {b.arcs: b for b in primitives(d)}
     lifts = (
         lift_matching(k, bp, d) for bp in _family(d - 2)[0] for k in range(1, d + 1)
     )
-    walk = [seen.setdefault(b, b) for b in lifts]  # one object kept per member
-    members = sorted(seen, key=lambda b: b.arcs)
+    walk = [seen.setdefault(b.arcs, b) for b in lifts]  # one object kept per member
+    members = [seen[arcs] for arcs in sorted(seen)]
+    del seen
     position = {id(b): i for i, b in enumerate(members)}  # no re-hashing
     return tuple(members), array("I", [position[id(b)] for b in walk])
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from secondbasis.arcs import Matching
+from secondbasis.arcs import Matching, cyclic_interval_mask, iter_matchings
 from secondbasis.basis import (
     boundary_correction,
     build_order,
@@ -53,6 +53,42 @@ def test_epsilon_examples():
     assert epsilon(m([(2, 3), (1, 4)], 5), 4) == EvenSet([1, 4], 5)
     assert epsilon(m([(8, 2), (7, 3), (9, 1)], 9), 7) == EvenSet([1, 3, 7, 9], 9)
     assert primitive_image(6, PieceLabel(-2)) == EvenSet([1, 7], 7)
+
+
+def oracle_epsilon(b, d):
+    """Epsilon arc by arc: the cyclic intervals summed, then the correction."""
+    mask = 0
+    for arc in b.arcs:
+        mask ^= cyclic_interval_mask(arc, b.n)
+    return EvenSet.from_mask(mask, b.n) ^ boundary_correction(b, d)
+
+
+@pytest.mark.parametrize("d", [*range(12), pytest.param(13, marks=pytest.mark.slow)])
+def test_epsilon_equals_the_arc_by_arc_oracle(d):
+    want = tuple((b, oracle_epsilon(b, d)) for b in enumerate_family(d))
+    assert epsilon_pairs(d) == want
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_epsilon_equals_the_oracle_on_every_small_matching():
+    # non-members included: the parity and uniqueness faults of the odd-D
+    # correction must still be raised, with the oracle's type and message
+    raised = set()
+    for n in (1, 3, 5, 7):
+        for d in range(max(n - 2, 0), n):  # the D's with ground set [1, n]
+            for b in iter_matchings(n):
+                got = outcome(epsilon, b, d)
+                assert got == outcome(oracle_epsilon, b, d), (b, d)
+                if isinstance(got, tuple):
+                    raised.add(got[0].__name__)
+    assert raised == {"DomainError", "FalsificationError"}
 
 
 def test_epsilon_matches_primitive_closed_forms():

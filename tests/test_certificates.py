@@ -2,12 +2,19 @@
 
 Fault injection doctors the spans into a 2-cycle and shows that both the
 uniqueness and the antisymmetry checks FAIL with an explicit closed cycle.
+A doctored 3-cycle at D=5 stalls the order build itself, which names
+exactly the three doctored images as a closed cycle.
 """
 
 import pytest
 
 import secondbasis.basis as basis
-from secondbasis.basis import build_order, epsilon_pairs, unique_bijection_check
+from secondbasis.basis import (
+    CycleError,
+    build_order,
+    epsilon_pairs,
+    unique_bijection_check,
+)
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, run_checks
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
@@ -34,9 +41,9 @@ def two_cycle(monkeypatch, fresh_orders):
     return a, b
 
 
-def assert_closed_cycle(cycle):
+def assert_closed_cycle(cycle, d=D):
     """First mask = last, and each next mask is in the previous one's span."""
-    preimage = {x.mask: b for b, x in epsilon_pairs(D)}
+    preimage = {x.mask: b for b, x in epsilon_pairs(d)}
     assert len(cycle) >= 3 and cycle[0] == cycle[-1]
     for m, z in zip(cycle, cycle[1:]):
         assert z != m and z in basis.span_masks(preimage[m].pair_vectors())
@@ -75,3 +82,31 @@ def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
     assert unique_bijection_check(d) is None
     assert _check_antisymmetry([d]) is None
     assert calls == []
+
+
+def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
+    d = 5
+    # single-arc members whose image is their own pair: each span is
+    # {0, image}, so the doctored edges a -> b -> c -> a are the only cycle
+    singles = sorted(
+        (x.mask, tuple(g.mask for g in b.pair_vectors()))
+        for b, x in epsilon_pairs(d)
+        if len(b) == 1 and b.pair_vectors()[0] == x
+    )
+    (a, pa), (b, pb), (c, pc) = singles[:3]
+    extra = {pa: b, pb: c, pc: a}
+    real = basis.span_masks
+
+    def doctored(gens):
+        span = real(gens)
+        z = extra.get(tuple(g.mask for g in gens))
+        return span if z is None else span | {z}
+
+    monkeypatch.setattr(basis, "span_masks", doctored)
+    with pytest.raises(CycleError) as exc:
+        build_order(d)
+    cycle = exc.value.cycle
+    assert len(cycle) == 4 and set(cycle) == {a, b, c}
+    assert_closed_cycle(cycle, d)
+    message = f"generating digraph at D={d} has a cycle through masks {cycle}"
+    assert str(exc.value) == message

@@ -11,7 +11,8 @@ disabled.  A doctored lift that leaves X_D enters the inductive family:
 epsilon table FAILs with the collision it causes.  The spliced
 ``lift_matching`` is checked against the lift computed arc by arc, and its
 arcs are shared: an arc below the slot is the original's own object, and
-equal shifted arcs are one object across all lifts.
+equal shifted arcs are one object across all lifts.  Pair vectors are
+shared in the same way: equal (i, j, n) vectors are one object.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from secondbasis.arcs import (
     embed_index,
     iter_matchings,
     lift_matching,
+    pair_evenset,
 )
 from secondbasis.basis import epsilon, epsilon_pairs, lift_images
 from secondbasis.errors import DomainError, FalsificationError
@@ -85,6 +87,14 @@ def test_lifts_share_their_arcs():
             assert all(a is b for a, b in zip(below, own)), (bp, k)
             for arc in (a for a in lift.arcs if a.hi > k):  # shifted or short
                 assert shared.setdefault(arc, arc) is arc, (bp, k, arc)
+
+
+def test_pair_vectors_are_shared():
+    shared = {}
+    for b in enumerate_family(9):
+        for arc, v in zip(b.arcs, b.pair_vectors()):
+            assert v == pair_evenset(arc, b.n), (b, arc)
+            assert shared.setdefault((arc.i, arc.j, b.n), v) is v, (b, arc)
 
 
 def test_rows_are_the_lifted_images(cold_caches):

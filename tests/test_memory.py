@@ -1,9 +1,10 @@
 """Peak memory of the write path: ``symbols --D 13`` in a fresh process.
 
 It is the only D=13 order build among the emission commands, so its
-high-water RSS (``VmHWM``) is the write path's peak: about 36 MB on CPython
-3.11 (x86-64 Linux), with lifted arcs shared, Kahn's successor lists held as
-arrays and the symbols kept only as their output lines.  The child reads its
+high-water RSS (``VmHWM``) is the write path's peak: about 32.5 MB on
+CPython 3.11 (x86-64 Linux), with lifted arcs and pair vectors shared, Kahn
+run on watch lists that free each position's array as it becomes ready, and
+the symbols kept only as their output lines.  The child reads its
 own ``/proc/self/status`` after the command; the test is skipped where that
 file does not exist.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
-PEAK_MB = 45
+PEAK_MB = 40
 
 CHILD = """
 import contextlib, os
