@@ -48,7 +48,7 @@ from .errors import (
     FalsificationError,
     ResourceGuardError,
 )
-from .f2 import EvenSet, f2_sum, span_masks, span_membership, unique_decomposition
+from .f2 import EvenSet, f2_sum, span_masks
 from .family import (
     CoverWitness,
     PieceLabel,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from collections.abc import Set
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 from .arcs import Matching, embed_set
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet, span_masks
+from .f2 import EvenSet, Span, span_masks
 from .family import (
     PieceLabel,
     distinguished_element,
@@ -249,11 +249,11 @@ class Order:
         pairs = epsilon_pairs(d)
         masks = [x.mask for _, x in pairs]
         spans = [span_masks(b.pair_vectors()) for b, _ in pairs]
-        self.gen_spans: dict[int, Set[int]] = dict(zip(masks, spans))
+        self.gen_spans: dict[int, Span] = dict(zip(masks, spans))
         index = {m: i for i, m in enumerate(masks)}
         # Kahn on watch lists, as the class docstring describes: about a
-        # million span entries at D=13, freed position by position as they
-        # become ready; no successor lists and no in-degrees
+        # million span entries at D=13, all built before the first pop, so
+        # freeing each as its position becomes ready lowers no peak
         preds: list[array | None] = [
             array("I", map(index.__getitem__, span)) for span in spans
         ]
@@ -389,25 +389,20 @@ class BasisMatrix:
     @property
     def rows(self) -> list[list[int]]:
         """The dense row lists, rebuilt on every access; no library path reads them."""
-        n = len(self.labels)
-        rows = [[0] * n for _ in range(n)]
-        for j, column in enumerate(self.columns):
-            for i, v in column:
-                rows[i][j] = v
-        return rows
+        return list(self.row_cells(0, int))
 
-    def row_cells(self) -> Iterator[list[str]]:
-        """Each row as decimal strings, one row alive at a time."""
+    def row_cells(self, zero="0", cell=str) -> Iterator[list]:
+        """Each row, one alive at a time: ``cell(v)`` at entry v, ``zero`` elsewhere."""
         n = len(self.labels)
         by_row: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for j, column in enumerate(self.columns):
             for i, v in column:
                 by_row[i].append((j, v))
-        zeros = ["0"] * n
+        zeros = [zero] * n
         for entries in by_row:
             cells = zeros.copy()
             for j, v in entries:
-                cells[j] = str(v)
+                cells[j] = cell(v)
             yield cells
 
     def to_json(self) -> dict:
@@ -446,6 +441,21 @@ def _assert_unitriangular(m: BasisMatrix, bound: int, what: str) -> None:
         raise FalsificationError(first[2])
 
 
+def _span_matrix(
+    order: Order, labels: list[EvenSet], rows: dict[int, int], bound: int, what: str
+) -> BasisMatrix:
+    """Column j counts the members of the span of label j that ``rows`` sends
+    to each row; the matrix must be unitriangular with entries in [0, bound]."""
+    columns = []
+    for y in labels:
+        counts = Counter(map(rows.get, order.gen_spans[y.mask]))
+        counts.pop(None, None)
+        columns.append(tuple(sorted(counts.items())))
+    matrix = BasisMatrix(labels, columns)
+    _assert_unitriangular(matrix, bound, what)
+    return matrix
+
+
 def change_matrix(d: int, sector: str = "all") -> BasisMatrix:
     """Span-membership matrix over the canonical extension, unitriangular.
 
@@ -454,14 +464,8 @@ def change_matrix(d: int, sector: str = "all") -> BasisMatrix:
     """
     order = build_order(d)
     elements = order.sector_elements(sector)
-    pos = {x.mask: i for i, x in enumerate(elements)}
-    columns = []
-    for y in elements:
-        rows = sorted(pos[z] for z in order.gen_spans[y.mask] if z in pos)
-        columns.append(tuple((i, 1) for i in rows))
-    matrix = BasisMatrix(elements, columns)
-    _assert_unitriangular(matrix, 1, f"matrix D={d} sector={sector}")
-    return matrix
+    rows = {x.mask: i for i, x in enumerate(elements)}
+    return _span_matrix(order, elements, rows, 1, f"matrix D={d} sector={sector}")
 
 
 def second_basis_vectors(

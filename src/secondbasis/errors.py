@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DecompositionError", "DimensionMismatchError", "DomainError",
+    "FalsificationError", "ResourceGuardError",
+]
+
 
 class DimensionMismatchError(ValueError):
     """Operands live over different ground sets."""

@@ -8,11 +8,12 @@ cardinality vectors only occur as transient masks inside this module.
 Spans are only ever taken of one matching's pair-vectors: pairwise-disjoint
 2-element sets.  Those are linearly independent, and any sum of them is
 their union, so the span of k pairs is the 2^k unions of sub-collections,
-and x lies in it exactly when x is the union of the pairs it contains.  That
-is the one span rule here; ``span_masks``, ``span_membership`` and
-``unique_decomposition`` refuse any other generators.  A ``Span`` holds only
-its k pair masks: its size and membership follow from the rule without
-listing the unions, which are generated afresh on each iteration.
+and x lies in it exactly when x is the union of the pairs it contains; those
+pairs are its unique decomposition.  That is the one span rule here, and
+``span_masks`` refuses any other generators.  A ``Span`` holds only its k
+pair masks: its size and membership follow from the rule without listing the
+unions, which are generated afresh on each iteration.  ``basis.Order`` builds
+the one span per family member that the rest of the package reads.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.
@@ -20,11 +21,10 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DecompositionError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 __all__ = [
     "EvenSet",
@@ -34,8 +34,6 @@ __all__ = [
     "mask_of",
     "members_of",
     "span_masks",
-    "span_membership",
-    "unique_decomposition",
 ]
 
 
@@ -153,18 +151,16 @@ def f2_sum(sets: Iterable[EvenSet], n: int) -> EvenSet:
     return EvenSet.from_mask(mask, n)
 
 
-def _pair_masks(generators: Sequence[EvenSet], n: int | None = None) -> list[int]:
+def _pair_masks(generators: Sequence[EvenSet]) -> list[int]:
     """The generators' masks, once they are checked to be disjoint pairs.
 
-    All generators must share one ground set [1, n] (that of the first
-    generator if n is not given), have two elements each, and be pairwise
-    disjoint.
+    All generators must share the ground set [1, n] of the first one, have
+    two elements each, and be pairwise disjoint.
     """
+    n = generators[0].n if generators else None
     masks = []
     seen = 0
     for g in generators:
-        if n is None:
-            n = g.n
         if g.n != n:
             raise DimensionMismatchError(f"ground sizes differ: {g.n} != {n}")
         if len(g) != 2:
@@ -176,12 +172,11 @@ def _pair_masks(generators: Sequence[EvenSet], n: int | None = None) -> list[int
     return masks
 
 
-class Span(Set):
+class Span:
     """The span of k disjoint pairs as a set of masks, held as the k pair masks.
 
-    It has 2^k members, x is one exactly when x is the union of the pairs
-    inside it, and it compares and hashes equal to the frozenset of its
-    members.  The set operators return frozensets.
+    It has 2^k members, and x is one exactly when x is the union of the pairs
+    inside it.  Size, membership and iteration are all it offers.
     """
 
     __slots__ = ("pairs",)
@@ -195,9 +190,7 @@ class Span(Set):
     def __len__(self) -> int:
         return 1 << len(self.pairs)
 
-    def __contains__(self, x) -> bool:
-        if not isinstance(x, int):
-            return False
+    def __contains__(self, x: int) -> bool:
         union = 0
         for g in self.pairs:
             if g & x == g:
@@ -210,30 +203,7 @@ class Span(Set):
             members += [m | g for m in members]
         return iter(members)
 
-    @classmethod
-    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
-        return frozenset(it)
-
-    __hash__ = Set._hash
-
-    def __repr__(self) -> str:
-        return f"Span({list(self.pairs)})"
-
-
-def span_membership(generators: Sequence[EvenSet], x: EvenSet) -> bool:
-    """Whether x lies in the span: x is the union of the pairs inside it."""
-    return x.mask in Span(_pair_masks(generators, x.n))
-
 
 def span_masks(generators: Sequence[EvenSet]) -> Span:
     """The 2^k unions of the k pairs, held as the pairs."""
     return Span(_pair_masks(generators))
-
-
-def unique_decomposition(
-    generators: Sequence[EvenSet], x: EvenSet
-) -> list[EvenSet]:
-    """The unique sub-collection of the pairs summing to x: those inside x."""
-    if not span_membership(generators, x):
-        raise DecompositionError(f"{x!r} is not in the span of the generators")
-    return [g for g in generators if g.mask & x.mask == g.mask]

@@ -1,9 +1,9 @@
 """Rendering of the family tables in bracket notation.
 
-An entry shows a member's arcs with the bracketed sub-collection whose
-pair-vectors sum to the member's even-set image (the decomposition exists
-and is unique because the arcs have disjoint supports).  Arcs print as digit
-pairs up to N = 9 and as "i-j" beyond; the empty member prints as ([∅]).
+An entry shows a member's arcs with the bracketed ones inside its even-set
+image; their pair-vectors sum to the image, which is checked to lie in the
+member's span (``Order.gen_spans``).  Arcs print as digit pairs up to N = 9
+and as "i-j" beyond; the empty member prints as ([∅]).
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arcs import Arc, Matching, arc_text, classify_pair, pair_evenset
+from .arcs import Arc, Matching, arc_text, classify_pair, pair_mask
 from .basis import build_order, epsilon_images
-from .errors import DomainError
-from .f2 import EvenSet, unique_decomposition
+from .errors import DecompositionError, DomainError
+from .f2 import EvenSet, Span
 from .family import PieceLabel, ground_size, pieces
 from .limits import guard_d
 
@@ -49,12 +49,12 @@ class TableEntry:
         }
 
 
-def table_entry(b: Matching, image: EvenSet) -> TableEntry:
-    """The entry of a member given its image: the arcs whose pair-vectors sum to it."""
-    part = unique_decomposition(b.pair_vectors(), image)
-    picked = {x.mask for x in part}
-    bracketed = tuple(a for a in b.arcs if pair_evenset(a, b.n).mask in picked)
-    return TableEntry(b, bracketed)
+def table_entry(b: Matching, image: EvenSet, span: Span) -> TableEntry:
+    """The entry of a member given its image and span: the arcs inside the image."""
+    if image.mask not in span:
+        raise DecompositionError(f"{image!r} is not in the span of the generators")
+    inside = tuple(a for a in b.arcs if pair_mask(a) & image.mask == pair_mask(a))
+    return TableEntry(b, inside)
 
 
 def render_entry(entry: TableEntry) -> str:
@@ -100,12 +100,14 @@ def table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def _table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
-    position = build_order(d).position
+    order = build_order(d)
+    position, spans = order.position, order.gen_spans
     image = epsilon_images(d)
     out = []
     for label, members in pieces(d).items():
         ranked = sorted(members, key=lambda b: position[image[b].mask])
-        out.append((label, tuple(table_entry(b, image[b]) for b in ranked)))
+        entries = (table_entry(b, image[b], spans[image[b].mask]) for b in ranked)
+        out.append((label, tuple(entries)))
     return tuple(out)
 
 

@@ -20,9 +20,9 @@ from .basis import (
     epsilon_images,
     epsilon_inverse,
     sector_label,
-    _assert_unitriangular,
+    _span_matrix,
 )
-from .errors import DomainError
+from .errors import DomainError, FalsificationError
 from .f2 import EvenSet
 from .family import PieceLabel, ground_size, piece_of
 
@@ -255,21 +255,15 @@ def sector_matrix(d: int, which: str) -> BasisMatrix:
     """The doubled membership matrix over an orbit transversal.
 
     Entry (X, X') counts how many of X, X^! lie in the span of the preimage
-    of X'; unitriangular with entries in {0, 1, 2}.  Column X' is read off
-    its span: each member z adds one at the rows of z and of z^!.
+    of X'; unitriangular with entries in {0, 1, 2}.  The row map sends both
+    members of each orbit to its representative's row.
     """
     reps = orbit_representatives(d, which)
-    order = build_order(d)
-    pos = {x.mask: i for i, x in enumerate(reps)}
     block = _block(d)
-    columns = []
-    for y in reps:
-        counts: dict[int, int] = {}
-        for z in order.gen_spans[y.mask]:
-            for i in (pos.get(z), pos.get(z ^ block)):
-                if i is not None:
-                    counts[i] = counts.get(i, 0) + 1
-        columns.append(tuple(sorted(counts.items())))
-    matrix = BasisMatrix(list(reps), columns)
-    _assert_unitriangular(matrix, 2, f"orbit matrix D={d} sector={which}")
-    return matrix
+    rows: dict[int, int] = {}
+    for i, x in enumerate(reps):
+        rows[x.mask] = rows[x.mask ^ block] = i
+    what = f"orbit matrix D={d} sector={which}"
+    if len(rows) != 2 * len(reps):
+        raise FalsificationError(f"{what}: the transversal meets an orbit twice")
+    return _span_matrix(build_order(d), list(reps), rows, 2, what)

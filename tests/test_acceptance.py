@@ -121,7 +121,7 @@ def test_criterion_5_triangular_equality():
 
 
 def test_criterion_6_involution_suite():
-    with criterion(6, "involution fixed-point free and equivariant, primed classes, "
+    with criterion(6, "involution piece transport and equivariance, primed classes, "
                       "order properties, orbit matrices in {0,1,2}, odd D<=9"):
         assert _check_involution_suite([1, 3, 5, 7, 9]) is None
 

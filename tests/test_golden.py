@@ -1,12 +1,16 @@
-"""The reference tables: exact reproduction, decompositions, monotone order."""
+"""The reference tables and verify text: exact reproduction, decompositions,
+monotone order."""
+
+import re
 
 import pytest
 
 from secondbasis.basis import build_order, epsilon
+from secondbasis.cli import main
 from secondbasis.f2 import f2_sum
 from secondbasis.family import ground_size
 from secondbasis.tables import table_data
-from tests.conftest import load_corpus
+from tests.conftest import GOLDEN, load_corpus
 
 
 def entry_images(entries, d):
@@ -58,3 +62,11 @@ def test_rendered_order_is_monotone(d):
     order = build_order(d)
     flat = [e for _, entries in table_data(d) for e in entries]
     assert_monotone(entry_images(flat, d), order, f"rendered D={d}")
+
+
+def test_verify_d11_text_matches_the_golden(capsys):
+    # every line but the seconds column, whose 7-character width stays pinned
+    assert main(["verify", "--max-D", "11"]) == 0
+    out = capsys.readouterr().out
+    masked = re.sub(r"[ \d]{4}\.\d\ds$", "   #.##s", out, flags=re.M)
+    assert masked == (GOLDEN / "verify_d11.txt").read_text()

@@ -85,9 +85,9 @@ def test_doctored_span_names_the_dense_fault(doctored_order, edit):
     elements = order.elements
     early, late = elements[3].mask, elements[10].mask
     if edit in ("below-diagonal", "both"):
-        order.gen_spans[early] = order.gen_spans[early] | {late}
+        order.gen_spans[early] = frozenset(order.gen_spans[early]) | {late}
     if edit in ("missing-diagonal", "both"):
-        order.gen_spans[late] = order.gen_spans[late] - {late}
+        order.gen_spans[late] = frozenset(order.gen_spans[late]) - {late}
     want = dense_fault(dense_reference(order, 4, "all"), 1, "matrix D=4 sector=all")
     assert want is not None
     with pytest.raises(FalsificationError) as exc:

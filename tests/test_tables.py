@@ -1,0 +1,77 @@
+"""Table entries read each member's span from the order and nowhere else."""
+
+from itertools import combinations
+
+import pytest
+
+import secondbasis.f2 as f2
+from secondbasis.arcs import Matching
+from secondbasis.basis import build_order, epsilon_pairs
+from secondbasis.cli import main
+from secondbasis.errors import DecompositionError
+from secondbasis.f2 import EvenSet, f2_sum, span_masks
+from secondbasis.tables import table_data, table_entry
+from tests.conftest import clear_library_caches
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_library_caches()
+    yield
+    clear_library_caches()
+
+
+def entry_for(pairs, n, image):
+    b = Matching.from_pairs(pairs, n)
+    return table_entry(b, EvenSet(image, n), span_masks(b.pair_vectors()))
+
+
+def test_table_entry_examples():
+    assert entry_for([(2, 3), (1, 4)], 5, [1, 4]).bracketed == ((1, 4),)
+    assert entry_for([(1, 2)], 5, []).bracketed == ()
+    assert entry_for([(3, 5), (1, 2)], 5, [3, 5]).bracketed == ((5, 3),)  # as classified
+
+
+def test_table_entry_refuses_an_image_outside_the_span():
+    with pytest.raises(DecompositionError) as exc:
+        entry_for([(1, 2)], 5, [2, 3])
+    assert str(exc.value) == "EvenSet([2, 3], n=5) is not in the span of the generators"
+
+
+def test_table_entry_brackets_the_unique_decomposition():
+    for d in range(0, 8):
+        for b, x in epsilon_pairs(d):
+            entry = table_entry(b, x, span_masks(b.pair_vectors()))
+            part = [g for a, g in zip(b.arcs, b.pair_vectors()) if a in entry.bracketed]
+            assert f2_sum(part, b.n) == x
+            # no other sub-collection of the arcs sums to the image
+            hits = sum(
+                f2_sum(combo, b.n) == x
+                for r in range(len(b) + 1)
+                for combo in combinations(b.pair_vectors(), r)
+            )
+            assert hits == 1
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_table_data_reads_the_order_spans(monkeypatch, fresh_caches, d):
+    build_order(d)
+    calls = []
+    real = f2._pair_masks
+
+    def counted(gens):
+        calls.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(f2, "_pair_masks", counted)
+    assert table_data(d)
+    assert calls == []
+
+
+def test_a_span_that_misses_its_image_fails_the_table(capsys, fresh_caches):
+    order = build_order(5)
+    m = next(x.mask for x in order.elements if x.mask)
+    order.gen_spans[m] = frozenset(order.gen_spans[m]) - {m}
+    assert main(["table", "--D", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: EvenSet(") and "is not in the span" in err

@@ -5,7 +5,7 @@ import pytest
 import secondbasis.variants as variants
 from secondbasis.arcs import Matching
 from secondbasis.basis import Order, build_order, epsilon, sector_label
-from secondbasis.errors import DomainError
+from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.f2 import EvenSet
 from secondbasis.family import PieceLabel, enumerate_family, piece_of, pieces
 from secondbasis.variants import (
@@ -96,6 +96,16 @@ def test_involution_over_every_even_set(d):
         assert bang != x  # no fixed point
         assert (n in bang) == (n in x)  # the N-sector is kept
         assert (d + 1 in bang) != (d + 1 in x)  # D+1 is flipped
+
+
+@pytest.mark.parametrize("d", range(1, 42, 2))
+def test_the_block_flips_d_plus_1_and_keeps_n(d):
+    # the involution adds this constant block, so these three facts are its
+    # whole fixed-point, sector and primed-half behaviour at this D
+    block = variants._block(d)
+    assert block != 0  # no fixed point
+    assert not block >> (d + 2) & 1  # N = D+2 is kept, so is the sector
+    assert block >> (d + 1) & 1  # D+1 is flipped, so the primed halves swap
 
 
 def test_matching_involution():
@@ -315,3 +325,13 @@ def test_sector_matrix_bounds():
             assert set(flat) <= {0, 1, 2}
             # observed at desk scale: no doubled entry occurs through D=7
             assert 2 not in flat
+
+
+def test_sector_matrix_refuses_a_transversal_that_meets_an_orbit_twice(monkeypatch):
+    reps = orbit_representatives(5, "++")
+    doubled = reps + (involution(reps[-1], 5),)
+    monkeypatch.setattr(variants, "orbit_representatives", lambda d, which: doubled)
+    with pytest.raises(FalsificationError) as exc:
+        sector_matrix(5, "++")
+    want = "orbit matrix D=5 sector=++: the transversal meets an orbit twice"
+    assert str(exc.value) == want
