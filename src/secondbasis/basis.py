@@ -82,8 +82,8 @@ def boundary_correction(b: Matching, d: int) -> EvenSet:
         return EvenSet.empty(n)
     u = distinguished_element(b, d)
     if label.t < 0:
-        return EvenSet(range(u, n + 1), n)
-    return EvenSet([n, *range(1, u + 1)], n)
+        return EvenSet.from_mask((2 << n) - (1 << u), n)
+    return EvenSet.from_mask(1 << n | (2 << u) - 2, n)
 
 
 def epsilon(b: Matching, d: int) -> EvenSet:
@@ -379,31 +379,79 @@ def unique_bijection_check(d: int) -> dict | None:
 class BasisMatrix:
     """A square integer matrix with its row/column labels (shared order).
 
-    Stored by column: ``columns[j]`` holds the nonzero entries of column j as
-    (row, value) pairs in increasing row order.
+    Stored as compressed columns: column j holds the entries
+    ``starts[j]:starts[j + 1]`` of ``entry_rows`` (``array('I')``, increasing
+    within each column) and ``entry_values`` (``array('i')``); ``starts``
+    (``array('I')``) has one offset per column plus the end.
     """
 
     labels: list[EvenSet]
-    columns: list[tuple[tuple[int, int], ...]]
+    starts: array
+    entry_rows: array
+    entry_values: array
+
+    @classmethod
+    def from_columns(cls, labels, columns) -> "BasisMatrix":
+        """The matrix whose column j lists its nonzero (row, value) pairs in
+        increasing row order."""
+        starts, entry_rows, entry_values = array("I", [0]), array("I"), array("i")
+        for column in columns:
+            rows = [i for i, _ in column]
+            if any(p >= q for p, q in zip(rows, rows[1:])):
+                raise ValueError(f"column rows must increase, got {rows}")
+            entry_rows.extend(rows)
+            entry_values.extend(v for _, v in column)
+            starts.append(len(entry_rows))
+        return cls(labels, starts, entry_rows, entry_values)
+
+    @property
+    def columns(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """Each column's (row, value) pairs, built as the column is reached."""
+        for a, b in zip(self.starts, self.starts[1:]):
+            yield tuple(zip(self.entry_rows[a:b], self.entry_values[a:b]))
 
     @property
     def rows(self) -> list[list[int]]:
         """The dense row lists, rebuilt on every access; no library path reads them."""
-        return list(self.row_cells(0, int))
-
-    def row_cells(self, zero="0", cell=str) -> Iterator[list]:
-        """Each row, one alive at a time: ``cell(v)`` at entry v, ``zero`` elsewhere."""
-        n = len(self.labels)
-        by_row: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        n = self.size()
+        rows = [[0] * n for _ in range(n)]
         for j, column in enumerate(self.columns):
             for i, v in column:
-                by_row[i].append((j, v))
-        zeros = [zero] * n
-        for entries in by_row:
-            cells = zeros.copy()
-            for j, v in entries:
-                cells[j] = cell(v)
-            yield cells
+                rows[i][j] = v
+        return rows
+
+    def row_lines(self, sep: str) -> Iterator[str]:
+        """Each row as ``sep.join(map(str, row))`` would render it.
+
+        The columns are transposed once, by counting sort, into row-major
+        arrays; each line is cut from one all-zero line at its nonzero slots.
+        """
+        n = self.size()
+        starts, entry_rows, entry_values = self.starts, self.entry_rows, self.entry_values
+        row_starts = array("I", [0]) * (n + 1)
+        for i in entry_rows:
+            row_starts[i + 1] += 1
+        for i in range(n):
+            row_starts[i + 1] += row_starts[i]
+        fill = row_starts[:-1]
+        cols = array("I", [0]) * len(entry_rows)
+        values = array("i", [0]) * len(entry_rows)
+        for j, (a, b) in enumerate(zip(starts, starts[1:])):
+            for i, v in zip(entry_rows[a:b], entry_values[a:b]):
+                p = fill[i]
+                cols[p], values[p] = j, v
+                fill[i] = p + 1
+        zero = sep.join("0" * n)
+        step = len(sep) + 1
+        for a, b in zip(row_starts, row_starts[1:]):
+            parts = []
+            at = 0
+            for j, v in zip(cols[a:b], values[a:b]):
+                slot = j * step
+                parts += (zero[at:slot], str(v))
+                at = slot + 1
+            parts.append(zero[at:])
+            yield "".join(parts)
 
     def to_json(self) -> dict:
         return {
@@ -421,10 +469,11 @@ def _assert_unitriangular(m: BasisMatrix, bound: int, what: str) -> None:
     Reports the first fault a row-major scan would meet: in each row the
     diagonal first, then the entries left to right.
     """
+    starts, entry_rows, entry_values = m.starts, m.entry_rows, m.entry_values
     first = None  # (row, column, message); column -1 is the diagonal test
-    for j, column in enumerate(m.columns):
+    for j, (a, b) in enumerate(zip(starts, starts[1:])):
         diagonal = 0
-        for i, v in column:
+        for i, v in zip(entry_rows[a:b], entry_values[a:b]):
             if i == j:
                 diagonal = v
             if i > j:
@@ -446,12 +495,15 @@ def _span_matrix(
 ) -> BasisMatrix:
     """Column j counts the members of the span of label j that ``rows`` sends
     to each row; the matrix must be unitriangular with entries in [0, bound]."""
-    columns = []
+    starts, entry_rows, entry_values = array("I", [0]), array("I"), array("i")
     for y in labels:
         counts = Counter(map(rows.get, order.gen_spans[y.mask]))
         counts.pop(None, None)
-        columns.append(tuple(sorted(counts.items())))
-    matrix = BasisMatrix(labels, columns)
+        hit = sorted(counts)
+        entry_rows.extend(hit)
+        entry_values.extend(map(counts.__getitem__, hit))
+        starts.append(len(entry_rows))
+    matrix = BasisMatrix(labels, starts, entry_rows, entry_values)
     _assert_unitriangular(matrix, bound, what)
     return matrix
 
@@ -473,10 +525,13 @@ def second_basis_vectors(
 ) -> list[tuple[EvenSet, tuple[tuple[EvenSet, int], ...]]]:
     """The columns of the change matrix as integer combinations of labels."""
     m = change_matrix(d, sector)
-    return [
-        (label, tuple((m.labels[i], v) for i, v in column))
-        for label, column in zip(m.labels, m.columns)
-    ]
+    labels, starts = m.labels, m.starts
+    vectors = []
+    for j, label in enumerate(labels):
+        a, b = starts[j], starts[j + 1]
+        rows = map(labels.__getitem__, m.entry_rows[a:b])
+        vectors.append((label, tuple(zip(rows, m.entry_values[a:b]))))
+    return vectors
 
 
 # ---------------------------------------------------------------------------

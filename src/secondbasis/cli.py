@@ -50,15 +50,15 @@ def _cmd_matrix(args) -> int:
         # the bytes of print(json.dumps(matrix.to_json(), sort_keys=True)), row by row
         labels = json.dumps([x.to_json() for x in matrix.labels])
         out.write(f'{{"labels": {labels}, "rows": [')
-        for i, cells in enumerate(matrix.row_cells()):
-            out.write(("[" if i == 0 else ", [") + ", ".join(cells) + "]")
+        for i, line in enumerate(matrix.row_lines(", ")):
+            out.write(("[" if i == 0 else ", [") + line + "]")
         out.write("]}\n")
     else:
         # the bytes csv.writer emits: no field here needs quoting
         names = [" ".join(map(str, x.members)) for x in matrix.labels]
         out.write("," + ",".join(names) + "\r\n")
-        for name, cells in zip(names, matrix.row_cells()):
-            out.write(name + "," + ",".join(cells) + "\r\n")
+        for name, line in zip(names, matrix.row_lines(",")):
+            out.write(name + "," + line + "\r\n")
     return 0
 
 

@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .arcs import Arc, Matching, iter_primed_matchings, lift_matching, split_parts
+from .arcs import Arc, Matching, iter_primed_matchings, lift_matching
 from .errors import DomainError, FalsificationError
 from .limits import guard_d
 
@@ -497,11 +497,12 @@ def distinguished_element(b: Matching, d: int) -> int:
 
 def piece_of(b: Matching, d: int) -> PieceLabel:
     """The piece of X_D the matching belongs to."""
-    b0, _, i_b = split_parts(b)
+    b0 = b.double_primed()
     q = len(b0)
     if d % 2 == 0:
         return PieceLabel(q) if q % 2 == 0 else PieceLabel(-q - 1)
     n = b.n
+    i_b = max((a.i for a in b0), default=None)  # the largest first coordinate of B0
     n_matched = bool(b.support_mask >> n & 1)
     if not n_matched:
         if q == 0:

@@ -240,7 +240,8 @@ def _check_involution_suite(ds: list[int]) -> dict | None:
                 m = sector_matrix(d, which)
             except FalsificationError as exc:
                 return {"D": d, "kind": "orbit-matrix", "detail": str(exc)}
-            if any(not 0 <= v <= 2 for column in m.columns for _, v in column):
+            values = m.entry_values
+            if values and (min(values) < 0 or max(values) > 2):
                 return {"D": d, "kind": "orbit-entries", "sector": which}
     return None
 

@@ -5,6 +5,8 @@ were built before they were stored by column, and the dense unitriangularity
 scan below is the row-major reference for which fault is reported.
 """
 
+import tracemalloc
+
 import pytest
 
 import secondbasis.basis as basis
@@ -64,6 +66,45 @@ def test_rows_equal_the_dense_span_reference(d):
             assert column[-1] == (j, 1)
 
 
+@pytest.mark.parametrize("d", range(10))
+def test_columns_round_trip_through_from_columns(d):
+    for sector in sectors(d):
+        m = _matrix_for(d, sector)
+        assert (m.starts.typecode, m.entry_rows.typecode) == ("I", "I"), sector
+        assert m.entry_values.typecode == "i", sector
+        assert len(m.starts) == m.size() + 1 and m.starts[-1] == len(m.entry_rows)
+        assert BasisMatrix.from_columns(m.labels, m.columns) == m, sector
+
+
+def test_from_columns_refuses_rows_out_of_order():
+    with pytest.raises(ValueError):
+        BasisMatrix.from_columns([None] * 2, [((0, 1),), ((1, 1), (0, 1))])
+
+
+@pytest.mark.parametrize("sep", [", ", ","])
+def test_row_lines_render_the_dense_rows(sep):
+    m = BasisMatrix.from_columns(
+        [None] * 4, [((0, 1),), ((0, -12), (1, 1)), (), ((1, 345), (2, 2), (3, 1))]
+    )
+    assert list(m.row_lines(sep)) == [sep.join(map(str, row)) for row in m.rows]
+
+
+def test_stored_entries_cost_under_16_bytes_each():
+    """Compressed columns retain about 9 B per entry; (row, value) tuples
+    retained about 57 B."""
+    build_order(11)
+    orbit_representatives(11, "++")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = sector_matrix(11, "++")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(m.entry_rows) > 20000
+    assert retained < 16 * len(m.entry_rows), retained / len(m.entry_rows)
+
+
 @pytest.fixture
 def doctored_order(monkeypatch):
     """A fresh D=4 order whose spans the test may edit; change_matrix reads it."""
@@ -106,7 +147,7 @@ def test_doctored_span_names_the_dense_fault(doctored_order, edit):
     ],
 )
 def test_sparse_check_reports_the_row_major_fault(columns):
-    m = BasisMatrix([None] * 3, columns)
+    m = BasisMatrix.from_columns([None] * 3, columns)
     want = dense_fault(m.rows, 2, "m")
     if want is None:
         _assert_unitriangular(m, 2, "m")
@@ -144,7 +185,7 @@ def test_orbit_entries_clause_reads_stored_entries(monkeypatch):
         m = real(d, which)
         columns = list(m.columns)
         columns[0] = ((0, 3),)
-        return BasisMatrix(m.labels, columns)
+        return BasisMatrix.from_columns(m.labels, columns)
 
     monkeypatch.setattr(verify, "sector_matrix", with_a_three)
     assert verify._check_involution_suite([1]) == {
