@@ -1,0 +1,71 @@
+"""Time the verify sweeps and the write-path peak, each in a fresh process.
+
+    python scripts/bench_verify.py BENCH_<n>.json [COMMAND ...]
+
+Each command (default: ``COMMANDS``) runs the ``secondbasis`` CLI from this
+checkout's ``src`` in a new interpreter, its output discarded; leading
+``NAME=value`` words set the environment.  The JSON file records each
+command's exit code, wall seconds and high-water RSS (``VmHWM``, read by the
+child from ``/proc/self/status``, so Linux only), with the git SHA, the
+Python version and the number of usable CPUs.
+"""
+
+import json
+import os
+import platform
+import shlex
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = [
+    "symbols --D 13",
+    "verify --max-D 11",
+    "verify --max-D 13 --slow",
+    "SBL_MAX_D=15 verify --max-D 15 --slow",
+]
+CHILD = """
+import contextlib, os, sys
+from secondbasis.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def run(command: str) -> dict:
+    argv = shlex.split(command)
+    env = {k: v for k, v in os.environ.items() if k != "SBL_MAX_D"}
+    while argv and "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        env[name] = value
+    env["PYTHONPATH"] = str(ROOT / "src")
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
+    )
+    kb = child.stdout.split()
+    return {
+        "command": command,
+        "exit_code": child.returncode,
+        "wall_s": round(time.perf_counter() - start, 3),
+        "vmhwm_mb": round(int(kb[-1]) / 1024, 2) if kb else None,
+    }
+
+
+if __name__ == "__main__":
+    out, *commands = sys.argv[1:]
+    sha = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+    ).stdout.strip()
+    report = {
+        "git_sha": sha or None,
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "commands": [run(command) for command in commands or COMMANDS],
+    }
+    Path(out).write_text(json.dumps(report, indent=2) + "\n")

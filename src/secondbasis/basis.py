@@ -231,13 +231,12 @@ class Order:
     of its preimage's pair-vectors, held as the preimage's pair masks
     (``f2.Span``); only size, membership and iteration are read from it.
     The generating digraph X' -> span(preimage of X') - {X'} is the one
-    acyclicity certificate: Kahn's extension runs over family positions with
-    watch lists instead of successor lists and in-degrees.  Each position
-    holds an ``array('I')`` of its span members' positions and waits on the
-    first unpopped one other than itself; when that one pops, it resumes the
-    scan there, and its array is dropped once it is ready.  Construction
-    raises ``CycleError`` with an explicit cycle if the extension stalls.
-    Kahn's pop order already puts every generating edge backwards, so the
+    acyclicity certificate, checked by a Kahn extension that stores no edge:
+    each position walks its span in reflected Gray-code order, one pair
+    XORed in per step, and waits on the first unpopped member other than
+    itself, resuming the walk when that one pops.  Construction raises
+    ``CycleError`` with an explicit cycle if the extension stalls.  Kahn's
+    pop order already puts every generating edge backwards, so the
     down-sets, which only the order queries and ``sector_order_check`` read,
     are built on first read; the ``order_antisymmetry`` check forces that
     pass at every D it sweeps.
@@ -245,53 +244,63 @@ class Order:
 
     def __init__(self, d: int):
         self.d = d
-        self.n = ground_size(d)
+        self.n = n = ground_size(d)
         pairs = epsilon_pairs(d)
         masks = [x.mask for _, x in pairs]
         spans = [span_masks(b.pair_vectors()) for b, _ in pairs]
         self.gen_spans: dict[int, Span] = dict(zip(masks, spans))
-        index = {m: i for i, m in enumerate(masks)}
-        # Kahn on watch lists, as the class docstring describes: about a
-        # million span entries at D=13, all built before the first pop, so
-        # freeing each as its position becomes ready lowers no peak
-        preds: list[array | None] = [
-            array("I", map(index.__getitem__, span)) for span in spans
-        ]
-        del index
+        # Kahn as the class docstring describes; an even set is fixed by its
+        # bits 1..N-1, so ``mask >> 1 & low`` is its slot in the dense index
+        # of positions and in the popped flags
+        low = (1 << (n - 1)) - 1
+        index = array("I", [0]) * (low + 1)
+        for i, m in enumerate(masks):
+            index[m >> 1 & low] = i
+        popped = bytearray(low + 1)
         cursor = array("I", [0]) * len(masks)
-        popped = bytearray(len(masks))
+        member = array("L", [0]) * len(masks)
+        # ctz[c] is the pair that step c of the reflected Gray code flips
+        k = max(len(span.pairs) for span in spans)
+        ctz = bytes((c ^ c - 1).bit_length() - 1 for c in range(1 << k))
         watch: dict[int, list[int]] = {}
-        interned: dict[PieceLabel, PieceLabel] = {}
-        heap: list[tuple] = []
+        # a heap entry packs the label's sort key, one byte per field, above
+        # the mask; ``labels`` interns one label per packed key
+        shift = n + 1
+        labels: dict[int, PieceLabel] = {}
+        heap: list[int] = []
 
         def settle(i: int) -> None:
-            p = preds[i]
-            for c in range(cursor[i], len(p)):
-                z = p[c]
-                if z != i and not popped[z]:
-                    cursor[i] = c
-                    watch.setdefault(z, []).append(i)
+            me = masks[i]
+            p = spans[i].pairs
+            c, z = cursor[i], member[i]
+            while z == me or popped[z >> 1 & low]:
+                c += 1
+                if c >> len(p):
+                    # each position is pushed once, so its label is read once
+                    piece = sector_label(pairs[i][1], d)
+                    key = int.from_bytes(bytes(piece.sort_key()), "big")
+                    labels.setdefault(key, piece)
+                    heapq.heappush(heap, key << shift | me)
                     return
-            preds[i] = None
-            # each position is pushed once, so its label is computed once
-            piece = sector_label(pairs[i][1], d)
-            piece = interned.setdefault(piece, piece)
-            heapq.heappush(heap, (piece.sort_key(), masks[i], i, piece))
+                z ^= p[ctz[c]]
+            cursor[i], member[i] = c, z
+            watch.setdefault(z >> 1 & low, []).append(i)
 
         for i in range(len(masks)):
             settle(i)
         order: list[int] = []
         self.labels: list[PieceLabel] = []
         while heap:
-            _, _, i, piece = heapq.heappop(heap)
-            popped[i] = 1
-            order.append(i)
-            self.labels.append(piece)
-            for j in watch.pop(i, ()):
+            key = heapq.heappop(heap)
+            slot = key >> 1 & low
+            popped[slot] = 1
+            order.append(index[slot])
+            self.labels.append(labels[key >> shift])
+            for j in watch.pop(slot, ()):
                 settle(j)
         if len(order) != len(masks):
             # a stalled mask keeps a stalled span member, so this walk closes
-            stalled = {m for m, done in zip(masks, popped) if not done}
+            stalled = {m for m in masks if not popped[m >> 1 & low]}
             path: list[int] = []
             step: dict[int, int] = {}
             m = min(stalled)

@@ -13,7 +13,9 @@ pairs are its unique decomposition.  That is the one span rule here, and
 ``span_masks`` refuses any other generators.  A ``Span`` holds only its k
 pair masks: its size and membership follow from the rule without listing the
 unions, which are generated afresh on each iteration.  ``basis.Order`` builds
-the one span per family member that the rest of the package reads.
+the one span per family member that the rest of the package reads; its Kahn
+extension regenerates the unions from ``Span.pairs`` itself, one pair XORed
+in per step of a reflected Gray code, and the matrices and down-sets iterate.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.

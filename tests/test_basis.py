@@ -1,5 +1,6 @@
 """Epsilon, the order it generates, the matrices, and the symbol bijections."""
 
+import hashlib
 import heapq
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from secondbasis.family import (
     piece_of,
     pieces,
 )
+from tests.conftest import clear_library_caches
 
 
 def m(pairs, n):
@@ -251,6 +253,25 @@ def test_extension_equals_the_mask_keyed_reference(d):
     assert [EvenSet.from_mask(m, ground_size(d)) for m in masks] == order.elements
     assert order.labels == labels
     assert list(order.position.items()) == [(m, i) for i, m in enumerate(masks)]
+
+
+# sha256 of the lines f"{mask} {label}\n" over build_order(15), 65,536
+# elements; the frozenset reference above is too large to build at D=15
+D15_EXTENSION_SHA256 = "9c08dac360c459a871c050915faea4bd4d69a746f0de5af36ba7183647f61325"
+
+
+@pytest.mark.slow
+def test_d15_extension_digest():
+    clear_library_caches()
+    try:
+        order = build_order(15)
+        digest = hashlib.sha256()
+        for x, label in zip(order.elements, order.labels):
+            digest.update(f"{x.mask} {label}\n".encode())
+        assert len(order.elements) == 1 << 16
+        assert digest.hexdigest() == D15_EXTENSION_SHA256
+    finally:
+        clear_library_caches()
 
 
 def test_unique_bijection_certificate():

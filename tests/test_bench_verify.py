@@ -1,0 +1,32 @@
+"""The BENCH trajectory script writes one record per fresh-process command."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "bench_verify.py"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_bench_verify_records_each_command(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    commands = ["verify --max-D 3", "SBL_MAX_D=2 verify --max-D 3"]
+    argv = [sys.executable, str(SCRIPT), str(out), *commands]
+    subprocess.run(argv, check=True, timeout=120)
+    report = json.loads(out.read_text())
+    assert set(report) == {"git_sha", "python", "nproc", "commands"}
+    assert report["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert report["nproc"] >= 1
+    records = report["commands"]
+    assert [r["command"] for r in records] == commands
+    for r in records:
+        assert set(r) == {"command", "exit_code", "wall_s", "vmhwm_mb"}
+        assert r["wall_s"] > 0 and r["vmhwm_mb"] > 0
+    # the guard refuses D=3 under SBL_MAX_D=2, and the CLI exits 2 for it
+    assert [r["exit_code"] for r in records] == [0, 2]

@@ -15,6 +15,7 @@ from secondbasis.basis import (
     epsilon_pairs,
     unique_bijection_check,
 )
+from secondbasis.f2 import Span
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, run_checks
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
@@ -34,9 +35,11 @@ def two_cycle(monkeypatch, fresh_orders):
     real = basis.span_masks
 
     def doctored(gens):
+        # any two pairs of [1, 3] meet, so Kahn's Gray walk over the pairs
+        # (a, b) meets a ^ b, the third nonzero mask, where a union would not
         span = real(gens)
         if gens and gens[0].n == 3 and (a in span or b in span):
-            return frozenset(span) | {a, b}
+            return Span(span.pairs + (b if a in span else a,))
         return span
 
     monkeypatch.setattr(basis, "span_masks", doctored)
@@ -88,21 +91,22 @@ def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
 
 def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
     d = 5
-    # single-arc members whose image is their own pair: each span is
-    # {0, image}, so the doctored edges a -> b -> c -> a are the only cycle
-    singles = sorted(
-        (x.mask, tuple(g.mask for g in b.pair_vectors()))
-        for b, x in epsilon_pairs(d)
-        if len(b) == 1 and b.pair_vectors()[0] == x
-    )
-    (a, pa), (b, pb), (c, pc) = singles[:3]
-    extra = {pa: b, pb: c, pc: a}
+    # pairwise-disjoint single-arc members whose image is their own pair:
+    # each span is {0, image}, so the doctored edges a -> b -> c -> a are
+    # the only cycle, and each doctored span is still one of disjoint pairs
+    chosen: list[int] = []
+    for b, x in sorted(epsilon_pairs(d), key=lambda pair: pair[1].mask):
+        if len(b) == 1 and b.pair_vectors()[0] == x:
+            if all(x.mask & m == 0 for m in chosen):
+                chosen.append(x.mask)
+    a, b, c = chosen[:3]
+    extra = {(a,): b, (b,): c, (c,): a}
     real = basis.span_masks
 
     def doctored(gens):
         span = real(gens)
-        z = extra.get(tuple(g.mask for g in gens))
-        return span if z is None else frozenset(span) | {z}
+        z = extra.get(span.pairs)
+        return span if z is None else Span(span.pairs + (z,))
 
     monkeypatch.setattr(basis, "span_masks", doctored)
     with pytest.raises(CycleError) as exc:

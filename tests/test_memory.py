@@ -1,14 +1,16 @@
-"""Peak memory gates: one command at D=13 in a fresh process.
+"""Peak memory gates: one command or one order build in a fresh process.
 
 ``symbols --D 13`` is the only D=13 order build among the emission commands,
-so its high-water RSS (``VmHWM``) is the write path's peak: about 32.5 MB on
+so its high-water RSS (``VmHWM``) is the write path's peak: about 29 MB on
 CPython 3.11 (x86-64 Linux), with lifted arcs and pair vectors shared, Kahn
-run on watch lists that free each position's array as it becomes ready, and
-the symbols kept only as their output lines.  ``verify --max-D 13 --slow``
-is the verify path's peak: about 61 MB, with both matrix kinds stored as
-compressed column arrays (about 79 MB when each entry was a tuple).  The
-child reads its own ``/proc/self/status`` after the command; the tests are
-skipped where that file does not exist.
+run on watch lists that regenerate span members by a Gray-code walk instead
+of storing one slot per generating edge (about 33 MB when they were
+stored), and the symbols kept only as their output lines.  ``build_order(15)``
+alone peaks at about 68 MB (about 98 MB with the stored edges).
+``verify --max-D 13 --slow`` is the verify path's peak: about 61 MB, with
+both matrix kinds stored as compressed column arrays (about 79 MB when each
+entry was a tuple).  The child reads its own ``/proc/self/status`` after the
+work; the tests are skipped where that file does not exist.
 """
 
 import os
@@ -22,9 +24,10 @@ SRC = Path(__file__).parents[1] / "src"
 
 CHILD = """
 import contextlib, os, sys
+from secondbasis.basis import build_order
 from secondbasis.cli import main
 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-    code = main(sys.argv[1:])
+    code = {call}
 with open("/proc/self/status") as fh:
     kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 print(code, kb)
@@ -35,12 +38,15 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def peak_mb(argv: list[str], timeout: int) -> float:
-    """Run the CLI on ``argv`` in a fresh process; require exit 0, return VmHWM."""
+def peak_mb(argv: list[str], timeout: int, call: str = "main(sys.argv[1:])") -> float:
+    """Run ``call`` on ``argv`` in a fresh process; require 0, return VmHWM.
+
+    The default call is the CLI on ``argv``.
+    """
     env = {k: v for k, v in os.environ.items() if k != "SBL_MAX_D"}
     env["PYTHONPATH"] = str(SRC)
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-c", CHILD.format(call=call), *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -56,7 +62,15 @@ def peak_mb(argv: list[str], timeout: int) -> float:
 @needs_proc
 def test_symbols_d13_peak_rss():
     mb = peak_mb(["symbols", "--D", "13"], timeout=300)
-    assert mb < 40, f"symbols --D 13 peaked at {mb:.1f} MB"
+    assert mb < 35, f"symbols --D 13 peaked at {mb:.1f} MB"
+
+
+@pytest.mark.slow
+@needs_proc
+def test_build_order_d15_peak_rss():
+    # exit 0 once the extension holds all 2^16 even sets
+    mb = peak_mb([], 300, call="int(len(build_order(15).elements) != 1 << 16)")
+    assert mb < 80, f"build_order(15) peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
