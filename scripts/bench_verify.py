@@ -3,17 +3,19 @@
     python scripts/bench_verify.py BENCH_<n>.json [COMMAND ...]
 
 Each command (default: ``COMMANDS``) runs the ``secondbasis`` CLI from this
-checkout's ``src`` in a new interpreter, its output discarded; leading
-``NAME=value`` words set the environment.  The JSON file records each
-command's exit code, wall seconds and high-water RSS (``VmHWM``, read by the
-child from ``/proc/self/status``, so Linux only), with the git SHA, the
-Python version and the number of usable CPUs.
+checkout's ``src`` in a new interpreter, ``REPEATS`` times, its output
+discarded; leading ``NAME=value`` words set the environment.  The JSON file
+records per command the largest exit code, the wall seconds of every run and
+their median, and the largest high-water RSS (``VmHWM``, read by the child
+from ``/proc/self/status``, so Linux only), with the git SHA, the Python
+version and the number of usable CPUs.
 """
 
 import json
 import os
 import platform
 import shlex
+import statistics
 import subprocess
 import sys
 import time
@@ -26,6 +28,8 @@ COMMANDS = [
     "verify --max-D 13 --slow",
     "SBL_MAX_D=15 verify --max-D 15 --slow",
 ]
+# on a shared host one run's wall time moves by up to about 20%
+REPEATS = 3
 CHILD = """
 import contextlib, os, sys
 from secondbasis.cli import main
@@ -44,16 +48,21 @@ def run(command: str) -> dict:
         name, value = argv.pop(0).split("=", 1)
         env[name] = value
     env["PYTHONPATH"] = str(ROOT / "src")
-    start = time.perf_counter()
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
-    )
-    kb = child.stdout.split()
+    codes, walls, kbs = [], [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
+        )
+        walls.append(round(time.perf_counter() - start, 3))
+        codes.append(child.returncode)
+        kbs += [int(kb) for kb in child.stdout.split()[-1:]]
     return {
         "command": command,
-        "exit_code": child.returncode,
-        "wall_s": round(time.perf_counter() - start, 3),
-        "vmhwm_mb": round(int(kb[-1]) / 1024, 2) if kb else None,
+        "exit_code": max(codes),
+        "wall_runs": walls,
+        "wall_s": statistics.median(walls),
+        "vmhwm_mb": round(max(kbs) / 1024, 2) if kbs else None,
     }
 
 

@@ -33,7 +33,6 @@ from .basis import (
     lift_images,
     piece_cardinality,
     primitive_image,
-    recursion_check,
     reduce_symbol,
     second_basis_vectors,
     sector_label,

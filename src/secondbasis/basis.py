@@ -21,7 +21,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .arcs import Matching, embed_set
+from .arcs import Matching
 from .errors import DomainError, FalsificationError
 from .f2 import EvenSet, Span, span_masks
 from .family import (
@@ -48,7 +48,6 @@ __all__ = [
     "lift_images",
     "piece_cardinality",
     "primitive_image",
-    "recursion_check",
     "reduce_symbol",
     "second_basis_vectors",
     "sector_label",
@@ -192,21 +191,6 @@ def primitive_image(d: int, label: PieceLabel) -> EvenSet:
             [*_steps(2, t), *_steps(d + 1 - t, d - 1), d + 1, d + 2], n
         )
     raise DomainError(f"odd D takes signed piece labels, got {label}")
-
-
-def recursion_check(d: int) -> tuple[Matching, int] | None:
-    """First (member, slot) violating the lifting recursion, or None.
-
-    The image of a lifted member must be the embedded image of the original,
-    up to one optional copy of {k, k+1}.  Both images are read from the
-    per-D tables, ``epsilon_pairs(d - 2)`` and ``lift_images(d)``.
-    """
-    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
-        for k, lifted in enumerate(row, start=1):
-            diff = lifted ^ embed_set(k, ex).mask
-            if diff and diff != (1 << k) | (1 << (k + 1)):
-                return (bp, k)
-    return None
 
 
 # ---------------------------------------------------------------------------

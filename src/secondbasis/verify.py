@@ -1,7 +1,8 @@
 """The exhaustive verification suite behind `secondbasis verify`.
 
-Twelve checks, each sweeping every applicable D up to the requested bound and
-reporting one machine-readable result.  Any failure carries a reproducer
+Twelve checks, each a function of one D.  The runner sweeps every applicable D
+up to the requested bound, stops a check at its first failing D and reports
+one machine-readable result per check.  Any failure carries a reproducer
 payload; the suite never weakens a check to make it pass.
 """
 
@@ -11,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .arcs import cyclic_interval_mask
+from .arcs import cyclic_interval_mask, embed_set
 from .basis import (
     CycleError,
     build_order,
@@ -21,7 +22,6 @@ from .basis import (
     lift_images,
     piece_cardinality,
     primitive_image,
-    recursion_check,
     sector_label,
     unique_bijection_check,
 )
@@ -79,208 +79,185 @@ class RunReport:
         }
 
 
-def _check_construction_equivalence(ds: list[int]) -> dict | None:
-    for d in ds:
-        filtered, inductive = set(filter_family(d)), set(enumerate_family(d))
-        if filtered != inductive:
-            extra, missing = filtered - inductive, inductive - filtered
-            return {
-                "D": d,
-                "filter_only": [b.to_pairs() for b in sorted(extra, key=lambda b: b.arcs)[:3]],
-                "inductive_only": [b.to_pairs() for b in sorted(missing, key=lambda b: b.arcs)[:3]],
-            }
+def _check_construction_equivalence(d: int) -> dict | None:
+    filtered, inductive = set(filter_family(d)), set(enumerate_family(d))
+    if filtered != inductive:
+        extra, missing = filtered - inductive, inductive - filtered
+        return {
+            "filter_only": [b.to_pairs() for b in sorted(extra, key=lambda b: b.arcs)[:3]],
+            "inductive_only": [b.to_pairs() for b in sorted(missing, key=lambda b: b.arcs)[:3]],
+        }
     return None
 
 
-def _check_laminarity(ds: list[int]) -> dict | None:
-    for d in ds:
-        for b in enumerate_family(d):
-            ivals = [cyclic_interval_mask(a, b.n) for a in b.arcs]
-            for i in range(len(ivals)):
-                for j in range(i + 1, len(ivals)):
-                    meet = ivals[i] & ivals[j]
-                    if meet and meet != ivals[i] and meet != ivals[j]:
-                        return {"D": d, "member": b.to_pairs()}
+def _check_laminarity(d: int) -> dict | None:
+    for b in enumerate_family(d):
+        ivals = [cyclic_interval_mask(a, b.n) for a in b.arcs]
+        for i in range(len(ivals)):
+            for j in range(i + 1, len(ivals)):
+                meet = ivals[i] & ivals[j]
+                if meet and meet != ivals[i] and meet != ivals[j]:
+                    return {"member": b.to_pairs()}
     return None
 
 
-def _check_recursion(ds: list[int]) -> dict | None:
-    for d in ds:
-        bad = recursion_check(d)
-        if bad is not None:
-            return {"D": d, "member": bad[0].to_pairs(), "k": bad[1]}
+def _check_recursion(d: int) -> dict | None:
+    # a lifted member's image is the embedded image, up to one copy of {k, k+1}
+    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+        for k, lifted in enumerate(row, start=1):
+            diff = lifted ^ embed_set(k, ex).mask
+            if diff and diff != (1 << k) | (1 << (k + 1)):
+                return {"member": bp.to_pairs(), "k": k}
     return None
 
 
-def _check_gamma_invariance(ds: list[int]) -> dict | None:
-    for d in ds:
-        n = ground_size(d)
-        for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
-            g = ex.gamma()
-            for k, lifted in enumerate(row, start=1):
-                if EvenSet.from_mask(lifted, n).gamma() != g:
-                    return {"D": d, "member": bp.to_pairs(), "k": k}
+def _check_gamma_invariance(d: int) -> dict | None:
+    n = ground_size(d)
+    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+        g = ex.gamma()
+        for k, lifted in enumerate(row, start=1):
+            if EvenSet.from_mask(lifted, n).gamma() != g:
+                return {"member": bp.to_pairs(), "k": k}
     return None
 
 
-def _check_primitive_forms(ds: list[int]) -> dict | None:
-    for d in ds:
-        for label, q in labeled_primitives(d):
-            want = primitive_image(d, label)
-            if epsilon(q, d) != want:
-                return {"D": d, "piece": str(label), "primitive": q.to_pairs()}
-            expect_gamma = label.t
-            if want.gamma() != expect_gamma:
-                return {"D": d, "piece": str(label), "gamma": want.gamma()}
+def _check_primitive_forms(d: int) -> dict | None:
+    for label, q in labeled_primitives(d):
+        want = primitive_image(d, label)
+        if epsilon(q, d) != want:
+            return {"piece": str(label), "primitive": q.to_pairs()}
+        if want.gamma() != label.t:
+            return {"piece": str(label), "gamma": want.gamma()}
     return None
 
 
-def _check_n_transport(ds: list[int]) -> dict | None:
-    for d in ds:
-        n = ground_size(d)
-        for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
-            inner = n - 2 in ex  # the top point of [1, N-2]
-            for k, lifted in enumerate(row, start=1):
-                if bool(lifted >> n & 1) != inner:
-                    return {"D": d, "member": bp.to_pairs(), "k": k}
+def _check_n_transport(d: int) -> dict | None:
+    n = ground_size(d)
+    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+        inner = n - 2 in ex  # the top point of [1, N-2]
+        for k, lifted in enumerate(row, start=1):
+            if bool(lifted >> n & 1) != inner:
+                return {"member": bp.to_pairs(), "k": k}
     return None
 
 
-def _check_piece_bijections(ds: list[int]) -> dict | None:
-    for d in ds:
-        image = epsilon_images(d)
-        for label, members in pieces(d).items():
-            images = {image[b] for b in members}
-            if len(images) != len(members):
-                return {"D": d, "piece": str(label), "kind": "collision"}
-            for x in images:
-                if sector_label(x, d) != label:
-                    return {"D": d, "piece": str(label), "image": x.to_json()}
-            if len(members) != piece_cardinality(d, label):
-                return {
-                    "D": d,
-                    "piece": str(label),
-                    "size": len(members),
-                    "expected": piece_cardinality(d, label),
-                }
+def _check_piece_bijections(d: int) -> dict | None:
+    image = epsilon_images(d)
+    for label, members in pieces(d).items():
+        images = {image[b] for b in members}
+        if len(images) != len(members):
+            return {"piece": str(label), "kind": "collision"}
+        for x in images:
+            if sector_label(x, d) != label:
+                return {"piece": str(label), "image": x.to_json()}
+        want = piece_cardinality(d, label)
+        if len(members) != want:
+            return {"piece": str(label), "size": len(members), "expected": want}
     return None
 
 
-def _check_uniqueness(ds: list[int]) -> dict | None:
-    for d in ds:
-        bad = unique_bijection_check(d)
-        if bad is not None:
-            return {"D": d, **bad}
+def _check_uniqueness(d: int) -> dict | None:
+    return unique_bijection_check(d)
+
+
+def _check_antisymmetry(d: int) -> dict | None:
+    try:
+        build_order(d).down  # the down-set pass re-checks every edge
+    except CycleError as exc:
+        return {"cycle": exc.cycle}
     return None
 
 
-def _check_antisymmetry(ds: list[int]) -> dict | None:
-    for d in ds:
+def _check_counting(d: int) -> dict | None:
+    fam = enumerate_family(d)
+    n = ground_size(d)
+    if len(fam) != 1 << (n - 1):
+        return {"size": len(fam), "expected": 1 << (n - 1)}
+    by_piece = pieces(d)
+    for label, members in by_piece.items():
+        if piece_cardinality(d, label) != len(members):
+            return {"piece": str(label), "size": len(members)}
+    # formulas for absent labels must give zero (n odd, so -n-1 is even)
+    for t in range(-n - 1, n + 2, 2):
+        labels = [PieceLabel(t)] if d % 2 == 0 else [PieceLabel(t, "+"), PieceLabel(t, "-")]
+        for label in labels:
+            if label not in by_piece and piece_cardinality(d, label) != 0:
+                return {"piece": str(label), "kind": "phantom"}
+    return None
+
+
+def _check_triangular_form(d: int) -> dict | None:
+    for b, x in epsilon_pairs(d):
+        if triangular_epsilon(b, d) != x:
+            return {"member": b.to_pairs(), "kind": "closed-form"}
+        if not triangle_identity_ok(b, d):
+            return {"member": b.to_pairs(), "kind": "point-identity"}
+    return None
+
+
+def _check_involution_suite(d: int) -> dict | None:
+    order = build_order(d)
+    zero_plus = PieceLabel(0, "+")
+    # no fixed point, N kept and D+1 flipped are properties of the block
+    # [1, D+1] the involution adds, unit-tested at every odd D <= 41
+    for x, lx in zip(order.elements, order.labels):
+        lb = order.labels[order.position[involution(x, d).mask]]
+        want_t = -lx.t if lx.sign == "+" else -lx.t - 2
+        if lb.t != want_t:
+            return {"kind": "piece-transport", "x": x.to_json()}
+    image = epsilon_images(d)
+    for b, x in image.items():
+        if image[matching_involution(b, d)] != involution(x, d):
+            return {"kind": "not-equivariant", "member": b.to_pairs()}
+    for b in pieces(d).get(zero_plus, ()):
+        if in_primed_zero_piece(b, d) != in_primed_zero_piece_set(image[b], d):
+            return {"kind": "primed-class", "member": b.to_pairs()}
+    bad = sector_order_check(d)
+    if bad is not None:
+        return bad
+    # _span_matrix refuses any entry outside [0, 2] as it builds the matrix
+    for which in ("++", "+-", "-+", "--"):
         try:
-            build_order(d).down  # the down-set pass re-checks every edge
-        except CycleError as exc:
-            return {"D": d, "cycle": exc.cycle}
+            sector_matrix(d, which)
+        except FalsificationError as exc:
+            return {"kind": "orbit-matrix", "detail": str(exc)}
     return None
 
 
-def _check_counting(ds: list[int]) -> dict | None:
-    for d in ds:
-        fam = enumerate_family(d)
-        n = ground_size(d)
-        if len(fam) != 1 << (n - 1):
-            return {"D": d, "size": len(fam), "expected": 1 << (n - 1)}
-        by_piece = pieces(d)
-        for label, members in by_piece.items():
-            if piece_cardinality(d, label) != len(members):
-                return {"D": d, "piece": str(label), "size": len(members)}
-        # formulas for absent labels must give zero (n odd, so -n-1 is even)
-        for t in range(-n - 1, n + 2, 2):
-            labels = (
-                [PieceLabel(t)] if d % 2 == 0 else [PieceLabel(t, "+"), PieceLabel(t, "-")]
-            )
-            for label in labels:
-                if label not in by_piece and piece_cardinality(d, label) != 0:
-                    return {"D": d, "piece": str(label), "kind": "phantom"}
-    return None
-
-
-def _check_triangular_form(ds: list[int]) -> dict | None:
-    for d in ds:
-        for b, x in epsilon_pairs(d):
-            if triangular_epsilon(b, d) != x:
-                return {"D": d, "member": b.to_pairs(), "kind": "closed-form"}
-            if not triangle_identity_ok(b, d):
-                return {"D": d, "member": b.to_pairs(), "kind": "point-identity"}
-    return None
-
-
-def _check_involution_suite(ds: list[int]) -> dict | None:
-    for d in ds:
-        order = build_order(d)
-        zero_plus = PieceLabel(0, "+")
-        # no fixed point, N kept and D+1 flipped are properties of the block
-        # [1, D+1] the involution adds, unit-tested at every odd D <= 41
-        for x, lx in zip(order.elements, order.labels):
-            lb = order.labels[order.position[involution(x, d).mask]]
-            want_t = -lx.t if lx.sign == "+" else -lx.t - 2
-            if lb.t != want_t:
-                return {"D": d, "kind": "piece-transport", "x": x.to_json()}
-        image = epsilon_images(d)
-        for b, x in image.items():
-            if image[matching_involution(b, d)] != involution(x, d):
-                return {"D": d, "kind": "not-equivariant", "member": b.to_pairs()}
-        for b in pieces(d).get(zero_plus, ()):
-            if in_primed_zero_piece(b, d) != in_primed_zero_piece_set(image[b], d):
-                return {"D": d, "kind": "primed-class", "member": b.to_pairs()}
-        bad = sector_order_check(d)
-        if bad is not None:
-            return {"D": d, **bad}
-        for which in ("++", "+-", "-+", "--"):
-            try:
-                m = sector_matrix(d, which)
-            except FalsificationError as exc:
-                return {"D": d, "kind": "orbit-matrix", "detail": str(exc)}
-            values = m.entry_values
-            if values and (min(values) < 0 or max(values) > 2):
-                return {"D": d, "kind": "orbit-entries", "sector": which}
-    return None
+# name -> (check at one D, first D, step); the top is the requested bound
+_CHECKS: dict[str, tuple[Callable[[int], dict | None], int, int]] = {
+    "construction_equivalence": (_check_construction_equivalence, 0, 1),
+    "laminarity": (_check_laminarity, 0, 1),
+    "lifting_recursion": (_check_recursion, 2, 1),
+    "gamma_invariance": (_check_gamma_invariance, 2, 1),
+    "primitive_closed_forms": (_check_primitive_forms, 0, 1),
+    "n_membership_transport": (_check_n_transport, 3, 2),
+    "piece_bijections": (_check_piece_bijections, 0, 1),
+    "unique_bijection": (_check_uniqueness, 0, 1),
+    "order_antisymmetry": (_check_antisymmetry, 0, 1),
+    "piece_counts": (_check_counting, 0, 1),
+    "triangular_closed_form": (_check_triangular_form, 0, 2),
+    "involution_suite": (_check_involution_suite, 1, 2),
+}
 
 
 def _ranges(max_d: int, slow: bool) -> dict[str, list[int]]:
-    all_d = list(range(0, max_d + 1))
-    even_d = [d for d in all_d if d % 2 == 0]
-    odd_d = [d for d in all_d if d % 2 == 1]
-    filter_cap = 13 if slow else 9
-    return {
-        "construction_equivalence": [d for d in all_d if d <= filter_cap],
-        "laminarity": all_d,
-        "lifting_recursion": [d for d in all_d if d >= 2],
-        "gamma_invariance": [d for d in all_d if d >= 2],
-        "primitive_closed_forms": all_d,
-        "n_membership_transport": [d for d in odd_d if d >= 3],
-        "piece_bijections": all_d,
-        "unique_bijection": all_d,
-        "order_antisymmetry": all_d,
-        "piece_counts": all_d,
-        "triangular_closed_form": even_d,
-        "involution_suite": odd_d,
-    }
+    ranges = {}
+    for name, (_, first, step) in _CHECKS.items():
+        # the filter enumerates raw matchings, so its sweep has a lower cap
+        top = min(max_d, 13 if slow else 9) if name == "construction_equivalence" else max_d
+        ranges[name] = list(range(first, top + 1, step))
+    return ranges
 
 
-_CHECKS: dict[str, Callable[[list[int]], dict | None]] = {
-    "construction_equivalence": _check_construction_equivalence,
-    "laminarity": _check_laminarity,
-    "lifting_recursion": _check_recursion,
-    "gamma_invariance": _check_gamma_invariance,
-    "primitive_closed_forms": _check_primitive_forms,
-    "n_membership_transport": _check_n_transport,
-    "piece_bijections": _check_piece_bijections,
-    "unique_bijection": _check_uniqueness,
-    "order_antisymmetry": _check_antisymmetry,
-    "piece_counts": _check_counting,
-    "triangular_closed_form": _check_triangular_form,
-    "involution_suite": _check_involution_suite,
-}
+def _sweep(check: Callable[[int], dict | None], ds: list[int]) -> dict | None:
+    """Run ``check`` at each D in order; the first failure, tagged with its D."""
+    for d in ds:
+        detail = check(d)
+        if detail is not None:
+            return {"D": d, **detail}
+    return None
+
 
 CHECK_NAMES = list(_CHECKS)
 
@@ -292,11 +269,11 @@ def run_checks(max_d: int, slow: bool = False) -> list[RunReport]:
     guard_d(max_d, 13 if slow else 11, "verification")
     ranges = _ranges(max_d, slow)
     reports = []
-    for name in CHECK_NAMES:
+    for name, (check, _, _) in _CHECKS.items():
         ds = ranges[name]
         start = time.perf_counter()
         try:
-            detail = _CHECKS[name](ds)
+            detail = _sweep(check, ds)
         except FalsificationError as exc:
             detail = {"kind": "falsification", "message": str(exc)}
         except Exception as exc:  # a check that raises fails alone; the suite goes on

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from secondbasis import verify
 from secondbasis.arcs import Matching, cyclic_interval_mask, iter_matchings
 from secondbasis.basis import (
     boundary_correction,
@@ -17,7 +18,6 @@ from secondbasis.basis import (
     epsilon_pairs,
     piece_cardinality,
     primitive_image,
-    recursion_check,
     reduce_symbol,
     second_basis_vectors,
     sector_label,
@@ -103,7 +103,7 @@ def test_epsilon_matches_primitive_closed_forms():
 
 def test_epsilon_recursion():
     for d in range(2, 8):
-        assert recursion_check(d) is None
+        assert verify._check_recursion(d) is None
 
 
 def test_epsilon_lands_in_matching_piece():
@@ -182,12 +182,12 @@ def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
 
 
 def test_order_antisymmetry_builds_the_down_sets(fresh_orders):
-    from secondbasis.verify import _check_antisymmetry
+    from secondbasis.verify import _check_antisymmetry, _sweep
 
     ds = list(range(6))
     for d in ds:
         assert "down" not in build_order(d).__dict__
-    assert _check_antisymmetry(ds) is None
+    assert _sweep(_check_antisymmetry, ds) is None
     for d in ds:
         assert "down" in build_order(d).__dict__, d
 

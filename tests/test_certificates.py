@@ -16,7 +16,7 @@ from secondbasis.basis import (
     unique_bijection_check,
 )
 from secondbasis.f2 import Span
-from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, run_checks
+from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, _sweep, run_checks
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
 
@@ -62,7 +62,7 @@ def test_uniqueness_reports_the_alternating_cycle(two_cycle):
 
 
 def test_antisymmetry_reports_the_cycle(two_cycle):
-    bad = _check_antisymmetry([0, D])
+    bad = _sweep(_check_antisymmetry, [0, D])
     assert bad is not None and bad["D"] == D and set(bad) == {"D", "cycle"}
     assert_closed_cycle(bad["cycle"])
     assert set(bad["cycle"]) == set(two_cycle)
@@ -85,7 +85,7 @@ def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
     calls = []
     monkeypatch.setattr(basis, "span_masks", lambda gens: calls.append(gens))
     assert unique_bijection_check(d) is None
-    assert _check_antisymmetry([d]) is None
+    assert _check_antisymmetry(d) is None
     assert calls == []
 
 

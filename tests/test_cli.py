@@ -104,9 +104,45 @@ def test_verify_refuses_a_negative_bound(capsys):
     assert err == "error: max-D must be >= 0, got -1\n"
 
 
+ALL_D = list(range(12))
+# the D lists of `verify --max-D 11` and `verify --max-D 13 --slow`
+RANGES = {
+    False: {
+        "construction_equivalence": list(range(10)),
+        "laminarity": ALL_D,
+        "lifting_recursion": list(range(2, 12)),
+        "gamma_invariance": list(range(2, 12)),
+        "primitive_closed_forms": ALL_D,
+        "n_membership_transport": [3, 5, 7, 9, 11],
+        "piece_bijections": ALL_D,
+        "unique_bijection": ALL_D,
+        "order_antisymmetry": ALL_D,
+        "piece_counts": ALL_D,
+        "triangular_closed_form": [0, 2, 4, 6, 8, 10],
+        "involution_suite": [1, 3, 5, 7, 9, 11],
+    },
+    True: {
+        "construction_equivalence": ALL_D + [12, 13],
+        "laminarity": ALL_D + [12, 13],
+        "lifting_recursion": list(range(2, 14)),
+        "gamma_invariance": list(range(2, 14)),
+        "primitive_closed_forms": ALL_D + [12, 13],
+        "n_membership_transport": [3, 5, 7, 9, 11, 13],
+        "piece_bijections": ALL_D + [12, 13],
+        "unique_bijection": ALL_D + [12, 13],
+        "order_antisymmetry": ALL_D + [12, 13],
+        "piece_counts": ALL_D + [12, 13],
+        "triangular_closed_form": [0, 2, 4, 6, 8, 10, 12],
+        "involution_suite": [1, 3, 5, 7, 9, 11, 13],
+    },
+}
+
+
 @pytest.mark.parametrize("slow", [False, True])
 def test_every_check_has_one_range(slow):
-    assert list(verify._ranges(11, slow)) == verify.CHECK_NAMES
+    ranges = verify._ranges(13 if slow else 11, slow)
+    assert list(ranges) == verify.CHECK_NAMES
+    assert ranges == RANGES[slow]
 
 
 def test_matrix_json_labels_round_trip(capsys):
@@ -153,10 +189,10 @@ def test_matrix_streams_the_dense_bytes(capsys, d):
 
 
 def test_a_raising_check_fails_alone(capsys, monkeypatch):
-    def broken(ds):
+    def broken(d):
         raise DomainError("stray domain error")
 
-    monkeypatch.setitem(verify._CHECKS, "laminarity", broken)
+    monkeypatch.setitem(verify._CHECKS, "laminarity", (broken, 0, 1))
     reports = verify.run_checks(3)
     assert [r.name for r in reports] == verify.CHECK_NAMES
     assert [r.name for r in reports if not r.passed] == ["laminarity"]
@@ -172,11 +208,52 @@ def test_a_raising_check_fails_alone(capsys, monkeypatch):
     assert fail.startswith("FAIL laminarity") and "counterexample: " in fail
 
 
+def doctor_at_5(monkeypatch, name, outcome):
+    """Replace check ``name`` by one that meets ``outcome`` at D=5; the Ds it saw."""
+    seen = []
+    _, first, step = verify._CHECKS[name]
+
+    def doctored(d):
+        seen.append(d)
+        return outcome() if d == 5 else None
+
+    monkeypatch.setitem(verify._CHECKS, name, (doctored, first, step))
+    return seen
+
+
+def test_the_runner_stops_a_check_at_its_first_failing_d(capsys, monkeypatch):
+    seen = doctor_at_5(monkeypatch, "piece_bijections", lambda: {"kind": "doctored"})
+    reports = {r.name: r for r in verify.run_checks(9)}
+    assert seen == [0, 1, 2, 3, 4, 5]
+    assert reports["piece_bijections"].d_values == list(range(10))
+    assert reports["piece_bijections"].detail == {"D": 5, "kind": "doctored"}
+    assert [name for name, r in reports.items() if not r.passed] == ["piece_bijections"]
+    rc, out, _ = run(capsys, "verify", "--max-D", "9")
+    assert rc == 1 and "11/12 checks passed" in out
+    assert "counterexample: {'D': 5, 'kind': 'doctored'}" in out
+
+
+def test_a_check_raising_at_d5_reports_no_d(monkeypatch):
+    def refuse():
+        raise DomainError("doctored at D=5")
+
+    seen = doctor_at_5(monkeypatch, "unique_bijection", refuse)
+    reports = {r.name: r for r in verify.run_checks(9)}
+    assert seen == [0, 1, 2, 3, 4, 5]
+    assert reports["unique_bijection"].detail == {
+        "kind": "error",
+        "type": "DomainError",
+        "message": "doctored at D=5",
+    }
+    assert [name for name, r in reports.items() if not r.passed] == ["unique_bijection"]
+
+
 def test_slow_verify_reaches_d13_without_an_override(monkeypatch):
     # --slow caps the sweep at 13 by itself; only the default sweep stops at 11
     monkeypatch.delenv("SBL_MAX_D", raising=False)
     for name in verify.CHECK_NAMES:
-        monkeypatch.setitem(verify._CHECKS, name, lambda ds: None)
+        _, first, step = verify._CHECKS[name]
+        monkeypatch.setitem(verify._CHECKS, name, (lambda d: None, first, step))
     reports = verify.run_checks(13, slow=True)
     assert [r.name for r in reports] == verify.CHECK_NAMES
     assert all(r.passed for r in reports) and len(reports) == 12

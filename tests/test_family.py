@@ -246,7 +246,7 @@ def test_doctored_segment_helper_fails_equivalence(monkeypatch):
 
     monkeypatch.setattr(family, "_sequence_segments", doctored)
     assert filter_family(d) == [b for b in enumerate_family(d) if b != victim]
-    assert verify._check_construction_equivalence(list(range(d + 1))) == {
+    assert verify._sweep(verify._check_construction_equivalence, list(range(d + 1))) == {
         "D": d,
         "filter_only": [],
         "inductive_only": [victim.to_pairs()],
@@ -316,7 +316,7 @@ def test_equivalence_builds_each_family_once_per_d(monkeypatch):
         return [b for b in members if b != dropped] + [stranger] if d == 3 else members
 
     monkeypatch.setattr(verify, "filter_family", doctored)
-    assert verify._check_construction_equivalence([0, 1, 2, 3, 4]) == {
+    assert verify._sweep(verify._check_construction_equivalence, [0, 1, 2, 3, 4]) == {
         "D": 3,
         "filter_only": [stranger.to_pairs()],
         "inductive_only": [dropped.to_pairs()],

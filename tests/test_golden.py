@@ -64,9 +64,20 @@ def test_rendered_order_is_monotone(d):
     assert_monotone(entry_images(flat, d), order, f"rendered D={d}")
 
 
-def test_verify_d11_text_matches_the_golden(capsys):
-    # every line but the seconds column, whose 7-character width stays pinned
-    assert main(["verify", "--max-D", "11"]) == 0
+def verify_text(capsys, *argv):
+    """Every line of the verify output but the seconds column, whose
+    7-character width stays pinned."""
+    assert main(["verify", *argv]) == 0
     out = capsys.readouterr().out
-    masked = re.sub(r"[ \d]{4}\.\d\ds$", "   #.##s", out, flags=re.M)
-    assert masked == (GOLDEN / "verify_d11.txt").read_text()
+    return re.sub(r"[ \d]{4}\.\d\ds$", "   #.##s", out, flags=re.M)
+
+
+def test_verify_d11_text_matches_the_golden(capsys):
+    assert verify_text(capsys, "--max-D", "11") == (GOLDEN / "verify_d11.txt").read_text()
+
+
+@pytest.mark.slow
+def test_verify_d13_slow_text_matches_the_golden(capsys):
+    # the only pin on the --slow ranges, which raise the filter's cap to 13
+    want = (GOLDEN / "verify_d13_slow.txt").read_text()
+    assert verify_text(capsys, "--max-D", "13", "--slow") == want

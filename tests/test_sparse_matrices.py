@@ -175,24 +175,7 @@ def test_second_basis_vectors_read_the_columns(no_dense_rows):
 
 
 def test_involution_suite_reads_the_columns(no_dense_rows):
-    assert verify._check_involution_suite([1, 3, 5]) is None
-
-
-def test_orbit_entries_clause_reads_stored_entries(monkeypatch):
-    real = verify.sector_matrix
-
-    def with_a_three(d, which):
-        m = real(d, which)
-        columns = list(m.columns)
-        columns[0] = ((0, 3),)
-        return BasisMatrix.from_columns(m.labels, columns)
-
-    monkeypatch.setattr(verify, "sector_matrix", with_a_three)
-    assert verify._check_involution_suite([1]) == {
-        "D": 1,
-        "kind": "orbit-entries",
-        "sector": "++",
-    }
+    assert verify._sweep(verify._check_involution_suite, [1, 3, 5]) is None
 
 
 def test_tracer_read_surface():

@@ -173,7 +173,7 @@ def test_order_readers_do_not_relabel(monkeypatch, d):
         return sector_label(x, dd)
 
     rebind_everywhere(monkeypatch, sector_label, counted)
-    assert _check_involution_suite([d]) is None
+    assert _check_involution_suite(d) is None
     assert len(calls) == len(pieces(d)[PieceLabel(0, "+")])
 
 
