@@ -210,8 +210,7 @@ class Order:
 
     ``elements`` is the canonical linear extension (piece blocks in display
     order, ties broken by bit-vector value) and ``labels`` their pieces, one
-    interned label per mask; ``down[i]`` is the full down-set of element i as
-    a bitset over positions.  ``gen_spans`` maps each image mask to the span
+    interned label per mask.  ``gen_spans`` maps each image mask to the span
     of its preimage's pair-vectors, held as the preimage's pair masks
     (``f2.Span``); only size, membership and iteration are read from it.
     The generating digraph X' -> span(preimage of X') - {X'} is the one
@@ -220,10 +219,9 @@ class Order:
     XORed in per step, and waits on the first unpopped member other than
     itself, resuming the walk when that one pops.  Construction raises
     ``CycleError`` with an explicit cycle if the extension stalls.  Kahn's
-    pop order already puts every generating edge backwards, so the
-    down-sets, which only the order queries and ``sector_order_check`` read,
-    are built on first read; the ``order_antisymmetry`` check forces that
-    pass at every D it sweeps.
+    pop order already puts every generating edge backwards, as the
+    ``order_antisymmetry`` check certifies edge by edge; the checks read the
+    order through its generating edges alone.
     """
 
     def __init__(self, d: int):
@@ -298,11 +296,12 @@ class Order:
 
     @cached_property
     def down(self) -> list[int]:
-        """Down-set bitsets over extension positions, built on first read.
+        """``down[i]`` is the full down-set of element i as a bitset over
+        positions, built on first read.
 
-        Kahn pops a mask only after every other member of its span, so the
-        raise below cannot fire once construction has succeeded; it stays as
-        a check of that argument.
+        No check builds it on success: ``sector_order_check`` reads it only to
+        name a counterexample.  The pass assumes every span member precedes its
+        element, as ``order_antisymmetry`` certifies.
         """
         down: list[int] = []
         for i, x in enumerate(self.elements):
@@ -310,21 +309,9 @@ class Order:
             bits = 1 << i
             for z in self.gen_spans[m]:
                 if z != m:
-                    j = self.position[z]
-                    if j >= i:
-                        raise FalsificationError(
-                            f"linear extension at D={self.d} puts mask {z} after {m}"
-                        )
-                    bits |= down[j]
+                    bits |= down[self.position[z]]
             down.append(bits)
         return down
-
-    def leq(self, x: EvenSet, y: EvenSet) -> bool:
-        return bool(self.down[self.position[y.mask]] >> self.position[x.mask] & 1)
-
-    def below(self, y: EvenSet) -> list[EvenSet]:
-        bits = self.down[self.position[y.mask]]
-        return [self.elements[i] for i in range(bits.bit_length()) if bits >> i & 1]
 
     def sector_elements(self, sector: str) -> list[EvenSet]:
         """The extension restricted to a sector.

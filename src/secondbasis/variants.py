@@ -171,52 +171,47 @@ def _rank(label: PieceLabel) -> int:
     return max(t, -t) if label.sign == "+" else max(t, -t - 2)
 
 
-def sector_order_check(d: int) -> dict | None:
-    """Both within-sector monotonicity clauses; None on success.
+def _fault(lx: PieceLabel, x: int, ly: PieceLabel, y: int, d: int) -> str | None:
+    """The kind of fault x below y makes, or None."""
+    if lx.sign != ly.sign:  # a plus set's preimage leaves N unmatched
+        return "sector-crossing" if ly.sign == "+" else None
+    if lx.t != ly.t:
+        return "rank-violation" if _rank(lx) >= _rank(ly) else None
+    if lx.t == 0 and lx.sign == "+" and x >> (d + 1) & 1 and not y >> (d + 1) & 1:
+        return "primed-violation"
+    return None
 
-    Comparable plus-sector sets have equal t or strictly growing max(t, -t),
-    and anything below the primed half of the (0,+) piece stays primed;
-    the minus sector uses max(t, -t-2).  Each clause is a position bitset
-    of the sets that may not lie below y, met with y's down-set; the lowest
-    common bit is the first counterexample in extension order.
+
+def sector_order_check(d: int) -> dict | None:
+    """The sector order properties; None on success.
+
+    No minus set lies below a plus set; comparable plus-sector sets have
+    equal t or strictly growing max(t, -t), and anything below the primed
+    half of the (0,+) piece stays primed; the minus sector uses
+    max(t, -t-2).  Each property holds on the order once it holds on every
+    generating edge: with no crossing edge a chain between two sets of one
+    sector stays in it, the rank never falls along it and rises where t
+    changes, and an unprimed-to-primed chain has an unprimed-to-primed edge.
+    So the first y with a faulty edge is the first with a fault below it,
+    and its lowest faulty down-set position is the counterexample.
     """
     if d % 2 == 0:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
-    zero_plus = PieceLabel(0, "+")
-    labels = order.labels  # one piece label per element, aligned with elements
-    piece_bits: dict[PieceLabel, int] = {}
-    unprimed = 0  # (0,+) sets containing D+1
-    for i, (x, label) in enumerate(zip(order.elements, labels)):
-        piece_bits[label] = piece_bits.get(label, 0) | 1 << i
-        if label == zero_plus and x.mask >> (d + 1) & 1:
-            unprimed |= 1 << i
-    forbidden = {  # pieces are disjoint, so the sum of their bitsets is their union
-        ly: sum(
-            bits
-            for lx, bits in piece_bits.items()
-            if lx.sign == ly.sign and lx.t != ly.t and _rank(lx) >= _rank(ly)
-        )
-        for ly in piece_bits
-    }
-    for i, (y, ly) in enumerate(zip(order.elements, labels)):
-        rank_bad = order.down[i] & forbidden[ly]
-        primed_bad = 0
-        if ly == zero_plus and not unprimed >> i & 1:
-            primed_bad = order.down[i] & unprimed
-        bad = rank_bad | primed_bad
-        if not bad:
+    elements, labels, position = order.elements, order.labels, order.position
+    for i, (y, ly) in enumerate(zip(elements, labels)):
+        m = y.mask
+        # a set makes no fault with itself, so y's own span member is harmless
+        if not any(_fault(labels[position[z]], z, ly, m, d) for z in order.gen_spans[m]):
             continue
-        k = (bad & -bad).bit_length() - 1
-        x = order.elements[k]
-        if rank_bad >> k & 1:
-            return {
-                "kind": "rank-violation",
-                "x": x.to_json(),
-                "y": y.to_json(),
-                "pieces": [str(labels[k]), str(ly)],
-            }
-        return {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
+        down = order.down[i]
+        for k, (x, lx) in enumerate(zip(elements[:i], labels)):
+            kind = _fault(lx, x.mask, ly, m, d) if down >> k & 1 else None
+            if kind:
+                bad = {"kind": kind, "x": x.to_json(), "y": y.to_json()}
+                if kind == "rank-violation":
+                    bad["pieces"] = [str(lx), str(ly)]
+                return bad
     return None
 
 

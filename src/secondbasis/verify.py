@@ -162,9 +162,15 @@ def _check_uniqueness(d: int) -> dict | None:
 
 def _check_antisymmetry(d: int) -> dict | None:
     try:
-        build_order(d).down  # the down-set pass re-checks every edge
+        order = build_order(d)
     except CycleError as exc:
         return {"cycle": exc.cycle}
+    # every generating edge points backwards, so the order's closure does too
+    for i, x in enumerate(order.elements):
+        m = x.mask
+        for z in order.gen_spans[m]:
+            if z != m and order.position[z] >= i:
+                raise FalsificationError(f"linear extension at D={d} puts mask {z} after {m}")
     return None
 
 

@@ -55,3 +55,9 @@ def rebind_everywhere(monkeypatch, original, replacement):
         for attr, value in list(vars(mod).items()):
             if value is original:
                 monkeypatch.setattr(mod, attr, replacement)
+
+
+def below(order, y):
+    """The elements at or below ``y``, in extension order, read off ``order.down``."""
+    bits = order.down[order.position[y.mask]]
+    return [x for i, x in enumerate(order.elements) if bits >> i & 1]

@@ -35,7 +35,7 @@ from secondbasis.family import (
     piece_of,
     pieces,
 )
-from tests.conftest import clear_library_caches
+from tests.conftest import below, clear_library_caches
 
 
 def m(pairs, n):
@@ -132,22 +132,17 @@ def test_order_d2_brute_force():
     ]
     empty = EvenSet([], 3)
     for y in order.elements:
-        assert order.leq(empty, y)
-        for x in order.elements:
-            if x != empty and x != y:
-                assert not order.leq(x, y)
+        assert set(below(order, y)) == {empty, y}
 
 
 def test_order_is_partial_order():
     for d in range(0, 8):
         order = build_order(d)
-        for y in order.elements:
-            assert order.leq(y, y)
-        # antisymmetry: mutual comparability only on the diagonal
-        for y in order.elements:
-            for x in order.below(y):
-                if x != y:
-                    assert not order.leq(y, x)
+        lower = {y: set(below(order, y)) for y in order.elements}
+        for y, ys in lower.items():
+            assert y in ys
+            # antisymmetry: mutual comparability only on the diagonal
+            assert all(y not in lower[x] for x in ys if x != y)
 
 
 @pytest.mark.parametrize("d", range(12))
@@ -181,15 +176,10 @@ def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
         assert "down" not in build_order(d).__dict__, d
 
 
-def test_order_antisymmetry_builds_the_down_sets(fresh_orders):
-    from secondbasis.verify import _check_antisymmetry, _sweep
-
-    ds = list(range(6))
-    for d in ds:
-        assert "down" not in build_order(d).__dict__
-    assert _sweep(_check_antisymmetry, ds) is None
-    for d in ds:
-        assert "down" in build_order(d).__dict__, d
+def test_passing_checks_leave_the_down_sets_unbuilt(fresh_orders):
+    assert all(report.passed for report in verify.run_checks(7))
+    for d in range(8):
+        assert "down" not in build_order(d).__dict__, d
 
 
 def _eager_down(order):

@@ -1,7 +1,8 @@
 """The order is the one span build and the one acyclicity certificate.
 
 Fault injection doctors the spans into a 2-cycle and shows that both the
-uniqueness and the antisymmetry checks FAIL with an explicit closed cycle.
+uniqueness and the antisymmetry checks FAIL with an explicit closed cycle;
+a span that lists a member later in the extension fails antisymmetry too.
 A doctored 3-cycle at D=5 stalls the order build itself, which names
 exactly the three doctored images as a closed cycle.
 """
@@ -9,6 +10,7 @@ exactly the three doctored images as a closed cycle.
 import pytest
 
 import secondbasis.basis as basis
+import secondbasis.verify as verify
 from secondbasis.basis import (
     CycleError,
     build_order,
@@ -77,6 +79,17 @@ def test_run_checks_fails_both_and_runs_the_rest(two_cycle):
     assert reports["involution_suite"].detail["kind"] == "falsification"
     failed = {name for name, r in reports.items() if not r.passed}
     assert failed == {"unique_bijection", "order_antisymmetry", "involution_suite"}
+
+
+def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
+    d = 4
+    order = basis.Order(d)
+    early, late = order.elements[3].mask, order.elements[10].mask
+    order.gen_spans[early] = frozenset(order.gen_spans[early]) | {late}
+    monkeypatch.setattr(verify, "build_order", lambda dd: order if dd == d else build_order(dd))
+    failed = {r.name: r.detail for r in run_checks(d) if not r.passed}
+    message = f"linear extension at D={d} puts mask {late} after {early}"
+    assert failed == {"order_antisymmetry": {"kind": "falsification", "message": message}}
 
 
 @pytest.mark.parametrize("d", [4, 5])

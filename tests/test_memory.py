@@ -7,10 +7,14 @@ run on watch lists that regenerate span members by a Gray-code walk instead
 of storing one slot per generating edge (about 33 MB when they were
 stored), and the symbols kept only as their output lines.  ``build_order(15)``
 alone peaks at about 68 MB (about 98 MB with the stored edges).
-``verify --max-D 13 --slow`` is the verify path's peak: about 61 MB, with
+``verify --max-D 13 --slow`` is the verify path's peak: about 39 MB, with
 both matrix kinds stored as compressed column arrays (about 79 MB when each
-entry was a tuple).  The child reads its own ``/proc/self/status`` after the
-work; the tests are skipped where that file does not exist.
+entry was a tuple) and the order's properties checked on its generating
+edges, so no passing check builds the down-set bitsets (about 59 MB when
+they were built).  ``SBL_MAX_D=15 verify --max-D 15 --slow`` peaks at about
+121 MB (about 434 MB with the down-sets).  The child reads its own
+``/proc/self/status`` after the work; the tests are skipped where that file
+does not exist.
 """
 
 import os
@@ -38,13 +42,20 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def peak_mb(argv: list[str], timeout: int, call: str = "main(sys.argv[1:])") -> float:
+def peak_mb(
+    argv: list[str],
+    timeout: int,
+    call: str = "main(sys.argv[1:])",
+    sbl_max_d: str | None = None,
+) -> float:
     """Run ``call`` on ``argv`` in a fresh process; require 0, return VmHWM.
 
-    The default call is the CLI on ``argv``.
+    The default call is the CLI on ``argv``; ``sbl_max_d`` sets ``SBL_MAX_D``.
     """
     env = {k: v for k, v in os.environ.items() if k != "SBL_MAX_D"}
     env["PYTHONPATH"] = str(SRC)
+    if sbl_max_d is not None:
+        env["SBL_MAX_D"] = sbl_max_d
     out = subprocess.run(
         [sys.executable, "-c", CHILD.format(call=call), *argv],
         env=env,
@@ -77,4 +88,12 @@ def test_build_order_d15_peak_rss():
 @needs_proc
 def test_verify_d13_slow_peak_rss():
     mb = peak_mb(["verify", "--max-D", "13", "--slow"], timeout=900)
-    assert mb < 70, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
+    assert mb < 48, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
+
+
+@pytest.mark.slow
+@needs_proc
+def test_verify_d15_slow_peak_rss():
+    # exit 0 means all twelve checks passed
+    mb = peak_mb(["verify", "--max-D", "15", "--slow"], timeout=900, sbl_max_d="15")
+    assert mb < 200, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"

@@ -3,6 +3,7 @@
 import pytest
 
 import secondbasis.variants as variants
+import secondbasis.verify as verify
 from secondbasis.arcs import Matching
 from secondbasis.basis import Order, build_order, epsilon, sector_label
 from secondbasis.errors import DomainError, FalsificationError
@@ -22,6 +23,7 @@ from secondbasis.variants import (
     triangle_identity_ok,
     triangular_epsilon,
 )
+from tests.conftest import below
 
 
 def m(pairs, n):
@@ -183,12 +185,14 @@ def test_sector_order_properties():
 
 
 def reference_sector_order_check(order, d):
-    """The direct reading of both clauses: every y, every x in its down-set."""
+    """The direct reading of every clause: every y, every x in its down-set."""
     labels = {x.mask: sector_label(x, d) for x in order.elements}
     for y in order.elements:
         ly = labels[y.mask]
-        for x in order.below(y):
+        for x in below(order, y):
             lx = labels[x.mask]
+            if lx.sign == "-" and ly.sign == "+":
+                return {"kind": "sector-crossing", "x": x.to_json(), "y": y.to_json()}
             if lx.sign != ly.sign or x == y:
                 continue
             if lx.t != ly.t and variants._rank(lx) >= variants._rank(ly):
@@ -217,12 +221,29 @@ def test_sector_order_check_matches_reference_d11():
     assert sector_order_check(11) == reference_sector_order_check(build_order(11), 11)
 
 
-def _doctored(monkeypatch, d, *pairs):
-    """A fresh order with x put below y for each (x, y); the checks read it."""
+def _doctored(monkeypatch, d, y, *xs):
+    """A fresh order with each x put in y's span; the checks read it at D=d.
+
+    Each x after y moves to just before it, keeping their order, and the
+    result must still be a linear extension of the doctored spans.
+    """
     order = Order(d)
-    for x, y in pairs:
-        order.down[order.position[y.mask]] |= 1 << order.position[x.mask]
-    monkeypatch.setattr(variants, "build_order", lambda _: order)
+    after = order.elements[order.position[y.mask] + 1 :]
+    late = [x for x in after if x in xs]
+    elements = [x for x in order.elements if x not in late]
+    at = elements.index(y)
+    order.elements = elements[:at] + late + elements[at:]
+    order.labels = [sector_label(x, d) for x in order.elements]
+    order.position = {x.mask: i for i, x in enumerate(order.elements)}
+    order.gen_spans[y.mask] = frozenset(order.gen_spans[y.mask]) | {x.mask for x in xs}
+    for m, span in order.gen_spans.items():
+        assert all(order.position[z] <= order.position[m] for z in span)
+
+    def doctored(dd):
+        return order if dd == d else build_order(dd)
+
+    for module in (variants, verify):
+        monkeypatch.setattr(module, "build_order", doctored)
     return order
 
 
@@ -249,19 +270,22 @@ D_DOCTOR = 5
 
 def test_doctored_rank_violation(monkeypatch):
     order = Order(D_DOCTOR)
-    y = order.elements[0]  # the empty set: nothing lies below it
-    x = _rank_offender(order, D_DOCTOR, y)
-    order = _doctored(monkeypatch, D_DOCTOR, (x, y))
+    y = order.elements[order.labels.index(PieceLabel(2, "+"))]
+    x = _rank_offender(order, D_DOCTOR, y)  # of the (-2,+) piece: equal rank
+    order = _doctored(monkeypatch, D_DOCTOR, y, x)
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got["kind"] == "rank-violation" and got["y"] == y.to_json()
+    assert got["pieces"] == ["-2,+", "2,+"]
 
 
 def test_doctored_primed_violation(monkeypatch):
+    # every primed set precedes every unprimed one in the canonical extension,
+    # so the unprimed x moves to just before y
     order = Order(D_DOCTOR)
-    y = _zero_plus(order, D_DOCTOR, primed=True)[0]
-    x = _zero_plus(order, D_DOCTOR, primed=False)[-1]
-    order = _doctored(monkeypatch, D_DOCTOR, (x, y))
+    y = _zero_plus(order, D_DOCTOR, primed=True)[1]
+    x = _zero_plus(order, D_DOCTOR, primed=False)[0]
+    order = _doctored(monkeypatch, D_DOCTOR, y, x)
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got == {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
@@ -269,14 +293,26 @@ def test_doctored_primed_violation(monkeypatch):
 
 def test_doctored_clauses_report_the_lowest_position(monkeypatch):
     order = Order(D_DOCTOR)
-    y = _zero_plus(order, D_DOCTOR, primed=True)[0]
+    y = _zero_plus(order, D_DOCTOR, primed=True)[1]
     ranked = _rank_offender(order, D_DOCTOR, y)
-    unprimed = _zero_plus(order, D_DOCTOR, primed=False)[-1]
+    unprimed = _zero_plus(order, D_DOCTOR, primed=False)[0]
     assert order.position[unprimed.mask] < order.position[ranked.mask]
-    order = _doctored(monkeypatch, D_DOCTOR, (ranked, y), (unprimed, y))
+    order = _doctored(monkeypatch, D_DOCTOR, y, ranked, unprimed)
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got["kind"] == "primed-violation" and got["x"] == unprimed.to_json()
+
+
+def test_doctored_sector_crossing_fails_the_involution_suite(monkeypatch):
+    order = Order(D_DOCTOR)
+    y = order.elements[1]
+    x = next(x for x, label in zip(order.elements, order.labels) if label.sign == "-")
+    order = _doctored(monkeypatch, D_DOCTOR, y, x)
+    got = sector_order_check(D_DOCTOR)
+    assert got == reference_sector_order_check(order, D_DOCTOR)
+    assert got == {"kind": "sector-crossing", "x": x.to_json(), "y": y.to_json()}
+    failed = {r.name: r.detail for r in verify.run_checks(D_DOCTOR) if not r.passed}
+    assert failed == {"involution_suite": {"D": D_DOCTOR, **got}}
 
 
 def test_orbit_representatives():
