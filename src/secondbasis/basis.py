@@ -296,12 +296,11 @@ class Order:
 
     @cached_property
     def down(self) -> list[int]:
-        """``down[i]`` is the full down-set of element i as a bitset over
-        positions, built on first read.
+        """``down[i]``: the full down-set of element i as a bitset over positions.
 
-        No check builds it on success: ``sector_order_check`` reads it only to
-        name a counterexample.  The pass assumes every span member precedes its
-        element, as ``order_antisymmetry`` certifies.
+        Built on first read, which no passing check makes; the pass assumes
+        every span member precedes its element, as ``order_antisymmetry``
+        certifies.
         """
         down: list[int] = []
         for i, x in enumerate(self.elements):
