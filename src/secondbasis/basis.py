@@ -15,11 +15,11 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .arcs import Matching
 from .errors import DomainError, FalsificationError
@@ -205,14 +205,45 @@ class CycleError(FalsificationError):
         self.cycle = cycle
 
 
+class _MaskMap(Mapping):
+    """A read-only map keyed by the masks of E_N, iterated in extension order.
+
+    ``read(order, slot)`` gives the value of the even set in ``slot``; a key
+    that is not the mask of an even set over [1, N] raises ``KeyError``.
+    """
+
+    __slots__ = ("_order", "_read")
+
+    def __init__(self, order: "Order", read: Callable[["Order", int], object]):
+        self._order, self._read = order, read
+
+    def __getitem__(self, m):
+        order = self._order
+        if not isinstance(m, int) or m & 1 or m >> (order.n + 1) or m.bit_count() & 1:
+            raise KeyError(m)
+        return self._read(order, m >> 1 & order.low)
+
+    def __iter__(self) -> Iterator[int]:
+        return (x.mask for x in self._order.elements)
+
+    def __len__(self) -> int:
+        return len(self._order.elements)
+
+
 class Order:
     """The partial order on E_N generated by span membership of preimages.
 
     ``elements`` is the canonical linear extension (piece blocks in display
     order, ties broken by bit-vector value) and ``labels`` their pieces, one
-    interned label per mask.  ``gen_spans`` maps each image mask to the span
-    of its preimage's pair-vectors, held as the preimage's pair masks
-    (``f2.Span``); only size, membership and iteration are read from it.
+    interned label per mask.  An even set is fixed by its bits 1..N-1, so
+    ``mask >> 1 & low`` is its slot in a dense index of 2^(N-1) slots:
+    ``index[slot]`` is its family position (in ``epsilon_pairs`` order) and
+    ``rank[slot]`` its extension position.  The span of a member's
+    pair-vectors is held as its k pair masks, ``pairs[starts[i]:starts[i +
+    1]]`` for family position i, in one flat ``array('I')``; ``members``
+    lists a span's unions.  ``position`` (mask -> extension position) and
+    ``gen_spans`` (mask -> ``f2.Span``, built when read) are read-only views
+    over these arrays.
     The generating digraph X' -> span(preimage of X') - {X'} is the one
     acyclicity certificate, checked by a Kahn extension that stores no edge:
     each position walks its span in reflected Gray-code order, one pair
@@ -227,23 +258,25 @@ class Order:
     def __init__(self, d: int):
         self.d = d
         self.n = n = ground_size(d)
-        pairs = epsilon_pairs(d)
-        masks = [x.mask for _, x in pairs]
-        spans = [span_masks(b.pair_vectors()) for b, _ in pairs]
-        self.gen_spans: dict[int, Span] = dict(zip(masks, spans))
-        # Kahn as the class docstring describes; an even set is fixed by its
-        # bits 1..N-1, so ``mask >> 1 & low`` is its slot in the dense index
-        # of positions and in the popped flags
-        low = (1 << (n - 1)) - 1
-        index = array("I", [0]) * (low + 1)
+        self.low = low = (1 << (n - 1)) - 1
+        family = epsilon_pairs(d)
+        masks = [x.mask for _, x in family]
+        self.pairs = pairs = array("I")
+        self.starts = starts = array("I", [0])
+        for b, _ in family:
+            pairs.extend(span_masks(b.pair_vectors()).pairs)
+            starts.append(len(pairs))
+        # Kahn as the class docstring describes, with popped flags by slot
+        self.index = index = array("I", [0]) * (low + 1)
         for i, m in enumerate(masks):
             index[m >> 1 & low] = i
+        self.rank = rank = array("I", [0]) * (low + 1)
         popped = bytearray(low + 1)
         cursor = array("I", [0]) * len(masks)
         member = array("L", [0]) * len(masks)
         # ctz[c] is the pair that step c of the reflected Gray code flips
-        k = max(len(span.pairs) for span in spans)
-        ctz = bytes((c ^ c - 1).bit_length() - 1 for c in range(1 << k))
+        widest = max(b - a for a, b in zip(starts, starts[1:]))
+        ctz = bytes((c ^ c - 1).bit_length() - 1 for c in range(1 << widest))
         watch: dict[int, list[int]] = {}
         # a heap entry packs the label's sort key, one byte per field, above
         # the mask; ``labels`` interns one label per packed key
@@ -253,18 +286,19 @@ class Order:
 
         def settle(i: int) -> None:
             me = masks[i]
-            p = spans[i].pairs
+            a = starts[i]
+            k = starts[i + 1] - a
             c, z = cursor[i], member[i]
             while z == me or popped[z >> 1 & low]:
                 c += 1
-                if c >> len(p):
+                if c >> k:
                     # each position is pushed once, so its label is read once
-                    piece = sector_label(pairs[i][1], d)
+                    piece = sector_label(family[i][1], d)
                     key = int.from_bytes(bytes(piece.sort_key()), "big")
                     labels.setdefault(key, piece)
                     heapq.heappush(heap, key << shift | me)
                     return
-                z ^= p[ctz[c]]
+                z ^= pairs[a + ctz[c]]
             cursor[i], member[i] = c, z
             watch.setdefault(z >> 1 & low, []).append(i)
 
@@ -276,6 +310,7 @@ class Order:
             key = heapq.heappop(heap)
             slot = key >> 1 & low
             popped[slot] = 1
+            rank[slot] = len(order)
             order.append(index[slot])
             self.labels.append(labels[key >> shift])
             for j in watch.pop(slot, ()):
@@ -289,10 +324,34 @@ class Order:
             while m not in step:
                 step[m] = len(path)
                 path.append(m)
-                m = min(z for z in self.gen_spans[m] if z in stalled and z != m)
+                m = min(z for z in self.members(m) if z in stalled and z != m)
             raise CycleError(d, path[step[m]:] + [m])
-        self.elements: list[EvenSet] = [pairs[i][1] for i in order]
-        self.position: dict[int, int] = {masks[i]: p for p, i in enumerate(order)}
+        self.elements: list[EvenSet] = [family[i][1] for i in order]
+
+    @property
+    def position(self) -> Mapping[int, int]:
+        """mask -> extension position, read off ``rank``."""
+        return _MaskMap(self, lambda order, slot: order.rank[slot])
+
+    @property
+    def gen_spans(self) -> Mapping[int, Span]:
+        """mask -> the span of its preimage's pair-vectors, built when read."""
+
+        def read(order: Order, slot: int) -> Span:
+            i = order.index[slot]
+            return Span(order.pairs[order.starts[i] : order.starts[i + 1]])
+
+        return _MaskMap(self, read)
+
+    def members(self, m: int) -> list[int]:
+        """The unions of the pairs of m's span, in the order ``f2.Span`` lists them."""
+        i = self.index[m >> 1 & self.low]
+        pairs = self.pairs
+        members = [0]
+        for q in range(self.starts[i], self.starts[i + 1]):
+            g = pairs[q]
+            members += [z | g for z in members]
+        return members
 
     @cached_property
     def down(self) -> list[int]:
@@ -302,13 +361,14 @@ class Order:
         every span member precedes its element, as ``order_antisymmetry``
         certifies.
         """
+        rank, low = self.rank, self.low
         down: list[int] = []
         for i, x in enumerate(self.elements):
             m = x.mask
             bits = 1 << i
-            for z in self.gen_spans[m]:
+            for z in self.members(m):
                 if z != m:
-                    bits |= down[self.position[z]]
+                    bits |= down[rank[z >> 1 & low]]
             down.append(bits)
         return down
 
@@ -348,8 +408,9 @@ def unique_bijection_check(d: int) -> dict | None:
         order = build_order(d)  # raises on any bijectivity failure
     except CycleError as exc:
         return {"kind": "alternating-cycle", "masks": exc.cycle}
+    spans = order.gen_spans
     for b, x in epsilon_pairs(d):
-        if x.mask not in order.gen_spans[x.mask]:
+        if x.mask not in spans[x.mask]:
             return {"kind": "image-outside-span", "member": b.to_pairs()}
     return None
 
@@ -476,7 +537,7 @@ def _span_matrix(
     to each row; the matrix must be unitriangular with entries in [0, bound]."""
     starts, entry_rows, entry_values = array("I", [0]), array("I"), array("i")
     for y in labels:
-        counts = Counter(map(rows.get, order.gen_spans[y.mask]))
+        counts = Counter(map(rows.get, order.members(y.mask)))
         counts.pop(None, None)
         hit = sorted(counts)
         entry_rows.extend(hit)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 
 from .basis import build_order, change_matrix, series_size, symbol_of
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, FalsificationError, ResourceGuardError
 from .family import PieceLabel
 from .limits import guard_d
-from .tables import render_table, table_json
+from .tables import render_table, write_table_json
 from .variants import sector_matrix
 from .verify import run_checks
 
@@ -20,7 +21,7 @@ _SECTOR_ALIASES = {"pp": "++", "pm": "+-", "mp": "-+", "mm": "--"}
 def _cmd_table(args) -> int:
     piece = PieceLabel.parse(args.piece) if args.piece else None
     if args.format == "json":
-        print(json.dumps(table_json(args.d, piece), sort_keys=True))
+        write_table_json(sys.stdout, args.d, piece)
     else:
         sys.stdout.write(render_table(args.d, piece))
     return 0
@@ -62,38 +63,54 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+def _series(label: PieceLabel) -> int:
+    # the symbol of a set of gamma t (even minus odd members, a popcount
+    # difference) has defect -1-2t for even D, 2t in the plus sector and
+    # 2t+2 in the minus sector
+    if label.sign is None:
+        return abs(2 * label.t + 1)
+    return 2 * label.t + (2 if label.sign == "-" else 0)
+
+
 def _cmd_symbols(args) -> int:
     guard_d(args.d, 13, "symbol listing")
     d = args.d
     if d % 2 == 0:
         if args.sector:
             raise DomainError("even D has a single symbol flavor; drop --sector")
-        sectors = ["all"]
+        signs = [None]
     elif args.sector:
-        sectors = [args.sector]
+        signs = ["-" if args.sector == "minus" else "+"]
     else:
-        sectors = ["plus", "minus"]
+        signs = ["+", "-"]
     order = build_order(d)
+    elements = order.elements
     total = 0
-    for sector in sectors:
-        # each symbol is built and validated, then kept only as its line
-        groups: dict[int, list[str]] = {}
-        for x in order.sector_elements(sector):
-            sym = symbol_of(x, d)
-            left = ",".join(map(str, sorted(sym.s))) or "∅"
-            right = ",".join(map(str, sorted(sym.t))) or "∅"
-            groups.setdefault(sym.series(), []).append(f"({left} ; {right})")
+    for sign in signs:
+        # extension positions grouped by series; each symbol is built and
+        # validated only as its line is printed
+        groups: dict[int, array] = {}
+        for p, label in enumerate(order.labels):
+            if label.sign == sign:
+                groups.setdefault(_series(label), array("I")).append(p)
         for s in sorted(groups):
-            lines = groups[s]
+            group = groups[s]
             expected = series_size(d, s)
-            if expected != len(lines):
+            if expected != len(group):
                 raise DomainError(
-                    f"series size mismatch at D={d}, s={s}: {len(lines)} != {expected}"
+                    f"series size mismatch at D={d}, s={s}: {len(group)} != {expected}"
                 )
-            print(f"series s={s} ({len(lines)} symbols)")
-            for line in lines:
-                print(line)
-            total += len(lines)
+            print(f"series s={s} ({len(group)} symbols)")
+            for p in group:
+                sym = symbol_of(elements[p], d)
+                if sym.series() != s:
+                    raise FalsificationError(
+                        f"symbol of {elements[p]!r} has series {sym.series()}, not {s}"
+                    )
+                left = ",".join(map(str, sorted(sym.s))) or "∅"
+                right = ",".join(map(str, sorted(sym.t))) or "∅"
+                print(f"({left} ; {right})")
+            total += len(group)
     print(f"total {total}")
     return 0
 

@@ -12,10 +12,11 @@ and x lies in it exactly when x is the union of the pairs it contains; those
 pairs are its unique decomposition.  That is the one span rule here, and
 ``span_masks`` refuses any other generators.  A ``Span`` holds only its k
 pair masks: its size and membership follow from the rule without listing the
-unions, which are generated afresh on each iteration.  ``basis.Order`` builds
-the one span per family member that the rest of the package reads; its Kahn
-extension regenerates the unions from ``Span.pairs`` itself, one pair XORed
-in per step of a reflected Gray code, and the matrices and down-sets iterate.
+unions, which are generated afresh on each iteration.  ``basis.Order`` calls
+``span_masks`` once per family member and keeps only the pair masks, in one
+flat array; its Kahn extension regenerates the unions from them, one pair
+XORed in per step of a reflected Gray code, and ``Order.gen_spans`` builds a
+``Span`` over them when one is read.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.

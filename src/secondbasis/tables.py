@@ -8,8 +8,10 @@ and as "i-j" beyond; the empty member prints as ([∅]).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TextIO
 
 from .arcs import Arc, Matching, arc_text, classify_pair, pair_mask
 from .basis import build_order, epsilon_images
@@ -25,6 +27,7 @@ __all__ = [
     "render_table",
     "table_data",
     "table_json",
+    "write_table_json",
 ]
 
 EMPTY_MARK = "∅"
@@ -139,3 +142,20 @@ def table_json(d: int, piece: PieceLabel | None = None) -> dict:
         for label, entries in _selected(d, piece)
     ]
     return {"D": d, "N": ground_size(d), "pieces": pieces_json}
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def write_table_json(out: TextIO, d: int, piece: PieceLabel | None = None) -> None:
+    """Write ``json.dumps(table_json(d, piece), sort_keys=True)`` and a newline,
+    one piece and one entry at a time, so the JSON tree is never held."""
+    chosen = _selected(d, piece)  # refuses before a byte is written
+    out.write(f'{{"D": {d}, "N": {ground_size(d)}, "pieces": [')
+    for i, (label, entries) in enumerate(chosen):
+        out.write(', {"entries": [' if i else '{"entries": [')
+        for j, e in enumerate(entries):
+            out.write((", " if j else "") + _encode(e.to_json()))
+        sign = json.dumps(label.sign)
+        out.write(f'], "label": {json.dumps(str(label))}, "sign": {sign}, "t": {label.t}}}')
+    out.write("]}\n")

@@ -194,23 +194,40 @@ def sector_order_check(d: int) -> dict | None:
     changes, and an unprimed-to-primed chain has an unprimed-to-primed edge.
     So the first y with a faulty edge is the first with a fault below it,
     and its lowest faulty down-set position is the counterexample.
+
+    A fault depends on the two labels alone, with the (0,+) piece split by
+    the D+1 bit, so each set gets the id of its class and the fault of every
+    pair of ids is computed once per D: an edge costs one table lookup.
     """
     if d % 2 == 0:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
-    elements, labels, position = order.elements, order.labels, order.position
-    for i, (y, ly) in enumerate(zip(elements, labels)):
+    elements, labels, low = order.elements, order.labels, order.low
+    zero_plus = PieceLabel(0, "+")
+    classes: dict[tuple[PieceLabel, int], int] = {}
+    ids = bytearray(low + 1)
+    for x, label in zip(elements, labels):
+        top = x.mask >> (d + 1) & 1 if label == zero_plus else 0
+        ids[x.mask >> 1 & low] = classes.setdefault((label, top), len(classes))
+    # faults[b][a]: the kind of fault a set of class a makes below one of class b
+    faults = [
+        [_fault(la, ta << (d + 1), lb, tb << (d + 1), d) for la, ta in classes]
+        for lb, tb in classes
+    ]
+    for i, y in enumerate(elements):
         m = y.mask
+        column = faults[ids[m >> 1 & low]]
         # a set makes no fault with itself, so y's own span member is harmless
-        if not any(_fault(labels[position[z]], z, ly, m, d) for z in order.gen_spans[m]):
+        if not any(column[ids[z >> 1 & low]] for z in order.members(m)):
             continue
         down = order.down[i]
-        for k, (x, lx) in enumerate(zip(elements[:i], labels)):
-            kind = _fault(lx, x.mask, ly, m, d) if down >> k & 1 else None
+        for k in range(i):
+            x = elements[k]
+            kind = column[ids[x.mask >> 1 & low]] if down >> k & 1 else None
             if kind:
                 bad = {"kind": kind, "x": x.to_json(), "y": y.to_json()}
                 if kind == "rank-violation":
-                    bad["pieces"] = [str(lx), str(ly)]
+                    bad["pieces"] = [str(labels[k]), str(labels[i])]
                 return bad
     return None
 

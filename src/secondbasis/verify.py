@@ -166,10 +166,11 @@ def _check_antisymmetry(d: int) -> dict | None:
     except CycleError as exc:
         return {"cycle": exc.cycle}
     # every generating edge points backwards, so the order's closure does too
+    rank, low = order.rank, order.low
     for i, x in enumerate(order.elements):
         m = x.mask
-        for z in order.gen_spans[m]:
-            if z != m and order.position[z] >= i:
+        for z in order.members(m):
+            if z != m and rank[z >> 1 & low] >= i:
                 raise FalsificationError(f"linear extension at D={d} puts mask {z} after {m}")
     return None
 
@@ -206,8 +207,9 @@ def _check_involution_suite(d: int) -> dict | None:
     zero_plus = PieceLabel(0, "+")
     # no fixed point, N kept and D+1 flipped are properties of the block
     # [1, D+1] the involution adds, unit-tested at every odd D <= 41
-    for x, lx in zip(order.elements, order.labels):
-        lb = order.labels[order.position[involution(x, d).mask]]
+    labels, rank, low = order.labels, order.rank, order.low
+    for x, lx in zip(order.elements, labels):
+        lb = labels[rank[involution(x, d).mask >> 1 & low]]
         want_t = -lx.t if lx.sign == "+" else -lx.t - 2
         if lb.t != want_t:
             return {"kind": "piece-transport", "x": x.to_json()}

@@ -1,8 +1,11 @@
 import sys
+from array import array
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from secondbasis.basis import sector_label
 from secondbasis.family import ground_size
 from secondbasis.tables import parse_entry
 
@@ -61,3 +64,30 @@ def below(order, y):
     """The elements at or below ``y``, in extension order, read off ``order.down``."""
     bits = order.down[order.position[y.mask]]
     return [x for i, x in enumerate(order.elements) if bits >> i & 1]
+
+
+def doctor(order, spans=None, elements=None):
+    """Rewrite a fresh order's arrays in place; the views and checks read them.
+
+    ``spans`` maps a mask to the masks that now generate its span.  They must
+    be pairwise disjoint, so the span is still the unions of its generators,
+    as ``f2.Span`` and ``Order.members`` read it.  ``elements`` is a new
+    extension: ``rank`` and ``labels`` follow it.
+    """
+    low = order.low
+    new = {}
+    for m, generators in (spans or {}).items():
+        generators = tuple(generators)
+        assert not any(a & b for a, b in combinations(generators, 2)), generators
+        new[order.index[m >> 1 & low]] = generators
+    pairs, starts = array("I"), array("I", [0])
+    for i, (a, b) in enumerate(zip(order.starts, order.starts[1:])):
+        pairs.extend(new.get(i, order.pairs[a:b]))
+        starts.append(len(pairs))
+    order.pairs, order.starts = pairs, starts
+    if elements is not None:
+        order.elements = list(elements)
+        order.labels = [sector_label(x, order.d) for x in order.elements]
+        for p, x in enumerate(order.elements):
+            order.rank[x.mask >> 1 & low] = p
+    return order

@@ -245,6 +245,40 @@ def test_extension_equals_the_mask_keyed_reference(d):
     assert list(order.position.items()) == [(m, i) for i, m in enumerate(masks)]
 
 
+@pytest.mark.parametrize("d", range(10))
+def test_the_views_equal_the_reference_dicts(d):
+    order = build_order(d)
+    position = {x.mask: i for i, x in enumerate(order.elements)}
+    spans = {x.mask: span_masks(b.pair_vectors()) for b, x in epsilon_pairs(d)}
+    assert order.position == position and list(order.position) == list(position)
+    assert len(order.gen_spans) == len(spans)
+    for m, span in spans.items():
+        view = order.gen_spans[m]
+        assert view.pairs == span.pairs and list(view) == list(span)
+        assert order.members(m) == list(span)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        0b1110,  # {1, 2, 3}: odd size
+        0b11,  # bit 0
+        0b1000010,  # {1, 6}: past N = 5
+        -2,
+        "6",
+        6.0,
+        None,
+        EvenSet([1, 2], 5),
+    ],
+)
+def test_the_views_refuse_keys_outside_e_n(key):
+    order = build_order(3)
+    for view in (order.position, order.gen_spans):
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view
+
+
 # sha256 of the lines f"{mask} {label}\n" over build_order(15), 65,536
 # elements; the frozenset reference above is too large to build at D=15
 D15_EXTENSION_SHA256 = "9c08dac360c459a871c050915faea4bd4d69a746f0de5af36ba7183647f61325"

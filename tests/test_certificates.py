@@ -19,6 +19,7 @@ from secondbasis.basis import (
 )
 from secondbasis.f2 import Span
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, _sweep, run_checks
+from tests.conftest import doctor
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
 
@@ -85,7 +86,10 @@ def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
     d = 4
     order = basis.Order(d)
     early, late = order.elements[3].mask, order.elements[10].mask
-    order.gen_spans[early] = frozenset(order.gen_spans[early]) | {late}
+    # late, disjoint from early's one pair, joins it as a generator: the span
+    # lists late before early | late, both later than early
+    assert order.gen_spans[early].pairs == (early,) and not early & late
+    doctor(order, {early: [early, late]})
     monkeypatch.setattr(verify, "build_order", lambda dd: order if dd == d else build_order(dd))
     failed = {r.name: r.detail for r in run_checks(d) if not r.passed}
     message = f"linear extension at D={d} puts mask {late} after {early}"

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import secondbasis.verify as verify
+from secondbasis.basis import build_order, series_size, symbol_of
 from secondbasis.cli import _matrix_for, main
 from secondbasis.errors import DomainError, ResourceGuardError
 from secondbasis.tables import parse_entry, render_entry, table_data, table_json
@@ -282,6 +283,62 @@ def test_symbols_sector_and_totals(capsys):
     rc, out, _ = run(capsys, "symbols", "--D", "3")
     assert rc == 0
     assert "total 16" in out  # both sectors together biject with E_N
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_table_json_streams_the_dumps_bytes(capsys, d):
+    for piece in [None, *(label for label, _ in table_data(d))]:
+        argv = ["table", "--D", str(d), "--format", "json"]
+        if piece is not None:
+            argv.append(f"--piece={piece}")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert out == json.dumps(table_json(d, piece), sort_keys=True) + "\n", piece
+
+
+def symbols_oracle(d, sector=None, size=series_size):
+    """The grouped listing as it was first rendered: every symbol of a sector
+    built, grouped by series, then printed; the lines up to a size mismatch."""
+    order = build_order(d)
+    lines, total = [], 0
+    for name in ["all"] if d % 2 == 0 else [sector] if sector else ["plus", "minus"]:
+        groups = {}
+        for x in order.sector_elements(name):
+            sym = symbol_of(x, d)
+            left = ",".join(map(str, sorted(sym.s))) or "∅"
+            right = ",".join(map(str, sorted(sym.t))) or "∅"
+            groups.setdefault(sym.series(), []).append(f"({left} ; {right})")
+        for s in sorted(groups):
+            if size(d, s) != len(groups[s]):
+                return lines
+            lines += [f"series s={s} ({len(groups[s])} symbols)", *groups[s]]
+            total += len(groups[s])
+    return lines + [f"total {total}"]
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_symbols_equal_the_grouped_oracle(capsys, d):
+    for sector in [None] if d % 2 == 0 else [None, "plus", "minus"]:
+        argv = ["symbols", "--D", str(d)] + (["--sector", sector] if sector else [])
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert out.splitlines() == symbols_oracle(d, sector), sector
+
+
+def test_a_series_mismatch_stops_the_listing_where_it_did(capsys, monkeypatch):
+    import secondbasis.cli as cli
+
+    # s=6 is the last series listed at D=5, after the whole plus sector and
+    # three minus-sector series
+    def size(d, s):
+        return series_size(d, s) + (s == 6)
+
+    monkeypatch.setattr(cli, "series_size", size)
+    rc, out, err = run(capsys, "symbols", "--D", "5")
+    assert rc == 2
+    assert out.splitlines() == symbols_oracle(5, size=size)
+    assert "series s=2 (15 symbols)" in out and "series s=6 (" not in out
+    assert err == "error: series size mismatch at D=5, s=6: 1 != 2\n"
 
 
 def test_symbols_series_size_mismatch_exits_2(capsys, monkeypatch):

@@ -1,20 +1,23 @@
 """Peak memory gates: one command or one order build in a fresh process.
 
 ``symbols --D 13`` is the only D=13 order build among the emission commands,
-so its high-water RSS (``VmHWM``) is the write path's peak: about 29 MB on
-CPython 3.11 (x86-64 Linux), with lifted arcs and pair vectors shared, Kahn
-run on watch lists that regenerate span members by a Gray-code walk instead
-of storing one slot per generating edge (about 33 MB when they were
-stored), and the symbols kept only as their output lines.  ``build_order(15)``
-alone peaks at about 68 MB (about 98 MB with the stored edges).
-``verify --max-D 13 --slow`` is the verify path's peak: about 39 MB, with
-both matrix kinds stored as compressed column arrays (about 79 MB when each
-entry was a tuple) and the order's properties checked on its generating
-edges, so no passing check builds the down-set bitsets (about 59 MB when
-they were built).  ``SBL_MAX_D=15 verify --max-D 15 --slow`` peaks at about
-121 MB (about 434 MB with the down-sets).  The child reads its own
-``/proc/self/status`` after the work; the tests are skipped where that file
-does not exist.
+so its high-water RSS (``VmHWM``) is the write path's peak: about 25 MB on
+CPython 3.11 (x86-64 Linux).  The order keeps its spans as one flat array
+of pair masks and its positions in a dense array of 2^(N-1) slots, with no
+``f2.Span``, ``gen_spans`` dict or ``position`` dict per element (about
+29 MB with them), and ``symbols`` groups extension positions by series,
+building each line only as it prints it.  ``table --D 11 --format json``,
+the next largest emission command, writes one piece and one entry at a time:
+about 19 MB (about 27 MB when it built the whole JSON tree first).
+``build_order(15)`` alone peaks at about 52 MB (about 68 MB with the
+per-element structures).  ``verify --max-D 13 --slow`` is the verify path's
+peak: about 35 MB, with both matrix kinds stored as compressed column
+arrays and the order's properties checked on its generating edges, so no
+passing check builds the down-set bitsets.  ``SBL_MAX_D=15 verify --max-D 15
+--slow`` peaks at about 98 MB (about 121 MB with the per-element
+structures, 434 MB with the down-sets).  Each gate is its peak plus about
+15%.  The child reads its own ``/proc/self/status`` after the work; the
+tests are skipped where that file does not exist.
 """
 
 import os
@@ -73,7 +76,14 @@ def peak_mb(
 @needs_proc
 def test_symbols_d13_peak_rss():
     mb = peak_mb(["symbols", "--D", "13"], timeout=300)
-    assert mb < 35, f"symbols --D 13 peaked at {mb:.1f} MB"
+    assert mb < 28.5, f"symbols --D 13 peaked at {mb:.1f} MB"
+
+
+@pytest.mark.slow
+@needs_proc
+def test_table_d11_json_peak_rss():
+    mb = peak_mb(["table", "--D", "11", "--format", "json"], timeout=300)
+    assert mb < 22, f"table --D 11 --format json peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
@@ -81,14 +91,14 @@ def test_symbols_d13_peak_rss():
 def test_build_order_d15_peak_rss():
     # exit 0 once the extension holds all 2^16 even sets
     mb = peak_mb([], 300, call="int(len(build_order(15).elements) != 1 << 16)")
-    assert mb < 80, f"build_order(15) peaked at {mb:.1f} MB"
+    assert mb < 60, f"build_order(15) peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
 @needs_proc
 def test_verify_d13_slow_peak_rss():
     mb = peak_mb(["verify", "--max-D", "13", "--slow"], timeout=900)
-    assert mb < 48, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
+    assert mb < 41, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
@@ -96,4 +106,4 @@ def test_verify_d13_slow_peak_rss():
 def test_verify_d15_slow_peak_rss():
     # exit 0 means all twelve checks passed
     mb = peak_mb(["verify", "--max-D", "15", "--slow"], timeout=900, sbl_max_d="15")
-    assert mb < 200, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"
+    assert mb < 113, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"

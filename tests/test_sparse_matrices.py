@@ -22,6 +22,7 @@ from secondbasis.basis import (
 from secondbasis.cli import _matrix_for
 from secondbasis.errors import FalsificationError
 from secondbasis.variants import involution, orbit_representatives, sector_matrix
+from tests.conftest import doctor
 
 
 def sectors(d):
@@ -113,6 +114,13 @@ def doctored_order(monkeypatch):
     return order
 
 
+DOCTORED_FAULTS = {
+    "below-diagonal": "nonzero entry below the diagonal at (10, 3)",
+    "missing-diagonal": "diagonal entry 10 is 0",
+    "both": "diagonal entry 10 is 0",
+}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -125,12 +133,16 @@ def test_doctored_span_names_the_dense_fault(doctored_order, edit):
     order = doctored_order
     elements = order.elements
     early, late = elements[3].mask, elements[10].mask
+    spans = {}
     if edit in ("below-diagonal", "both"):
-        order.gen_spans[early] = frozenset(order.gen_spans[early]) | {late}
+        # late joins early's disjoint pairs; early | late lands at position 13
+        spans[early] = [*order.gen_spans[early].pairs, late]
     if edit in ("missing-diagonal", "both"):
-        order.gen_spans[late] = frozenset(order.gen_spans[late]) - {late}
+        # with no pair inside late left, late is no union of the rest
+        spans[late] = [g for g in order.gen_spans[late].pairs if g & late != g]
+    doctor(order, spans)
     want = dense_fault(dense_reference(order, 4, "all"), 1, "matrix D=4 sector=all")
-    assert want is not None
+    assert want == f"matrix D=4 sector=all: {DOCTORED_FAULTS[edit]}"
     with pytest.raises(FalsificationError) as exc:
         change_matrix(4, "all")
     assert str(exc.value) == want

@@ -23,7 +23,7 @@ from secondbasis.variants import (
     triangle_identity_ok,
     triangular_epsilon,
 )
-from tests.conftest import below
+from tests.conftest import below, doctor
 
 
 def m(pairs, n):
@@ -221,21 +221,29 @@ def test_sector_order_check_matches_reference_d11():
     assert sector_order_check(11) == reference_sector_order_check(build_order(11), 11)
 
 
-def _doctored(monkeypatch, d, y, *xs):
-    """A fresh order with each x put in y's span; the checks read it at D=d.
+def _doctored(monkeypatch, d, y, spans):
+    """A fresh order in which each set z of ``spans`` has the span of the
+    given sets alone; the checks read it at D=d.
 
-    Each x after y moves to just before it, keeping their order, and the
-    result must still be a linear extension of the doctored spans.
+    Each doctored z had the span {0, z}, so z's span {0, x} puts x and x's
+    down-set below z, as adding x to z's span did, and z's own member is
+    one no check reads.  Each x after y moves to just before it, keeping
+    their order, and the result must still be a linear extension of the
+    doctored spans.
     """
     order = Order(d)
+    xs = [x for gens in spans.values() for x in gens]
     after = order.elements[order.position[y.mask] + 1 :]
     late = [x for x in after if x in xs]
     elements = [x for x in order.elements if x not in late]
     at = elements.index(y)
-    order.elements = elements[:at] + late + elements[at:]
-    order.labels = [sector_label(x, d) for x in order.elements]
-    order.position = {x.mask: i for i, x in enumerate(order.elements)}
-    order.gen_spans[y.mask] = frozenset(order.gen_spans[y.mask]) | {x.mask for x in xs}
+    for z in spans:
+        assert order.gen_spans[z.mask].pairs == (z.mask,)
+    doctor(
+        order,
+        {z.mask: [x.mask for x in gens] for z, gens in spans.items()},
+        elements[:at] + late + elements[at:],
+    )
     for m, span in order.gen_spans.items():
         assert all(order.position[z] <= order.position[m] for z in span)
 
@@ -272,7 +280,7 @@ def test_doctored_rank_violation(monkeypatch):
     order = Order(D_DOCTOR)
     y = order.elements[order.labels.index(PieceLabel(2, "+"))]
     x = _rank_offender(order, D_DOCTOR, y)  # of the (-2,+) piece: equal rank
-    order = _doctored(monkeypatch, D_DOCTOR, y, x)
+    order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got["kind"] == "rank-violation" and got["y"] == y.to_json()
@@ -285,7 +293,7 @@ def test_doctored_primed_violation(monkeypatch):
     order = Order(D_DOCTOR)
     y = _zero_plus(order, D_DOCTOR, primed=True)[1]
     x = _zero_plus(order, D_DOCTOR, primed=False)[0]
-    order = _doctored(monkeypatch, D_DOCTOR, y, x)
+    order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got == {"kind": "primed-violation", "x": x.to_json(), "y": y.to_json()}
@@ -297,7 +305,10 @@ def test_doctored_clauses_report_the_lowest_position(monkeypatch):
     ranked = _rank_offender(order, D_DOCTOR, y)
     unprimed = _zero_plus(order, D_DOCTOR, primed=False)[0]
     assert order.position[unprimed.mask] < order.position[ranked.mask]
-    order = _doctored(monkeypatch, D_DOCTOR, y, ranked, unprimed)
+    # ranked and unprimed overlap, so no disjoint generators hold both; the
+    # chain unprimed < ranked < y puts both below y, as adding both to y's
+    # span did
+    order = _doctored(monkeypatch, D_DOCTOR, y, {y: [ranked], ranked: [unprimed]})
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got["kind"] == "primed-violation" and got["x"] == unprimed.to_json()
@@ -307,7 +318,7 @@ def test_doctored_sector_crossing_fails_the_involution_suite(monkeypatch):
     order = Order(D_DOCTOR)
     y = order.elements[1]
     x = next(x for x, label in zip(order.elements, order.labels) if label.sign == "-")
-    order = _doctored(monkeypatch, D_DOCTOR, y, x)
+    order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
     assert got == {"kind": "sector-crossing", "x": x.to_json(), "y": y.to_json()}
