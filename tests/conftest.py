@@ -90,4 +90,3 @@ def doctor(order, spans=None, elements=None):
         order.labels = [sector_label(x, order.d) for x in order.elements]
         for p, x in enumerate(order.elements):
             order.rank[x.mask >> 1 & low] = p
-    return order

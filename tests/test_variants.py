@@ -226,10 +226,10 @@ def _doctored(monkeypatch, d, y, spans):
     given sets alone; the checks read it at D=d.
 
     Each doctored z had the span {0, z}, so z's span {0, x} puts x and x's
-    down-set below z, as adding x to z's span did, and z's own member is
-    one no check reads.  Each x after y moves to just before it, keeping
-    their order, and the result must still be a linear extension of the
-    doctored spans.
+    down-set below z, as adding x to z's span did; that z leaves its own
+    span is a self-edge, which the sector checks skip.  Each x after y
+    moves to just before it, keeping their order, and the result must
+    still be a linear extension of the doctored spans.
     """
     order = Order(d)
     xs = [x for gens in spans.values() for x in gens]
