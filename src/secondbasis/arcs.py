@@ -32,7 +32,9 @@ __all__ = [
     "iter_matchings",
     "iter_primed_matchings",
     "lift_matching",
+    "lift_row",
     "pair_evenset",
+    "pair_masks",
     "split_parts",
 ]
 
@@ -78,6 +80,22 @@ def _check_arc(arc: Arc, n: int) -> None:
 
 def pair_mask(arc: Arc) -> int:
     return (1 << arc.i) | (1 << arc.j)
+
+
+class _PairMasks(dict):
+    """arc -> ``pair_mask(arc)``, filled as arcs occur."""
+
+    def __missing__(self, arc: Arc) -> int:
+        mask = self[arc] = pair_mask(arc)
+        return mask
+
+
+_PAIR_MASKS = _PairMasks()
+
+
+def pair_masks(arcs: Iterable[Arc]) -> list[int]:
+    """The arcs' pair masks, read from one process-wide table."""
+    return list(map(_PAIR_MASKS.__getitem__, arcs))
 
 
 def pair_evenset(arc: Arc, n: int) -> EvenSet:
@@ -160,8 +178,13 @@ class Matching:
         object.__setattr__(self, "_supp", supp)
 
     @classmethod
-    def _make(cls, sorted_arcs: tuple[Arc, ...], n: int, supp: int) -> "Matching":
-        # fast path for enumerators that already guarantee the invariants
+    def _make(
+        cls, sorted_arcs: tuple[Arc, ...], n: int, supp: int | None = None
+    ) -> "Matching":
+        # fast path for enumerators that already guarantee the invariants;
+        # the support of disjoint arcs is the sum of their pair masks
+        if supp is None:
+            supp = sum(map(_PAIR_MASKS.__getitem__, sorted_arcs))
         self = object.__new__(cls)
         object.__setattr__(self, "arcs", sorted_arcs)
         object.__setattr__(self, "n", n)
@@ -201,10 +224,10 @@ class Matching:
         return f"Matching([{arcs}], n={self.n})"
 
     def double_primed(self) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if not a.primed)
+        return tuple([a for a in self.arcs if a[0] > a[1]])
 
     def primed(self) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.primed)
+        return tuple([a for a in self.arcs if a[0] < a[1]])
 
     def pair_vectors(self) -> list[EvenSet]:
         """The arcs as 2-element vectors of E_n, in arc order.
@@ -237,42 +260,77 @@ def _shared_arc(i: int, j: int) -> Arc:
     return arc if arc is not None else _SHARED_ARCS.setdefault((i, j), Arc(i, j))
 
 
+class _Shift(dict):
+    """Slot k's lift on arcs: an arc -> its shared image, filled as arcs occur.
+
+    The embedding moves a point i to i + 2 when i >= k and keeps it below, so
+    the image does not depend on D and one table serves every D.  The key
+    None stands for the short arc {k, k+1} the slot inserts.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        super().__init__({None: _shared_arc(k, k + 1)})
+        self.k = k
+
+    def __missing__(self, arc: Arc) -> Arc:
+        i, j = arc
+        k = self.k
+        image = self[arc] = _shared_arc(i + 2 if i >= k else i, j + 2 if j >= k else j)
+        return image
+
+
+_SHIFTS: list[_Shift] = []  # _SHIFTS[k - 1] is slot k's table
+
+
+def lift_row(bp: Matching, d: int) -> list[tuple[Arc, ...]]:
+    """The arcs of the D lifts of ``bp``: entry k-1 holds slot k's, by lower point.
+
+    Slot k inserts the short arc {k, k+1} and moves every point i >= k to
+    i + 2.  The embedding [1, n-2] -> [1, n] is strictly increasing, misses k
+    and k+1, and keeps the parity of every difference, so each moved arc keeps
+    its canonical writing, the arcs keep their order by lower point, and the
+    short arc goes right after the arcs that start below k.  Every arc of a
+    lift, the short one included, is the one process-wide object of its
+    (i, j), read from slot k's shift table.  The lift must land on the ground
+    set of the target D.  That the lifts land in X_D is certified by
+    ``construction_equivalence``.
+    """
+    if bp.n + 2 != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
+        raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
+    while len(_SHIFTS) < d:
+        _SHIFTS.append(_Shift(len(_SHIFTS) + 1))
+    arcs = bp.arcs
+    los = [i if i < j else j for i, j in arcs] + [d + 1]
+    row = []
+    cut = 0
+    keys = (None, *arcs)  # the arcs with the short arc's key after those below k
+    for k, shift in enumerate(_SHIFTS[:d], start=1):
+        if los[cut] < k:
+            while los[cut] < k:
+                cut += 1
+            keys = (*arcs[:cut], None, *arcs[cut:])
+        # tuple() of a bare map guesses its size and shrinks it, so the
+        # tuples of repeated lifts, freed, would pile up in CPython's tuple
+        # free lists; through a list the tuple gets its exact size
+        row.append(tuple(list(map(shift.__getitem__, keys))))
+    return row
+
+
 def lift_matching(k: int, bp: Matching, d: int) -> Matching:
     """Insert the short arc {k, k+1} and shift the rest through the embedding.
 
-    The embedding [1, n-2] -> [1, n] is strictly increasing, misses k and
-    k+1, and keeps the parity of every difference.  So each shifted arc keeps
-    its canonical writing, the arcs keep their order by lower point and stay
-    disjoint from {k, k+1}, and the support mask is a splice: nothing needs
-    re-checking, and the result is built through ``Matching._make``.  That
-    the lifts land in X_D is certified by ``construction_equivalence``.  The
-    lift must land on the ground set of the target D, and k lie in [1, D].
-    An arc below k is ``bp``'s own object; the short arc and every shifted
-    arc come from one process-wide table, so lifts share their arcs.
+    The lift is entry k-1 of ``lift_row(bp, d)``, whose arcs need no
+    re-checking, so it is built through ``Matching._make``.  The lift must
+    land on the ground set of the target D, and k lie in [1, D].
     """
     n = bp.n + 2
-    if n != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
+    if n != d + 1 + d % 2:
         raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
     if not 1 <= k <= d:
         raise DomainError(f"slot index {k} outside [1, {d}]")
-    short = _shared_arc(k, k + 1)
-    arcs = []
-    for arc in bp.arcs:
-        i, j = arc
-        if i < k and j < k:
-            arcs.append(arc)
-            continue
-        if i >= k:
-            i += 2
-        if j >= k:
-            j += 2
-        if short is not None and (i if i < j else j) > k:
-            arcs.append(short)
-            short = None
-        arcs.append(_shared_arc(i, j))
-    if short is not None:
-        arcs.append(short)
-    return Matching._make(tuple(arcs), n, _splice(bp.support_mask, k) | 3 << k)
+    return Matching._make(lift_row(bp, d)[k - 1], n)
 
 
 def _arc_sets(free: int, primed_only: bool) -> Iterator[tuple[tuple[Arc, ...], int]]:

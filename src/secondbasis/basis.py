@@ -15,15 +15,22 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
 
-from .arcs import Matching
+from .arcs import Matching, pair_masks
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet, Span, span_masks
+from .f2 import (
+    EvenSet,
+    Span,
+    _even_positions_mask,
+    disjoint_pairs,
+    in_span,
+    members_of,
+)
 from .family import (
     PieceLabel,
     distinguished_element,
@@ -66,6 +73,19 @@ def sector_label(x: EvenSet, d: int) -> PieceLabel:
     return PieceLabel(x.gamma(), "-" if x.n in x else "+")
 
 
+def _correction_mask(b: Matching, d: int) -> int:
+    # the mask of ``boundary_correction`` at odd D; every member's label is
+    # read, so the parity rule of ``piece_of`` runs on each
+    label = piece_of(b, d)
+    if label.sign != "+" or label.t == 0:
+        return 0
+    n = b.n
+    u = distinguished_element(b, d)
+    if label.t < 0:
+        return (2 << n) - (1 << u)
+    return 1 << n | (2 << u) - 2
+
+
 def boundary_correction(b: Matching, d: int) -> EvenSet:
     """The correction summand of epsilon.
 
@@ -73,16 +93,9 @@ def boundary_correction(b: Matching, d: int) -> EvenSet:
     [u, N] (negative t) or {N} ∪ [1, u] (positive t) for the distinguished
     boundary element u.
     """
-    n = b.n
     if d % 2 == 0:
-        return EvenSet.empty(n)
-    label = piece_of(b, d)
-    if label.sign != "+" or label.t == 0:
-        return EvenSet.empty(n)
-    u = distinguished_element(b, d)
-    if label.t < 0:
-        return EvenSet.from_mask((2 << n) - (1 << u), n)
-    return EvenSet.from_mask(1 << n | (2 << u) - 2, n)
+        return EvenSet.empty(b.n)
+    return EvenSet.from_mask(_correction_mask(b, d), b.n)
 
 
 def epsilon(b: Matching, d: int) -> EvenSet:
@@ -100,7 +113,7 @@ def epsilon(b: Matching, d: int) -> EvenSet:
         else:
             mask ^= (2 << n) - (1 << i) + (2 << j) - 2
     if d % 2:
-        mask ^= boundary_correction(b, d).mask
+        mask ^= _correction_mask(b, d)
     return EvenSet.from_mask(mask, n)
 
 
@@ -248,11 +261,16 @@ class Order:
     acyclicity certificate, checked by a Kahn extension that stores no edge:
     each position walks its span in reflected Gray-code order, one pair
     XORed in per step, and waits on the first unpopped member other than
-    itself, resuming the walk when that one pops.  Construction raises
-    ``CycleError`` with an explicit cycle if the extension stalls.  Kahn's
-    pop order already puts every generating edge backwards, as the
-    ``order_antisymmetry`` check certifies edge by edge; the checks read the
-    order through its generating edges alone.
+    itself, resuming the walk when that one pops; popped flags and watch
+    lists are indexed by mask.  A heap entry is one int, the label's sort key
+    above the mask, and the label is fixed by gamma (a popcount difference)
+    and, at odd D, the N bit, so ``sector_label`` runs once per such class.
+    Each member's pair masks are read off its arcs through
+    ``f2.disjoint_pairs``, which refuses any but disjoint pairs.
+    Construction raises ``CycleError`` with an explicit cycle if the
+    extension stalls.  Kahn's pop order already puts every generating edge
+    backwards, as the ``order_antisymmetry`` check certifies edge by edge;
+    the checks read the order through its generating edges alone.
     """
 
     def __init__(self, d: int):
@@ -264,60 +282,75 @@ class Order:
         self.pairs = pairs = array("I")
         self.starts = starts = array("I", [0])
         for b, _ in family:
-            pairs.extend(span_masks(b.pair_vectors()).pairs)
+            pairs.extend(disjoint_pairs(pair_masks(b.arcs), n))
             starts.append(len(pairs))
-        # Kahn as the class docstring describes, with popped flags by slot
+        # Kahn as the class docstring describes
         self.index = index = array("I", [0]) * (low + 1)
         for i, m in enumerate(masks):
             index[m >> 1 & low] = i
         self.rank = rank = array("I", [0]) * (low + 1)
-        popped = bytearray(low + 1)
+        popped = bytearray(2 << n)
         cursor = array("I", [0]) * len(masks)
-        member = array("L", [0]) * len(masks)
+        member = array("I", [0]) * len(masks)
         # ctz[c] is the pair that step c of the reflected Gray code flips
         widest = max(b - a for a, b in zip(starts, starts[1:]))
         ctz = bytes((c ^ c - 1).bit_length() - 1 for c in range(1 << widest))
         watch: dict[int, list[int]] = {}
         # a heap entry packs the label's sort key, one byte per field, above
-        # the mask; ``labels`` interns one label per packed key
+        # the mask; ``keys`` maps a (gamma, N bit) class to its shifted key,
+        # and ``labels`` interns one label per key
         shift = n + 1
+        evens = _even_positions_mask(n)
+        top = n if d % 2 else shift  # a mask's bit at ``shift`` is 0
+        keys: dict[int, int] = {}
         labels: dict[int, PieceLabel] = {}
         heap: list[int] = []
-
-        def settle(i: int) -> None:
-            me = masks[i]
-            a = starts[i]
-            k = starts[i + 1] - a
-            c, z = cursor[i], member[i]
-            while z == me or popped[z >> 1 & low]:
-                c += 1
-                if c >> k:
-                    # each position is pushed once, so its label is read once
-                    piece = sector_label(family[i][1], d)
-                    key = int.from_bytes(bytes(piece.sort_key()), "big")
-                    labels.setdefault(key, piece)
-                    heapq.heappush(heap, key << shift | me)
-                    return
-                z ^= pairs[a + ctz[c]]
-            cursor[i], member[i] = c, z
-            watch.setdefault(z >> 1 & low, []).append(i)
-
-        for i in range(len(masks)):
-            settle(i)
-        order: list[int] = []
+        push, pop = heapq.heappush, heapq.heappop
+        order = array("I")  # family positions in extension order
         self.labels: list[PieceLabel] = []
-        while heap:
-            key = heapq.heappop(heap)
-            slot = key >> 1 & low
-            popped[slot] = 1
+        every = (1 << shift) - 1
+        # every position walks first; then, after each pop, those waiting on it
+        woken: Iterable[int] = range(len(masks))
+        while True:
+            for i in woken:  # go on with i's walk to its next unpopped member
+                me = masks[i]
+                a = starts[i]
+                c, z = cursor[i], member[i]
+                if z == me or popped[z]:
+                    for c in range(c + 1, 1 << (starts[i + 1] - a)):
+                        z ^= pairs[a + ctz[c]]
+                        if not popped[z] and z != me:
+                            break
+                    else:  # each position is pushed once
+                        kind = (2 * (me & evens).bit_count() - me.bit_count()) << 1
+                        kind |= me >> top & 1
+                        key = keys.get(kind)
+                        if key is None:  # sector_label runs once per class
+                            piece = sector_label(family[i][1], d)
+                            key = int.from_bytes(bytes(piece.sort_key()), "big")
+                            labels[key] = piece
+                            key = keys[kind] = key << shift
+                        push(heap, key | me)
+                        continue
+                    cursor[i], member[i] = c, z
+                waiting = watch.get(z)
+                if waiting is None:
+                    watch[z] = [i]
+                else:
+                    waiting.append(i)
+            if not heap:
+                break
+            key = pop(heap)
+            m = key & every
+            popped[m] = 1
+            slot = m >> 1 & low
             rank[slot] = len(order)
             order.append(index[slot])
             self.labels.append(labels[key >> shift])
-            for j in watch.pop(slot, ()):
-                settle(j)
+            woken = watch.pop(m, ())
         if len(order) != len(masks):
             # a stalled mask keeps a stalled span member, so this walk closes
-            stalled = {m for m in masks if not popped[m >> 1 & low]}
+            stalled = {m for m in masks if not popped[m]}
             path: list[int] = []
             step: dict[int, int] = {}
             m = min(stalled)
@@ -408,9 +441,9 @@ def unique_bijection_check(d: int) -> dict | None:
         order = build_order(d)  # raises on any bijectivity failure
     except CycleError as exc:
         return {"kind": "alternating-cycle", "masks": exc.cycle}
-    spans = order.gen_spans
-    for b, x in epsilon_pairs(d):
-        if x.mask not in spans[x.mask]:
+    pairs, starts = order.pairs, order.starts
+    for i, (b, x) in enumerate(epsilon_pairs(d)):
+        if not in_span(x.mask, pairs[starts[i] : starts[i + 1]]):
             return {"kind": "image-outside-span", "member": b.to_pairs()}
     return None
 
@@ -628,25 +661,31 @@ class Symbol:
         }
 
 
-def _star_masks(x: EvenSet) -> tuple[frozenset[int], frozenset[int]]:
-    members = set(x.members)
-    star = {i for i in members if i % 2} | {
-        i for i in range(2, x.n + 1, 2) if i not in members
-    }
-    return frozenset(star), frozenset(range(1, x.n + 1)) - frozenset(star)
+def _symbol_masks(x: EvenSet, d: int) -> tuple[int, int]:
+    """The halves (S, T) of the symbol of x as masks over [1, D+1]: the star rule.
+
+    star holds the odd members of x and the even points of [1, N] outside
+    it, starstar the rest of [1, N].  Even D takes (star, starstar).  At odd
+    D, N is odd, so it lies in star exactly when it lies in x; the halves
+    swap and N leaves the one holding it: (starstar - {N}, star) in the plus
+    sector, (starstar, star - {N}) in the minus sector.
+    """
+    n = ground_size(d)
+    if x.n != n:
+        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
+    star = x.mask ^ _even_positions_mask(n)
+    starstar = star ^ (2 << n) - 2
+    if d % 2 == 0:
+        return star, starstar
+    top = 1 << n
+    return (starstar, star ^ top) if star & top else (starstar ^ top, star)
 
 
 def symbol_of(x: EvenSet, d: int) -> Symbol:
     """The symbol attached to an even set (sector-dependent for odd D)."""
-    n = ground_size(d)
-    if x.n != n:
-        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
-    star, starstar = _star_masks(x)
-    if d % 2 == 0:
-        return Symbol(star, starstar, "odd")
-    if n not in x:
-        return Symbol(starstar - {n}, star, "plus")
-    return Symbol(starstar, star - {n}, "minus")
+    s, t = _symbol_masks(x, d)
+    flavor = "odd" if d % 2 == 0 else "minus" if x.mask >> x.n & 1 else "plus"
+    return Symbol(frozenset(members_of(s)), frozenset(members_of(t)), flavor)
 
 
 def reduce_symbol(s, t, u_prime, u) -> Symbol:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from array import array
+from itertools import compress
 
-from .basis import build_order, change_matrix, series_size, symbol_of
+from .basis import _symbol_masks, build_order, change_matrix, series_size
 from .errors import DomainError, FalsificationError, ResourceGuardError
 from .family import PieceLabel
 from .limits import guard_d
@@ -72,6 +74,18 @@ def _series(label: PieceLabel) -> int:
     return 2 * label.t + (2 if label.sign == "-" else 0)
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _points(mask: int, names: list[str]) -> str:
+    """The points of a mask, comma-separated in increasing order, or ∅.
+
+    Byte i of the reversed binary text is bit i, so ``compress`` keeps the
+    name of each point of the mask.
+    """
+    return ",".join(compress(names, f"{mask:b}"[::-1].encode().translate(_BITS))) or "∅"
+
+
 def _cmd_symbols(args) -> int:
     guard_d(args.d, 13, "symbol listing")
     d = args.d
@@ -85,10 +99,11 @@ def _cmd_symbols(args) -> int:
         signs = ["+", "-"]
     order = build_order(d)
     elements = order.elements
+    names = [str(i) for i in range(d + 2)]
     total = 0
     for sign in signs:
-        # extension positions grouped by series; each symbol is built and
-        # validated only as its line is printed
+        # extension positions grouped by series; each symbol's halves are
+        # read off its masks only as its line is printed
         groups: dict[int, array] = {}
         for p, label in enumerate(order.labels):
             if label.sign == sign:
@@ -102,14 +117,18 @@ def _cmd_symbols(args) -> int:
                 )
             print(f"series s={s} ({len(group)} symbols)")
             for p in group:
-                sym = symbol_of(elements[p], d)
-                if sym.series() != s:
+                x = elements[p]
+                left, right = _symbol_masks(x, d)
+                # the series is read off the popcounts; each s lies in its
+                # flavor's class of defects, so a match certifies the flavor
+                series = left.bit_count() - right.bit_count()
+                if d % 2 == 0:
+                    series = abs(series)
+                if series != s:
                     raise FalsificationError(
-                        f"symbol of {elements[p]!r} has series {sym.series()}, not {s}"
+                        f"symbol of {x!r} has series {series}, not {s}"
                     )
-                left = ",".join(map(str, sorted(sym.s))) or "∅"
-                right = ",".join(map(str, sorted(sym.t))) or "∅"
-                print(f"({left} ; {right})")
+                print(f"({_points(left, names)} ; {_points(right, names)})")
             total += len(group)
     print(f"total {total}")
     return 0
@@ -154,10 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (DomainError, ResourceGuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: send what Python still flushes at exit to devnull,
+        # and exit 1 as Python does on EPIPE (see the signal module's notes)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,14 +9,17 @@ Spans are only ever taken of one matching's pair-vectors: pairwise-disjoint
 2-element sets.  Those are linearly independent, and any sum of them is
 their union, so the span of k pairs is the 2^k unions of sub-collections,
 and x lies in it exactly when x is the union of the pairs it contains; those
-pairs are its unique decomposition.  That is the one span rule here, and
-``span_masks`` refuses any other generators.  A ``Span`` holds only its k
-pair masks: its size and membership follow from the rule without listing the
-unions, which are generated afresh on each iteration.  ``basis.Order`` calls
-``span_masks`` once per family member and keeps only the pair masks, in one
-flat array; its Kahn extension regenerates the unions from them, one pair
-XORed in per step of a reflected Gray code, and ``Order.gen_spans`` builds a
-``Span`` over them when one is read.
+pairs are its unique decomposition.  That is the one span rule here
+(``in_span``), and ``disjoint_pairs`` refuses any generators but disjoint
+pairs.  A ``Span`` holds only its k pair masks: its size and membership
+follow from the rule without listing the unions, which are generated afresh
+on each iteration.  ``basis.Order`` reads each family member's pair masks
+straight off its arcs, passes them through ``disjoint_pairs`` and keeps
+them in one flat array; its Kahn extension regenerates the unions from
+them, one pair XORed in per step of a reflected Gray code,
+``unique_bijection_check`` tests each image against its member's pairs with
+``in_span``, and ``Order.gen_spans`` builds a ``Span`` over them when one is
+read.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.
@@ -33,7 +36,9 @@ __all__ = [
     "EvenSet",
     "Span",
     "check_ground_size",
+    "disjoint_pairs",
     "f2_sum",
+    "in_span",
     "mask_of",
     "members_of",
     "span_masks",
@@ -154,25 +159,32 @@ def f2_sum(sets: Iterable[EvenSet], n: int) -> EvenSet:
     return EvenSet.from_mask(mask, n)
 
 
-def _pair_masks(generators: Sequence[EvenSet]) -> list[int]:
-    """The generators' masks, once they are checked to be disjoint pairs.
+def disjoint_pairs(masks: list[int], n: int) -> list[int]:
+    """The masks, once they are checked to be pairwise disjoint pairs of [1, n].
 
-    All generators must share the ground set [1, n] of the first one, have
-    two elements each, and be pairwise disjoint.
+    Each must have two bits; the popcount of a sum is the sum of the
+    popcounts less one per carry, so the sum of k pairs has 2k bits exactly
+    when no two meet.
     """
-    n = generators[0].n if generators else None
-    masks = []
-    seen = 0
-    for g in generators:
-        if g.n != n:
-            raise DimensionMismatchError(f"ground sizes differ: {g.n} != {n}")
-        if len(g) != 2:
-            raise ValueError(f"generators must be 2-element sets, got {g!r}")
-        if seen & g.mask:
-            raise ValueError("generators must be pairwise disjoint")
-        seen |= g.mask
-        masks.append(g.mask)
+    k = len(masks)
+    total = sum(masks)
+    if (
+        [*map(int.bit_count, masks)] != [2] * k
+        or total.bit_count() != 2 * k
+        or total & 1
+        or total >> (n + 1)
+    ):
+        raise ValueError(f"generators must be pairwise disjoint pairs of [1, {n}]")
     return masks
+
+
+def in_span(x: int, pairs: Iterable[int]) -> bool:
+    """Whether x is the union of the pairs inside it: the one span rule."""
+    union = 0
+    for g in pairs:
+        if g & x == g:
+            union |= g
+    return union == x
 
 
 class Span:
@@ -194,11 +206,7 @@ class Span:
         return 1 << len(self.pairs)
 
     def __contains__(self, x: int) -> bool:
-        union = 0
-        for g in self.pairs:
-            if g & x == g:
-                union |= g
-        return union == x
+        return in_span(x, self.pairs)
 
     def __iter__(self) -> Iterator[int]:
         members = [0]
@@ -208,5 +216,13 @@ class Span:
 
 
 def span_masks(generators: Sequence[EvenSet]) -> Span:
-    """The 2^k unions of the k pairs, held as the pairs."""
-    return Span(_pair_masks(generators))
+    """The 2^k unions of the k pairs, held as the pairs.
+
+    All generators must share the ground set [1, n] of the first one, have
+    two elements each, and be pairwise disjoint (``disjoint_pairs``).
+    """
+    n = generators[0].n if generators else 1
+    for g in generators:
+        if g.n != n:
+            raise DimensionMismatchError(f"ground sizes differ: {g.n} != {n}")
+    return Span(disjoint_pairs([g.mask for g in generators], n))

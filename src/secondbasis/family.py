@@ -23,21 +23,27 @@ points of 0, i_1, ..., i_2s, N+1.  Each member is then certified by
 ``is_member``, the definition itself.  ``nested_candidates``, every primed
 matching of the free points of each sequence, stays as the test oracle.
 
-The inductive route walks the lift grid once per D and records where each
-lift lands (``lift_positions``).  The two constructions are proved equal;
-``verify``-level checks re-derive that equality exhaustively.  The boundary
-clauses of the third property only make sense when the double-primed part is
-non-empty, and are applied exactly then; for an all-primed matching only the
-interiors are constrained.
+The inductive route lifts each member of X_{D-2} into all D slots with one
+``lift_row`` call, builds a ``Matching`` only for the first lift of each
+member, and records where each lift lands (``lift_positions``).  The two
+constructions are proved equal; ``verify``-level checks re-derive that
+equality exhaustively.  The boundary clauses of the third property only make
+sense when the double-primed part is non-empty, and are applied exactly
+then; for an all-primed matching only the interiors are constrained.
 
 The covering test deliberately uses a budgeted search over arbitrary interval
 systems instead of a greedy outermost-arc rule: ``is_member`` and the oracle
 run on matchings whose primed intervals may cross, and laminarity only holds
 after membership is established.  Being apart from ``_tilings``, it makes the
-certificate a real re-check.  ``cover_interval``, ``coverings_ok`` and
-``distinguished_element`` share one tiling recursion; the last reads its
-boundary segment from ``covering_requirements``.  ``coverings_ok`` builds its
-table of primed arcs once per matching.
+certificate a real re-check.  ``cover_interval`` and ``coverings_ok`` share
+one tiling recursion, and ``coverings_ok`` builds its table of primed arcs
+once per matching.  ``distinguished_element`` reads its boundary segment from
+the segment table the filter uses, and needs no search: a matching starts at
+most one arc at a point, so a cover that leaves nothing out is a forced walk,
+and one backward pass and one forward walk list every leftover.
+
+``piece_of`` runs its parity rule on every call and returns interned labels,
+one object per (t, sign).
 """
 
 from __future__ import annotations
@@ -48,7 +54,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .arcs import Arc, Matching, iter_primed_matchings, lift_matching
+from .arcs import (
+    Arc,
+    Matching,
+    iter_primed_matchings,
+    lift_matching,
+    lift_row,
+)
 from .errors import DomainError, FalsificationError
 from .limits import guard_d
 
@@ -166,18 +178,26 @@ def primitives(d: int) -> list[Matching]:
 def _family(d: int) -> tuple[tuple[Matching, ...], array]:
     if d == 0:
         return (Matching((), 1),), array("I")
-    if d == 1:
-        base = primitives(1) + [Matching((Arc(1, 2),), 3)]
+    if d == 1:  # the primitives and the one lift of the empty matching on [1, 1]
+        base = primitives(1) + [lift_matching(1, Matching((), 1), 1)]
         return tuple(sorted(base, key=lambda b: b.arcs)), array("I")
-    seen = {b.arcs: b for b in primitives(d)}
-    lifts = (
-        lift_matching(k, bp, d) for bp in _family(d - 2)[0] for k in range(1, d + 1)
-    )
-    walk = [seen.setdefault(b.arcs, b) for b in lifts]  # one object kept per member
-    members = [seen[arcs] for arcs in sorted(seen)]
+    n = ground_size(d)
+    found = list({b.arcs: b for b in primitives(d)}.values())  # in order of meeting
+    seen = {b.arcs: i for i, b in enumerate(found)}
+    walk = array("I")
+    for bp in _family(d - 2)[0]:
+        for arcs in lift_row(bp, d):
+            i = seen.get(arcs)
+            if i is None:  # a Matching is built once per member, not per lift
+                i = seen[arcs] = len(found)
+                found.append(Matching._make(arcs, n))
+            walk.append(i)
+    ranked = [seen[arcs] for arcs in sorted(seen)]
     del seen
-    position = {id(b): i for i, b in enumerate(members)}  # no re-hashing
-    return tuple(members), array("I", [position[id(b)] for b in walk])
+    position = array("I", [0]) * len(found)
+    for p, i in enumerate(ranked):
+        position[i] = p
+    return tuple(found[i] for i in ranked), array("I", map(position.__getitem__, walk))
 
 
 def enumerate_family(d: int) -> tuple[Matching, ...]:
@@ -471,6 +491,13 @@ def distinguished_element(b: Matching, d: int) -> int:
     uncovered point is provably unique for members of X_D; uniqueness is
     asserted here at runtime, so a violation surfaces as a falsification
     instead of silently picking one.
+
+    A matching starts at most one arc at a point, so a cover that leaves
+    nothing out is a forced walk: from its first point, take the primed arc
+    starting there and go on after its end.  One backward pass marks the
+    points p from which [p, hi] is so covered, and one forward walk from lo
+    meets exactly the points p with [lo, p-1] covered; the leftovers are the
+    walked points p with [p+1, hi] covered.
     """
     if d % 2 == 0 or not b.double_primed() or (b.support_mask >> b.n & 1):
         raise DomainError(
@@ -480,14 +507,19 @@ def distinguished_element(b: Matching, d: int) -> int:
     if seq is None:
         raise DomainError("not a member: no nested-pairing witness")
     # the one boundary segment the third property tiles with a leftover
-    ((lo, hi, _),) = [seg for seg in covering_requirements(b, d, seq) if seg[2] == 1]
-    starts = _starts(b)
-    leftovers = [
-        p
-        for p in range(lo, hi + 1, 2)
-        if _tile(starts, lo, p - 1, 0) is not None
-        and _tile(starts, p + 1, hi, 0) is not None
-    ]
+    ((lo, hi, _),) = [seg for seg in _sequence_segments(seq, d, b.n, False) if seg[2]]
+    ends = {i: j for i, j in b.arcs if i < j}  # primed arcs by first point
+    covered = [False] * (hi + 2)  # covered[p]: [p, hi] is tiled with nothing left
+    covered[hi + 1] = True
+    for p in range(hi, lo - 1, -1):
+        q = ends.get(p, hi + 1)
+        covered[p] = q <= hi and covered[q + 1]
+    leftovers = []
+    p = lo
+    while p <= hi:
+        if covered[p + 1]:
+            leftovers.append(p)
+        p = ends.get(p, hi) + 1
     if len(leftovers) != 1:
         raise FalsificationError(
             f"boundary segment [{lo},{hi}] of {b!r} admits leftovers {leftovers}"
@@ -495,30 +527,34 @@ def distinguished_element(b: Matching, d: int) -> int:
     return leftovers[0]
 
 
+# one label object per (t, sign): a member's piece costs one lookup
+_label = lru_cache(maxsize=None)(PieceLabel)
+
+
 def piece_of(b: Matching, d: int) -> PieceLabel:
     """The piece of X_D the matching belongs to."""
     b0 = b.double_primed()
     q = len(b0)
     if d % 2 == 0:
-        return PieceLabel(q) if q % 2 == 0 else PieceLabel(-q - 1)
+        return _label(q) if q % 2 == 0 else _label(-q - 1)
     n = b.n
-    i_b = max((a.i for a in b0), default=None)  # the largest first coordinate of B0
     n_matched = bool(b.support_mask >> n & 1)
     if not n_matched:
         if q == 0:
-            return PieceLabel(0, "+")
+            return _label(0, "+")
         if q % 2 == 0:
             raise DomainError(f"{b!r} violates the parity property for D={d}")
-        return PieceLabel(q + 1, "+") if i_b % 2 == 0 else PieceLabel(-q - 1, "+")
+        i_b = max(a.i for a in b0)  # the largest first coordinate of B0
+        return _label(q + 1, "+") if i_b % 2 == 0 else _label(-q - 1, "+")
     if q == 0:
-        return PieceLabel(0, "-")
-    if i_b == n:
+        return _label(0, "-")
+    if max(a.i for a in b0) == n:
         if q % 2 == 0:
             raise DomainError(f"{b!r} violates the parity property for D={d}")
-        return PieceLabel(-q - 1, "-")
+        return _label(-q - 1, "-")
     if q % 2 == 1:
         raise DomainError(f"{b!r} violates the parity property for D={d}")
-    return PieceLabel(q, "-")
+    return _label(q, "-")
 
 
 @lru_cache(maxsize=None)

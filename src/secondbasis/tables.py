@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TextIO
 
-from .arcs import Arc, Matching, arc_text, classify_pair, pair_mask
+from .arcs import Arc, Matching, arc_text, classify_pair, pair_masks
 from .basis import build_order, epsilon_images
 from .errors import DecompositionError, DomainError
 from .f2 import EvenSet, Span
@@ -56,7 +56,8 @@ def table_entry(b: Matching, image: EvenSet, span: Span) -> TableEntry:
     """The entry of a member given its image and span: the arcs inside the image."""
     if image.mask not in span:
         raise DecompositionError(f"{image!r} is not in the span of the generators")
-    inside = tuple(a for a in b.arcs if pair_mask(a) & image.mask == pair_mask(a))
+    m = image.mask
+    inside = tuple([a for a, g in zip(b.arcs, pair_masks(b.arcs)) if g & m == g])
     return TableEntry(b, inside)
 
 

@@ -155,6 +155,30 @@ def test_order_labels_are_the_sector_labels(d):
     assert len({id(label) for label in order.labels}) == len(set(order.labels))
 
 
+@pytest.mark.parametrize("d", range(12))
+def test_the_order_labels_each_class_once(monkeypatch, d):
+    # a label is fixed by gamma and, at odd D, the N bit, so Order reads one
+    # label per class
+    from secondbasis.basis import Order
+    from tests.conftest import rebind_everywhere
+
+    epsilon_pairs(d)  # built before counting
+    calls = []
+
+    def counted(x, dd):
+        calls.append(x)
+        return sector_label(x, dd)
+
+    rebind_everywhere(monkeypatch, sector_label, counted)
+    order = Order(d)
+    n = ground_size(d)
+
+    def kind(x):
+        return (x.gamma(), n in x) if d % 2 else x.gamma()
+
+    assert sorted(map(kind, calls)) == sorted({kind(x) for x in order.elements})
+
+
 @pytest.fixture
 def fresh_orders():
     build_order.cache_clear()
@@ -370,6 +394,27 @@ def test_symbol_of_even_d():
     sym = symbol_of(EvenSet([], 3), 2)
     assert sorted(sym.s) == [2] and sorted(sym.t) == [1, 3]
     assert sym.defect == -1 and sym.series() == 1
+
+
+def set_rule_symbol(x, d):
+    """(S, T, flavor) by the star rule on sets, as the library first wrote it."""
+    n, members = x.n, set(x.members)
+    star = frozenset(
+        {i for i in members if i % 2} | {i for i in range(2, n + 1, 2) if i not in members}
+    )
+    starstar = frozenset(range(1, n + 1)) - star
+    if d % 2 == 0:
+        return star, starstar, "odd"
+    if n not in x:
+        return starstar - {n}, star, "plus"
+    return starstar, star - {n}, "minus"
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_symbol_of_follows_the_set_rule(d):
+    for x in build_order(d).elements:
+        sym = symbol_of(x, d)
+        assert (sym.s, sym.t, sym.flavor) == set_rule_symbol(x, d), x
 
 
 def test_symbol_defect_identity_random():

@@ -17,7 +17,8 @@ from secondbasis.basis import (
     epsilon_pairs,
     unique_bijection_check,
 )
-from secondbasis.f2 import Span
+from secondbasis.f2 import in_span
+from secondbasis.family import ground_size
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, _sweep, run_checks
 from tests.conftest import doctor
 
@@ -35,26 +36,28 @@ def fresh_orders():
 def two_cycle(monkeypatch, fresh_orders):
     """Spans at N = 3 in which two images lie in each other's span."""
     a, b = sorted(x.mask for _, x in epsilon_pairs(D) if x.mask)[:2]
-    real = basis.span_masks
+    real = basis.disjoint_pairs
 
-    def doctored(gens):
+    def doctored(masks, n):
         # any two pairs of [1, 3] meet, so Kahn's Gray walk over the pairs
         # (a, b) meets a ^ b, the third nonzero mask, where a union would not
-        span = real(gens)
-        if gens and gens[0].n == 3 and (a in span or b in span):
-            return Span(span.pairs + (b if a in span else a,))
-        return span
+        pairs = real(masks, n)
+        if n == 3 and (in_span(a, pairs) or in_span(b, pairs)):
+            return pairs + [b if in_span(a, pairs) else a]
+        return pairs
 
-    monkeypatch.setattr(basis, "span_masks", doctored)
+    monkeypatch.setattr(basis, "disjoint_pairs", doctored)
     return a, b
 
 
 def assert_closed_cycle(cycle, d=D):
-    """First mask = last, and each next mask is in the previous one's span."""
+    """First mask = last, and each next mask is in the previous one's span,
+    read through the order's (doctored) pair seam."""
     preimage = {x.mask: b for b, x in epsilon_pairs(d)}
     assert len(cycle) >= 3 and cycle[0] == cycle[-1]
     for m, z in zip(cycle, cycle[1:]):
-        assert z != m and z in basis.span_masks(preimage[m].pair_vectors())
+        masks = [1 << i | 1 << j for i, j in preimage[m].arcs]
+        assert z != m and in_span(z, basis.disjoint_pairs(masks, ground_size(d)))
 
 
 def test_uniqueness_reports_the_alternating_cycle(two_cycle):
@@ -96,11 +99,23 @@ def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
     assert failed == {"order_antisymmetry": {"kind": "falsification", "message": message}}
 
 
+def test_an_image_outside_its_span_fails_uniqueness(monkeypatch, fresh_orders):
+    d = 4
+    order = basis.Order(d)
+    y = next(x.mask for x in order.elements if x.mask)
+    # with no pair inside y left, y is no union of the rest
+    doctor(order, {y: [g for g in order.gen_spans[y].pairs if g & y != g]})
+    monkeypatch.setattr(basis, "build_order", lambda dd: order if dd == d else build_order(dd))
+    member = next(b for b, x in epsilon_pairs(d) if x.mask == y)
+    bad = unique_bijection_check(d)
+    assert bad == {"kind": "image-outside-span", "member": member.to_pairs()}
+
+
 @pytest.mark.parametrize("d", [4, 5])
 def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
     build_order(d)
     calls = []
-    monkeypatch.setattr(basis, "span_masks", lambda gens: calls.append(gens))
+    monkeypatch.setattr(basis, "disjoint_pairs", lambda *args: calls.append(args))
     assert unique_bijection_check(d) is None
     assert _check_antisymmetry(d) is None
     assert calls == []
@@ -117,15 +132,15 @@ def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
             if all(x.mask & m == 0 for m in chosen):
                 chosen.append(x.mask)
     a, b, c = chosen[:3]
-    extra = {(a,): b, (b,): c, (c,): a}
-    real = basis.span_masks
+    extra = {a: b, b: c, c: a}
+    real = basis.disjoint_pairs
 
-    def doctored(gens):
-        span = real(gens)
-        z = extra.get(span.pairs)
-        return span if z is None else Span(span.pairs + (z,))
+    def doctored(masks, n):
+        pairs = real(masks, n)
+        z = extra.get(pairs[0]) if len(pairs) == 1 else None
+        return pairs if z is None else pairs + [z]
 
-    monkeypatch.setattr(basis, "span_masks", doctored)
+    monkeypatch.setattr(basis, "disjoint_pairs", doctored)
     with pytest.raises(CycleError) as exc:
         build_order(d)
     cycle = exc.value.cycle

@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import secondbasis.verify as verify
 from secondbasis.basis import build_order, series_size, symbol_of
 from secondbasis.cli import _matrix_for, main
-from secondbasis.errors import DomainError, ResourceGuardError
+from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.tables import parse_entry, render_entry, table_data, table_json
 
 
@@ -339,6 +343,40 @@ def test_a_series_mismatch_stops_the_listing_where_it_did(capsys, monkeypatch):
     assert out.splitlines() == symbols_oracle(5, size=size)
     assert "series s=2 (15 symbols)" in out and "series s=6 (" not in out
     assert err == "error: series size mismatch at D=5, s=6: 1 != 2\n"
+
+
+def test_a_symbol_off_its_series_is_a_falsification(capsys, monkeypatch):
+    import secondbasis.cli as cli
+
+    real = cli._symbol_masks
+
+    def swapped(x, d):  # the halves of the last plus-sector set swapped
+        s, t = real(x, d)
+        return (t, s) if x == build_order(5).sector_elements("plus")[-1] else (s, t)
+
+    monkeypatch.setattr(cli, "_symbol_masks", swapped)
+    x = build_order(5).sector_elements("plus")[-1]
+    s = 2 * x.gamma()
+    with pytest.raises(FalsificationError) as exc:
+        main(["symbols", "--D", "5"])
+    assert str(exc.value) == f"symbol of {x!r} has series {-s}, not {s}"
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)  # the reader left before the first byte
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "secondbasis.cli", "symbols", "--D", "3"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_symbols_series_size_mismatch_exits_2(capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """Property tests: the interval tilings against a brute force over arc subsets.
 
-``cover_interval``, ``coverings_ok`` and ``distinguished_element`` share one
-tiling recursion; here all three are compared, on random matchings of
-[1, N <= 11], with a search that tries every subset of the primed arcs inside
-the interval.
+``cover_interval`` and ``coverings_ok`` share one tiling recursion, and
+``distinguished_element`` walks its forced covers; here all three are
+compared, on random matchings of [1, N <= 11], with a search that tries every
+subset of the primed arcs inside the interval.
 """
 
 from itertools import combinations

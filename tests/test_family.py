@@ -354,12 +354,40 @@ def test_distinguished_element():
     [
         ([(1, 4), (2, 5), (8, 6)], "boundary segment [1,5] of Matching([14, 25, 86], n=9) admits leftovers [1, 5]"),
         ([(6, 4)], "boundary segment [1,3] of Matching([64], n=9) admits leftovers []"),
+        ([(5, 3), (1, 8)], "boundary segment [6,8] of Matching([18, 53], n=9) admits leftovers []"),
     ],
 )
 def test_distinguished_element_needs_exactly_one_leftover(pairs, message):
     with pytest.raises(FalsificationError) as exc:
         distinguished_element(m(pairs, 9), 7)
     assert str(exc.value) == message
+    lo, hi, leftovers = tiled_leftovers(m(pairs, 9), 7)
+    assert message == f"boundary segment [{lo},{hi}] of {m(pairs, 9)!r} admits leftovers {leftovers}"
+
+
+def tiled_leftovers(b, d):
+    """(lo, hi, leftovers) of the 1-covered boundary segment by the tiling
+    search: every p of the segment whose two sides are tiled leaving nothing."""
+    seq = nested_pairing(b)
+    ((lo, hi, _),) = [seg for seg in covering_requirements(b, d, seq) if seg[2] == 1]
+    starts = family._starts(b)
+    leftovers = [
+        p
+        for p in range(lo, hi + 1, 2)
+        if family._tile(starts, lo, p - 1, 0) is not None
+        and family._tile(starts, p + 1, hi, 0) is not None
+    ]
+    return lo, hi, leftovers
+
+
+@pytest.mark.parametrize("d", range(1, 12, 2))
+def test_distinguished_element_agrees_with_the_tiling_search(d):
+    checked = 0
+    for b in enumerate_family(d):
+        if b.double_primed() and not b.support_mask >> b.n & 1:
+            assert [distinguished_element(b, d)] == tiled_leftovers(b, d)[2], b
+            checked += 1
+    assert checked > 0 or d == 1
 
 
 def test_piece_of_examples():

@@ -1,18 +1,19 @@
 """The lift grid is walked once per D, by the inductive construction.
 
-``enumerate_family`` records where every lift of X_{D-2} lands in X_D
-(``lift_positions``), and ``lift_images(d)`` reads those positions through
-the epsilon table; building both calls ``lift_matching`` exactly
-|X_{D-2}|·D times.  ``lift_images(d)`` is checked against a direct
-recomputation; once the tables exist, the lift checks, ``piece_bijections``
-and ``triangular_closed_form`` run with the lift and epsilon functions
-disabled.  A doctored lift that leaves X_D enters the inductive family:
-``construction_equivalence`` names it, and every check that reads the
-epsilon table FAILs with the collision it causes.  The spliced
-``lift_matching`` is checked against the lift computed arc by arc, and its
-arcs are shared: an arc below the slot is the original's own object, and
-equal shifted arcs are one object across all lifts.  Pair vectors are
-shared in the same way: equal (i, j, n) vectors are one object.
+``enumerate_family`` lifts each member of X_{D-2} into all D slots with one
+``lift_row`` call and records where every lift lands in X_D
+(``lift_positions``); ``lift_images(d)`` reads those positions through the
+epsilon table.  Building both calls ``lift_row`` once per member of
+X_{D-2}, and the rows hold |X_{D-2}|·D lifts.  ``lift_images(d)`` is checked
+against a direct recomputation; once the tables exist, the lift checks,
+``piece_bijections`` and ``triangular_closed_form`` run with the lift and
+epsilon functions disabled.  A doctored row entry that leaves X_D enters the
+inductive family: ``construction_equivalence`` names it, and every check
+that reads the epsilon table FAILs with the collision it causes.
+``lift_matching`` is entry k of ``lift_row`` and is checked against the lift
+computed arc by arc, and the arcs of lifts are shared: equal arcs are one
+object across all lifts.  Pair vectors are shared in the same way: equal
+(i, j, n) vectors are one object.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from secondbasis.arcs import (
     embed_index,
     iter_matchings,
     lift_matching,
+    lift_row,
     pair_evenset,
 )
 from secondbasis.basis import epsilon, epsilon_pairs, lift_images
@@ -80,13 +82,19 @@ def test_lifts_share_their_arcs():
     shared = {}
     for bp in enumerate_family(7):
         for k in range(1, 10):
-            lift = lift_matching(k, bp, 9)
-            below = [a for a in lift.arcs if a.hi < k]
-            own = [a for a in bp.arcs if a.hi < k]
-            assert len(below) == len(own), (bp, k)
-            assert all(a is b for a, b in zip(below, own)), (bp, k)
-            for arc in (a for a in lift.arcs if a.hi > k):  # shifted or short
+            for arc in lift_matching(k, bp, 9).arcs:
                 assert shared.setdefault(arc, arc) is arc, (bp, k, arc)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_lift_matching_is_entry_k_of_the_row(d):
+    n = ground_size(d) - 2
+    parents = list(iter_matchings(n)) if n <= 7 else enumerate_family(d - 2)
+    for bp in parents:
+        row = lift_row(bp, d)
+        assert len(row) == d
+        for k in range(1, d + 1):
+            assert row[k - 1] == lift_matching(k, bp, d).arcs, (bp, k)
 
 
 def test_pair_vectors_are_shared():
@@ -127,16 +135,17 @@ def test_no_lift_grid_below_d2():
 @pytest.mark.parametrize("d", range(2, 10))
 def test_the_lift_grid_is_walked_once(monkeypatch, cold_caches, d):
     enumerate_family(d - 2)  # the levels below walk their own grids
-    calls = []
+    rows = []
 
-    def counted(*args):
-        calls.append(args)
-        return lift_matching(*args)
+    def counted(bp, dd):
+        rows.append(lift_row(bp, dd))
+        return rows[-1]
 
-    rebind_everywhere(monkeypatch, lift_matching, counted)
+    rebind_everywhere(monkeypatch, lift_row, counted)
     enumerate_family(d)
     lift_images(d)
-    assert len(calls) == len(enumerate_family(d - 2)) * d
+    assert len(rows) == len(enumerate_family(d - 2))
+    assert sum(map(len, rows)) == len(enumerate_family(d - 2)) * d
 
 
 def test_checks_read_the_tables(monkeypatch, cold_caches):
@@ -149,6 +158,7 @@ def test_checks_read_the_tables(monkeypatch, cold_caches):
     def disabled(*args):
         raise AssertionError("recomputed instead of read from a table")
 
+    rebind_everywhere(monkeypatch, lift_row, disabled)
     rebind_everywhere(monkeypatch, lift_matching, disabled)
     rebind_everywhere(monkeypatch, epsilon, disabled)
     for name in TABLE_READERS:
@@ -161,7 +171,7 @@ D, K = 5, 2  # an odd D, so all three lift checks sweep it
 
 @pytest.fixture
 def stray_lift(monkeypatch):
-    """The walk's lift at (D, member 0 of X_{D-2}, K) replaced by a non-member.
+    """Entry K of the row of member 0 of X_{D-2} replaced by a non-member's arcs.
 
     Returns (stray, the true lift it displaced).  Every per-D cache is
     cleared before and after the doctored run.
@@ -169,13 +179,17 @@ def stray_lift(monkeypatch):
     bp = enumerate_family(D - 2)[0]
     members = set(enumerate_family(D))
     stray = next(b for b in iter_matchings(ground_size(D)) if b not in members)
+    displaced = lift_matching(K, bp, D)
 
-    def doctored(k, b, d=None):
-        return stray if (d, b, k) == (D, bp, K) else lift_matching(k, b, d)
+    def doctored(b, d):
+        row = lift_row(b, d)
+        if (d, b) == (D, bp):
+            row[K - 1] = stray.arcs
+        return row
 
     clear_library_caches()
-    rebind_everywhere(monkeypatch, lift_matching, doctored)
-    yield stray, lift_matching(K, bp, D)
+    rebind_everywhere(monkeypatch, lift_row, doctored)
+    yield stray, displaced
     clear_library_caches()
 
 

@@ -11,7 +11,7 @@ from secondbasis.cli import main
 from secondbasis.errors import DecompositionError
 from secondbasis.f2 import EvenSet, f2_sum, span_masks
 from secondbasis.tables import table_data, table_entry
-from tests.conftest import clear_library_caches, doctor
+from tests.conftest import clear_library_caches, doctor, rebind_everywhere
 
 
 @pytest.fixture
@@ -57,13 +57,13 @@ def test_table_entry_brackets_the_unique_decomposition():
 def test_table_data_reads_the_order_spans(monkeypatch, fresh_caches, d):
     build_order(d)
     calls = []
-    real = f2._pair_masks
+    real = f2.disjoint_pairs
 
-    def counted(gens):
-        calls.append(gens)
-        return real(gens)
+    def counted(masks, n):
+        calls.append(masks)
+        return real(masks, n)
 
-    monkeypatch.setattr(f2, "_pair_masks", counted)
+    rebind_everywhere(monkeypatch, real, counted)
     assert table_data(d)
     assert calls == []
 
