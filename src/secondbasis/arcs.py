@@ -103,16 +103,6 @@ def pair_evenset(arc: Arc, n: int) -> EvenSet:
     return EvenSet.from_mask(pair_mask(arc), n)
 
 
-# one pair vector per (i, j, n) for every ``Matching.pair_vectors`` call
-_SHARED_PAIRS: dict[tuple[int, int, int], EvenSet] = {}
-
-
-def _shared_pair(arc: Arc, n: int) -> EvenSet:
-    key = (arc.i, arc.j, n)
-    v = _SHARED_PAIRS.get(key)
-    return v if v is not None else _SHARED_PAIRS.setdefault(key, pair_evenset(arc, n))
-
-
 def _range_mask(lo: int, hi: int) -> int:
     # bits lo..hi inclusive; empty when lo > hi
     if lo > hi:
@@ -228,15 +218,6 @@ class Matching:
 
     def primed(self) -> tuple[Arc, ...]:
         return tuple([a for a in self.arcs if a[0] < a[1]])
-
-    def pair_vectors(self) -> list[EvenSet]:
-        """The arcs as 2-element vectors of E_n, in arc order.
-
-        Each vector comes from one process-wide table keyed by (i, j, n), so
-        the spans of a family share a few hundred pair vectors and their masks
-        instead of holding one per arc of every member.
-        """
-        return [_shared_pair(a, self.n) for a in self.arcs]
 
     def to_pairs(self) -> list[list[int]]:
         return [[a.i, a.j] for a in self.arcs]

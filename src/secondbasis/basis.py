@@ -27,9 +27,9 @@ from .f2 import (
     EvenSet,
     Span,
     _even_positions_mask,
-    disjoint_pairs,
     in_span,
     members_of,
+    span_masks,
 )
 from .family import (
     PieceLabel,
@@ -266,7 +266,7 @@ class Order:
     above the mask, and the label is fixed by gamma (a popcount difference)
     and, at odd D, the N bit, so ``sector_label`` runs once per such class.
     Each member's pair masks are read off its arcs through
-    ``f2.disjoint_pairs``, which refuses any but disjoint pairs.
+    ``f2.span_masks``, once per member, which refuses any but disjoint pairs.
     Construction raises ``CycleError`` with an explicit cycle if the
     extension stalls.  Kahn's pop order already puts every generating edge
     backwards, as the ``order_antisymmetry`` check certifies edge by edge;
@@ -282,7 +282,7 @@ class Order:
         self.pairs = pairs = array("I")
         self.starts = starts = array("I", [0])
         for b, _ in family:
-            pairs.extend(disjoint_pairs(pair_masks(b.arcs), n))
+            pairs.extend(span_masks(pair_masks(b.arcs), n))
             starts.append(len(pairs))
         # Kahn as the class docstring describes
         self.index = index = array("I", [0]) * (low + 1)

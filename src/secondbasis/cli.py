@@ -7,10 +7,10 @@ import json
 import os
 import sys
 from array import array
-from itertools import compress
 
 from .basis import _symbol_masks, build_order, change_matrix, series_size
 from .errors import DomainError, FalsificationError, ResourceGuardError
+from .f2 import members_of
 from .family import PieceLabel
 from .limits import guard_d
 from .tables import render_table, write_table_json
@@ -74,16 +74,9 @@ def _series(label: PieceLabel) -> int:
     return 2 * label.t + (2 if label.sign == "-" else 0)
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _points(mask: int, names: list[str]) -> str:
-    """The points of a mask, comma-separated in increasing order, or ∅.
-
-    Byte i of the reversed binary text is bit i, so ``compress`` keeps the
-    name of each point of the mask.
-    """
-    return ",".join(compress(names, f"{mask:b}"[::-1].encode().translate(_BITS))) or "∅"
+def _points(mask: int) -> str:
+    """The points of a mask, comma-separated in increasing order, or ∅."""
+    return ",".join(map(str, members_of(mask))) or "∅"
 
 
 def _cmd_symbols(args) -> int:
@@ -99,7 +92,6 @@ def _cmd_symbols(args) -> int:
         signs = ["+", "-"]
     order = build_order(d)
     elements = order.elements
-    names = [str(i) for i in range(d + 2)]
     total = 0
     for sign in signs:
         # extension positions grouped by series; each symbol's halves are
@@ -128,7 +120,7 @@ def _cmd_symbols(args) -> int:
                     raise FalsificationError(
                         f"symbol of {x!r} has series {series}, not {s}"
                     )
-                print(f"({_points(left, names)} ; {_points(right, names)})")
+                print(f"({_points(left)} ; {_points(right)})")
             total += len(group)
     print(f"total {total}")
     return 0

@@ -10,13 +10,13 @@ Spans are only ever taken of one matching's pair-vectors: pairwise-disjoint
 their union, so the span of k pairs is the 2^k unions of sub-collections,
 and x lies in it exactly when x is the union of the pairs it contains; those
 pairs are its unique decomposition.  That is the one span rule here
-(``in_span``), and ``disjoint_pairs`` refuses any generators but disjoint
-pairs.  A ``Span`` holds only its k pair masks: its size and membership
+(``in_span``), and ``span_masks`` refuses any generators but disjoint pairs
+of [1, N].  A ``Span`` holds only its k pair masks: its size and membership
 follow from the rule without listing the unions, which are generated afresh
 on each iteration.  ``basis.Order`` reads each family member's pair masks
-straight off its arcs, passes them through ``disjoint_pairs`` and keeps
-them in one flat array; its Kahn extension regenerates the unions from
-them, one pair XORed in per step of a reflected Gray code,
+straight off its arcs, passes them through ``span_masks`` once per member
+and keeps them in one flat array; its Kahn extension regenerates the unions
+from them, one pair XORed in per step of a reflected Gray code,
 ``unique_bijection_check`` tests each image against its member's pairs with
 ``in_span``, and ``Order.gen_spans`` builds a ``Span`` over them when one is
 read.
@@ -28,7 +28,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError
 
@@ -36,7 +36,6 @@ __all__ = [
     "EvenSet",
     "Span",
     "check_ground_size",
-    "disjoint_pairs",
     "f2_sum",
     "in_span",
     "mask_of",
@@ -159,25 +158,6 @@ def f2_sum(sets: Iterable[EvenSet], n: int) -> EvenSet:
     return EvenSet.from_mask(mask, n)
 
 
-def disjoint_pairs(masks: list[int], n: int) -> list[int]:
-    """The masks, once they are checked to be pairwise disjoint pairs of [1, n].
-
-    Each must have two bits; the popcount of a sum is the sum of the
-    popcounts less one per carry, so the sum of k pairs has 2k bits exactly
-    when no two meet.
-    """
-    k = len(masks)
-    total = sum(masks)
-    if (
-        [*map(int.bit_count, masks)] != [2] * k
-        or total.bit_count() != 2 * k
-        or total & 1
-        or total >> (n + 1)
-    ):
-        raise ValueError(f"generators must be pairwise disjoint pairs of [1, {n}]")
-    return masks
-
-
 def in_span(x: int, pairs: Iterable[int]) -> bool:
     """Whether x is the union of the pairs inside it: the one span rule."""
     union = 0
@@ -215,14 +195,20 @@ class Span:
         return iter(members)
 
 
-def span_masks(generators: Sequence[EvenSet]) -> Span:
-    """The 2^k unions of the k pairs, held as the pairs.
+def span_masks(masks: list[int], n: int) -> list[int]:
+    """The k pair masks that span a matching's span, once they are checked
+    to be pairwise disjoint pairs of [1, n].
 
-    All generators must share the ground set [1, n] of the first one, have
-    two elements each, and be pairwise disjoint (``disjoint_pairs``).
+    Each must have two bits; the popcount of a sum is the sum of the
+    popcounts less one per carry, so the sum of k pairs has 2k bits exactly
+    when no two meet.  A point past n belongs to a larger ground set.
     """
-    n = generators[0].n if generators else 1
-    for g in generators:
-        if g.n != n:
-            raise DimensionMismatchError(f"ground sizes differ: {g.n} != {n}")
-    return Span(disjoint_pairs([g.mask for g in generators], n))
+    k = len(masks)
+    total = sum(masks)
+    if [*map(int.bit_count, masks)] != [2] * k or total.bit_count() != 2 * k:
+        raise ValueError(f"generators must be pairwise disjoint pairs, got {masks}")
+    if total & 1:
+        raise ValueError("bit 0 is not a ground element")
+    if total >> (n + 1):
+        raise DimensionMismatchError(f"generators outside [1, {n}]: {masks}")
+    return masks

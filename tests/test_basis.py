@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from secondbasis import verify
-from secondbasis.arcs import Matching, cyclic_interval_mask, iter_matchings
+from secondbasis.arcs import Matching, cyclic_interval_mask, iter_matchings, pair_masks
 from secondbasis.basis import (
     boundary_correction,
     build_order,
@@ -26,7 +26,7 @@ from secondbasis.basis import (
     unique_bijection_check,
 )
 from secondbasis.errors import DomainError
-from secondbasis.f2 import EvenSet, span_masks
+from secondbasis.f2 import EvenSet, Span, span_masks
 from secondbasis.family import (
     PieceLabel,
     enumerate_family,
@@ -36,6 +36,11 @@ from secondbasis.family import (
     pieces,
 )
 from tests.conftest import below, clear_library_caches
+
+
+def span_of(b):
+    """The span of b's pair-vectors, built from its arcs."""
+    return Span(span_masks(pair_masks(b.arcs), b.n))
 
 
 def m(pairs, n):
@@ -121,7 +126,7 @@ def test_epsilon_bijective():
 def test_epsilon_in_own_span_all_desk_scales():
     for d in range(0, 12):
         for b in enumerate_family(d):
-            assert epsilon(b, d).mask in span_masks(b.pair_vectors())
+            assert epsilon(b, d).mask in span_of(b)
 
 
 def test_order_d2_brute_force():
@@ -228,7 +233,7 @@ def reference_extension(d):
     """Kahn's extension keyed by mask over frozenset spans, as Order once built it."""
     n = ground_size(d)
     spans = {
-        x.mask: frozenset(span_masks(b.pair_vectors())) for b, x in epsilon_pairs(d)
+        x.mask: frozenset(span_of(b)) for b, x in epsilon_pairs(d)
     }
     succ = {m: [] for m in spans}
     indeg = {m: 0 for m in spans}
@@ -273,7 +278,7 @@ def test_extension_equals_the_mask_keyed_reference(d):
 def test_the_views_equal_the_reference_dicts(d):
     order = build_order(d)
     position = {x.mask: i for i, x in enumerate(order.elements)}
-    spans = {x.mask: span_masks(b.pair_vectors()) for b, x in epsilon_pairs(d)}
+    spans = {x.mask: span_of(b) for b, x in epsilon_pairs(d)}
     assert order.position == position and list(order.position) == list(position)
     assert len(order.gen_spans) == len(spans)
     for m, span in spans.items():

@@ -36,7 +36,7 @@ def fresh_orders():
 def two_cycle(monkeypatch, fresh_orders):
     """Spans at N = 3 in which two images lie in each other's span."""
     a, b = sorted(x.mask for _, x in epsilon_pairs(D) if x.mask)[:2]
-    real = basis.disjoint_pairs
+    real = basis.span_masks
 
     def doctored(masks, n):
         # any two pairs of [1, 3] meet, so Kahn's Gray walk over the pairs
@@ -46,7 +46,7 @@ def two_cycle(monkeypatch, fresh_orders):
             return pairs + [b if in_span(a, pairs) else a]
         return pairs
 
-    monkeypatch.setattr(basis, "disjoint_pairs", doctored)
+    monkeypatch.setattr(basis, "span_masks", doctored)
     return a, b
 
 
@@ -57,7 +57,7 @@ def assert_closed_cycle(cycle, d=D):
     assert len(cycle) >= 3 and cycle[0] == cycle[-1]
     for m, z in zip(cycle, cycle[1:]):
         masks = [1 << i | 1 << j for i, j in preimage[m].arcs]
-        assert z != m and in_span(z, basis.disjoint_pairs(masks, ground_size(d)))
+        assert z != m and in_span(z, basis.span_masks(masks, ground_size(d)))
 
 
 def test_uniqueness_reports_the_alternating_cycle(two_cycle):
@@ -115,7 +115,7 @@ def test_an_image_outside_its_span_fails_uniqueness(monkeypatch, fresh_orders):
 def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
     build_order(d)
     calls = []
-    monkeypatch.setattr(basis, "disjoint_pairs", lambda *args: calls.append(args))
+    monkeypatch.setattr(basis, "span_masks", lambda *args: calls.append(args))
     assert unique_bijection_check(d) is None
     assert _check_antisymmetry(d) is None
     assert calls == []
@@ -128,19 +128,19 @@ def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
     # the only cycle, and each doctored span is still one of disjoint pairs
     chosen: list[int] = []
     for b, x in sorted(epsilon_pairs(d), key=lambda pair: pair[1].mask):
-        if len(b) == 1 and b.pair_vectors()[0] == x:
+        if len(b) == 1 and b.support_mask == x.mask:
             if all(x.mask & m == 0 for m in chosen):
                 chosen.append(x.mask)
     a, b, c = chosen[:3]
     extra = {a: b, b: c, c: a}
-    real = basis.disjoint_pairs
+    real = basis.span_masks
 
     def doctored(masks, n):
         pairs = real(masks, n)
         z = extra.get(pairs[0]) if len(pairs) == 1 else None
         return pairs if z is None else pairs + [z]
 
-    monkeypatch.setattr(basis, "disjoint_pairs", doctored)
+    monkeypatch.setattr(basis, "span_masks", doctored)
     with pytest.raises(CycleError) as exc:
         build_order(d)
     cycle = exc.value.cycle

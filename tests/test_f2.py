@@ -79,10 +79,15 @@ def test_gamma_additive_on_disjoint():
         assert (x ^ y).gamma() == x.gamma() + y.gamma()
 
 
+def span_of(gens, n):
+    """The span of some pair-vectors of E_n, through ``span_masks``."""
+    return Span(span_masks([g.mask for g in gens], n))
+
+
 def test_span_membership_examples():
-    assert es([1, 4]).mask in span_masks([es([1, 4]), es([2, 3])])
-    assert es([2, 3]).mask not in span_masks([es([1, 2])])
-    assert 0 in span_masks([]) and es([1, 2], 3).mask not in span_masks([])
+    assert es([1, 4]).mask in span_of([es([1, 4]), es([2, 3])], 5)
+    assert es([2, 3]).mask not in span_of([es([1, 2])], 5)
+    assert 0 in span_of([], 3) and es([1, 2], 3).mask not in span_of([], 3)
 
 
 def random_pairs(rng, n=9):
@@ -98,7 +103,7 @@ def test_span_membership_against_brute_force():
     for _ in range(60):
         gens = random_pairs(rng)
         sums = subset_sums(gens)
-        span = span_masks(gens)
+        span = span_of(gens, 9)
         inside = [EvenSet.from_mask(m, 9) for m in rng.choices(sorted(sums), k=3)]
         for x in inside + [random_even_set(rng, 9) for _ in range(10)]:
             assert (x.mask in span) == (x.mask in sums)
@@ -111,24 +116,33 @@ def test_span_behaves_as_the_frozenset_it_replaces():
     evens = [m for m in range(0, 1 << 10, 2) if m.bit_count() % 2 == 0]
     for _ in range(60):
         gens = random_pairs(rng)
-        span = span_masks(gens)
+        masks = [g.mask for g in gens]
+        assert span_masks(masks, 9) is masks
+        span = Span(masks)
         sums = frozenset(subset_sums(gens))
-        assert isinstance(span, Span)
-        assert span.pairs == tuple(g.mask for g in gens)
+        assert span.pairs == tuple(masks)
         assert len(span) == len(sums) == 1 << len(gens)
         assert [m for m in evens if m in span] == [m for m in evens if m in sums]
         listed = list(span)
         assert len(listed) == len(set(listed)) and set(listed) == sums
 
 
+def bits(*points):
+    return sum(1 << i for i in points)
+
+
 @pytest.mark.parametrize(
     "gens, error",
     [
-        ([es([1, 2]), es([2, 3])], ValueError),  # overlapping pairs
-        ([es([1, 2, 3, 4])], ValueError),  # not a pair
-        ([es([1, 2], 3), es([4, 5])], DimensionMismatchError),  # two ground sets
+        ([bits(1, 2), bits(2, 3)], ValueError),  # overlapping pairs
+        ([bits(1, 2, 3, 4)], ValueError),  # not a pair
+        ([bits(1, 2), bits(4, 6)], DimensionMismatchError),  # a point past n
+        ([bits(0, 1), bits(3, 4)], ValueError),  # a pair at bit 0
+        ([bits(1, 2), bits(3, 4, 5)], ValueError),  # three points
+        ([bits(2), bits(3, 4)], ValueError),  # one point
     ],
 )
 def test_spans_refuse_generators_that_are_not_disjoint_pairs(gens, error):
-    with pytest.raises(error):
-        span_masks(gens)
+    with pytest.raises(ValueError) as exc:
+        span_masks(gens, 5)
+    assert type(exc.value) is error

@@ -28,6 +28,7 @@ from secondbasis.arcs import (
     lift_matching,
     lift_row,
     pair_evenset,
+    pair_masks,
 )
 from secondbasis.basis import epsilon, epsilon_pairs, lift_images
 from secondbasis.errors import DomainError, FalsificationError
@@ -98,11 +99,12 @@ def test_lift_matching_is_entry_k_of_the_row(d):
 
 
 def test_pair_vectors_are_shared():
+    # each arc's pair mask is the one int of the process-wide table
     shared = {}
     for b in enumerate_family(9):
-        for arc, v in zip(b.arcs, b.pair_vectors()):
-            assert v == pair_evenset(arc, b.n), (b, arc)
-            assert shared.setdefault((arc.i, arc.j, b.n), v) is v, (b, arc)
+        for arc, g in zip(b.arcs, pair_masks(b.arcs)):
+            assert g == pair_evenset(arc, b.n).mask, (b, arc)
+            assert shared.setdefault(arc, g) is g, (b, arc)
 
 
 def test_rows_are_the_lifted_images(cold_caches):

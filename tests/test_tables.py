@@ -5,11 +5,11 @@ from itertools import combinations
 import pytest
 
 import secondbasis.f2 as f2
-from secondbasis.arcs import Matching
+from secondbasis.arcs import Matching, pair_evenset, pair_masks
 from secondbasis.basis import build_order, epsilon_pairs
 from secondbasis.cli import main
 from secondbasis.errors import DecompositionError
-from secondbasis.f2 import EvenSet, f2_sum, span_masks
+from secondbasis.f2 import EvenSet, Span, f2_sum, span_masks
 from secondbasis.tables import table_data, table_entry
 from tests.conftest import clear_library_caches, doctor, rebind_everywhere
 
@@ -21,9 +21,13 @@ def fresh_caches():
     clear_library_caches()
 
 
+def span_of(b):
+    return Span(span_masks(pair_masks(b.arcs), b.n))
+
+
 def entry_for(pairs, n, image):
     b = Matching.from_pairs(pairs, n)
-    return table_entry(b, EvenSet(image, n), span_masks(b.pair_vectors()))
+    return table_entry(b, EvenSet(image, n), span_of(b))
 
 
 def test_table_entry_examples():
@@ -41,14 +45,15 @@ def test_table_entry_refuses_an_image_outside_the_span():
 def test_table_entry_brackets_the_unique_decomposition():
     for d in range(0, 8):
         for b, x in epsilon_pairs(d):
-            entry = table_entry(b, x, span_masks(b.pair_vectors()))
-            part = [g for a, g in zip(b.arcs, b.pair_vectors()) if a in entry.bracketed]
+            entry = table_entry(b, x, span_of(b))
+            vectors = [pair_evenset(a, b.n) for a in b.arcs]
+            part = [g for a, g in zip(b.arcs, vectors) if a in entry.bracketed]
             assert f2_sum(part, b.n) == x
             # no other sub-collection of the arcs sums to the image
             hits = sum(
                 f2_sum(combo, b.n) == x
                 for r in range(len(b) + 1)
-                for combo in combinations(b.pair_vectors(), r)
+                for combo in combinations(vectors, r)
             )
             assert hits == 1
 
@@ -57,7 +62,7 @@ def test_table_entry_brackets_the_unique_decomposition():
 def test_table_data_reads_the_order_spans(monkeypatch, fresh_caches, d):
     build_order(d)
     calls = []
-    real = f2.disjoint_pairs
+    real = f2.span_masks
 
     def counted(masks, n):
         calls.append(masks)
