@@ -295,7 +295,9 @@ class Order:
         # ctz[c] is the pair that step c of the reflected Gray code flips
         widest = max(b - a for a, b in zip(starts, starts[1:]))
         ctz = bytes((c ^ c - 1).bit_length() - 1 for c in range(1 << widest))
-        watch: dict[int, list[int]] = {}
+        # nearly every position waits after the first pass; an array holds it
+        # in 4 bytes where a list holds an int object (about 0.5 MB at D=13)
+        watch: dict[int, array] = {}
         # a heap entry packs the label's sort key, one byte per field, above
         # the mask; ``keys`` maps a (gamma, N bit) class to its shifted key,
         # and ``labels`` interns one label per key
@@ -335,7 +337,7 @@ class Order:
                     cursor[i], member[i] = c, z
                 waiting = watch.get(z)
                 if waiting is None:
-                    watch[z] = [i]
+                    watch[z] = array("I", (i,))
                 else:
                     waiting.append(i)
             if not heap:
