@@ -149,9 +149,13 @@ def embed_set(k: int, x: EvenSet) -> EvenSet:
 
 
 class Matching:
-    """A set of pairwise-disjoint arcs on [1, n] (at most (n-1)/2 of them)."""
+    """A set of pairwise-disjoint arcs on [1, n] (at most (n-1)/2 of them).
 
-    __slots__ = ("arcs", "n", "_supp")
+    A matching holds its arcs, by lower point, and n alone: its support is
+    the sum of the arcs' shared pair masks (``pair_masks``), read when asked.
+    """
+
+    __slots__ = ("arcs", "n")
 
     def __init__(self, arcs: Iterable[Arc], n: int):
         check_ground_size(n)
@@ -165,20 +169,13 @@ class Matching:
             supp |= m
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_supp", supp)
 
     @classmethod
-    def _make(
-        cls, sorted_arcs: tuple[Arc, ...], n: int, supp: int | None = None
-    ) -> "Matching":
-        # fast path for enumerators that already guarantee the invariants;
-        # the support of disjoint arcs is the sum of their pair masks
-        if supp is None:
-            supp = sum(map(_PAIR_MASKS.__getitem__, sorted_arcs))
+    def _make(cls, sorted_arcs: tuple[Arc, ...], n: int) -> "Matching":
+        # fast path for enumerators that already guarantee the invariants
         self = object.__new__(cls)
         object.__setattr__(self, "arcs", sorted_arcs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_supp", supp)
         return self
 
     @classmethod
@@ -190,7 +187,8 @@ class Matching:
 
     @property
     def support_mask(self) -> int:
-        return self._supp
+        # disjoint arcs: the sum of their pair masks is their union
+        return sum(map(_PAIR_MASKS.__getitem__, self.arcs))
 
     def __contains__(self, arc: Arc) -> bool:
         return arc in self.arcs
@@ -345,8 +343,8 @@ def _arc_sets(free: int, primed_only: bool) -> Iterator[tuple[tuple[Arc, ...], i
 def iter_matchings(n: int) -> Iterator[Matching]:
     """All partial matchings of [1, n], smallest-support-first, no duplicates."""
     check_ground_size(n)
-    for acc, supp in _arc_sets(_range_mask(1, n), False):
-        yield Matching._make(acc, n, supp)
+    for acc, _ in _arc_sets(_range_mask(1, n), False):
+        yield Matching._make(acc, n)
 
 
 def iter_primed_matchings(free: int) -> Iterator[tuple[tuple[Arc, ...], int]]:

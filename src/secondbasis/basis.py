@@ -6,6 +6,11 @@ It is a bijection onto E_N (certified at runtime, not assumed), its inverse
 induces a partial order on E_N, and the membership matrix of spans against
 that order is unitriangular; its columns are the second basis.
 
+The images of X_D are held as masks in family order (``epsilon_masks``), one
+``array('I')`` per D.  ``Order``, the lift grid, the uniqueness certificate
+and the symbols read those masks; one shared per-D table of ``EvenSet``s
+backs ``epsilon_pairs`` and ``Order.elements``, built when first read.
+
 Symbols are the bridge to the classical bookkeeping: complementary pairs
 (S, T) over [1, D+1] with a defect that locates the Harish-Chandra series.
 """
@@ -51,6 +56,7 @@ __all__ = [
     "epsilon",
     "epsilon_images",
     "epsilon_inverse",
+    "epsilon_masks",
     "epsilon_pairs",
     "lift_images",
     "piece_cardinality",
@@ -118,24 +124,47 @@ def epsilon(b: Matching, d: int) -> EvenSet:
 
 
 @lru_cache(maxsize=None)
-def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
-    """(member, image) for the whole family; certifies injectivity onto E_N."""
-    out = []
-    seen: dict[int, Matching] = {}
-    for b in enumerate_family(d):
-        x = epsilon(b, d)
-        if x.mask in seen:
-            raise FalsificationError(
-                f"epsilon collision at D={d}: {seen[x.mask]!r} and {b!r} -> {x!r}"
-            )
-        seen[x.mask] = b
-        out.append((b, x))
+def epsilon_masks(d: int) -> memoryview:
+    """The image masks of X_D in family order: read-only (shared).
+
+    Each image comes from ``epsilon``.  An even set is fixed by its bits
+    1..N-1, so ``mask >> 1`` over those bits is its slot among 2^(N-1); a
+    slot met twice is a collision, and the family must fill every slot, so
+    epsilon is certified injective onto E_N.
+    """
+    family = enumerate_family(d)
     n = ground_size(d)
-    if len(out) != 1 << (n - 1):
+    low = (1 << (n - 1)) - 1
+    masks = array("I")
+    seen = bytearray(low + 1)
+    for b in family:
+        x = epsilon(b, d)
+        slot = x.mask >> 1 & low
+        if seen[slot]:
+            first = family[masks.index(x.mask)]
+            raise FalsificationError(f"epsilon collision at D={d}: {first!r} and {b!r} -> {x!r}")
+        seen[slot] = 1
+        masks.append(x.mask)
+    if len(masks) != 1 << (n - 1):
         raise FalsificationError(
-            f"family size {len(out)} != |E_{n}| = {1 << (n - 1)} at D={d}"
+            f"family size {len(masks)} != |E_{n}| = {1 << (n - 1)} at D={d}"
         )
-    return tuple(out)
+    return memoryview(masks).toreadonly()
+
+
+@lru_cache(maxsize=None)
+def _image_sets(d: int) -> tuple[EvenSet, ...]:
+    # the images as even sets in family order: the one table ``epsilon_pairs``
+    # and ``Order.elements`` share
+    n = ground_size(d)
+    return tuple(EvenSet.from_mask(m, n) for m in epsilon_masks(d))
+
+
+@lru_cache(maxsize=None)
+def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
+    """(member, image) for the whole family, read off ``epsilon_masks``, which
+    certifies injectivity onto E_N."""
+    return tuple(zip(enumerate_family(d), _image_sets(d)))
 
 
 @lru_cache(maxsize=None)
@@ -151,19 +180,18 @@ def epsilon_inverse(d: int) -> Mapping[EvenSet, Matching]:
 
 
 @lru_cache(maxsize=None)
-def lift_images(d: int) -> tuple[tuple[int, ...], ...]:
-    """The lift grid X_{D-2} x [1, D], read through the image table of X_D.
+def lift_images(d: int) -> memoryview:
+    """The lift grid X_{D-2} x [1, D] as image masks: flat, row-major,
+    read-only (shared).
 
-    Row r holds the image masks of ``lift_matching(k, b', d)`` for k = 1..D,
-    b' being member r of X_{D-2} in family order: the positions the inductive
-    walk recorded (``lift_positions``), read through ``epsilon_pairs(d)``.
+    Entry r*D + k-1 is the image mask of ``lift_matching(k, b', d)``, b' being
+    member r of X_{D-2} in family order: the position the inductive walk
+    recorded (``lift_positions``), read through ``epsilon_masks(d)``.
     """
     if d < 2:
         raise DomainError(f"the lift grid needs D >= 2, got {d}")
-    masks = [x.mask for _, x in epsilon_pairs(d)]
-    grid = lift_positions(d)
-    rows = range(0, len(grid), d)
-    return tuple(tuple(masks[p] for p in grid[r : r + d]) for r in rows)
+    masks = epsilon_masks(d)
+    return memoryview(array("I", map(masks.__getitem__, lift_positions(d)))).toreadonly()
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +265,23 @@ class _MaskMap(Mapping):
         return self._read(order, m >> 1 & order.low)
 
     def __iter__(self) -> Iterator[int]:
-        return (x.mask for x in self._order.elements)
+        return map(self._order.masks.__getitem__, self._order.extension)
 
     def __len__(self) -> int:
-        return len(self._order.elements)
+        return len(self._order.extension)
 
 
 class Order:
     """The partial order on E_N generated by span membership of preimages.
 
-    ``elements`` is the canonical linear extension (piece blocks in display
-    order, ties broken by bit-vector value) and ``labels`` their pieces, one
-    interned label per mask.  An even set is fixed by its bits 1..N-1, so
-    ``mask >> 1 & low`` is its slot in a dense index of 2^(N-1) slots:
-    ``index[slot]`` is its family position (in ``epsilon_pairs`` order) and
+    ``extension`` (``array('I')``) is the canonical linear extension as
+    family positions (piece blocks in display order, ties broken by
+    bit-vector value), ``masks`` the image masks in family order
+    (``epsilon_masks``) and ``labels`` the pieces in extension order, one
+    interned label per class.  ``elements``, the extension as ``EvenSet``s
+    from the table ``epsilon_pairs`` shares, is built on first read.  An even
+    set is fixed by its bits 1..N-1, so ``mask >> 1 & low`` is its slot in a
+    dense index of 2^(N-1) slots: ``index[slot]`` is its family position and
     ``rank[slot]`` its extension position.  The span of a member's
     pair-vectors is held as its k pair masks, ``pairs[starts[i]:starts[i +
     1]]`` for family position i, in one flat ``array('I')``; ``members``
@@ -277,11 +308,10 @@ class Order:
         self.d = d
         self.n = n = ground_size(d)
         self.low = low = (1 << (n - 1)) - 1
-        family = epsilon_pairs(d)
-        masks = [x.mask for _, x in family]
+        self.masks = masks = epsilon_masks(d)
         self.pairs = pairs = array("I")
         self.starts = starts = array("I", [0])
-        for b, _ in family:
+        for b in enumerate_family(d):
             pairs.extend(span_masks(pair_masks(b.arcs), n))
             starts.append(len(pairs))
         # Kahn as the class docstring describes
@@ -308,7 +338,7 @@ class Order:
         labels: dict[int, PieceLabel] = {}
         heap: list[int] = []
         push, pop = heapq.heappush, heapq.heappop
-        order = array("I")  # family positions in extension order
+        self.extension = extension = array("I")
         self.labels: list[PieceLabel] = []
         every = (1 << shift) - 1
         # every position walks first; then, after each pop, those waiting on it
@@ -328,7 +358,7 @@ class Order:
                         kind |= me >> top & 1
                         key = keys.get(kind)
                         if key is None:  # sector_label runs once per class
-                            piece = sector_label(family[i][1], d)
+                            piece = sector_label(EvenSet.from_mask(me, n), d)
                             key = int.from_bytes(bytes(piece.sort_key()), "big")
                             labels[key] = piece
                             key = keys[kind] = key << shift
@@ -346,11 +376,11 @@ class Order:
             m = key & every
             popped[m] = 1
             slot = m >> 1 & low
-            rank[slot] = len(order)
-            order.append(index[slot])
+            rank[slot] = len(extension)
+            extension.append(index[slot])
             self.labels.append(labels[key >> shift])
             woken = watch.pop(m, ())
-        if len(order) != len(masks):
+        if len(extension) != len(masks):
             # a stalled mask keeps a stalled span member, so this walk closes
             stalled = {m for m in masks if not popped[m]}
             path: list[int] = []
@@ -361,7 +391,12 @@ class Order:
                 path.append(m)
                 m = min(z for z in self.members(m) if z in stalled and z != m)
             raise CycleError(d, path[step[m]:] + [m])
-        self.elements: list[EvenSet] = [family[i][1] for i in order]
+
+    @cached_property
+    def elements(self) -> list[EvenSet]:
+        """The extension as even sets, from the table ``epsilon_pairs`` shares."""
+        sets = _image_sets(self.d)
+        return [sets[i] for i in self.extension]
 
     @property
     def position(self) -> Mapping[int, int]:
@@ -396,10 +431,10 @@ class Order:
         every span member precedes its element, as ``order_antisymmetry``
         certifies.
         """
-        rank, low = self.rank, self.low
+        rank, low, masks = self.rank, self.low, self.masks
         down: list[int] = []
-        for i, x in enumerate(self.elements):
-            m = x.mask
+        for i, p in enumerate(self.extension):
+            m = masks[p]
             bits = 1 << i
             for z in self.members(m):
                 if z != m:
@@ -444,9 +479,9 @@ def unique_bijection_check(d: int) -> dict | None:
     except CycleError as exc:
         return {"kind": "alternating-cycle", "masks": exc.cycle}
     pairs, starts = order.pairs, order.starts
-    for i, (b, x) in enumerate(epsilon_pairs(d)):
-        if not in_span(x.mask, pairs[starts[i] : starts[i + 1]]):
-            return {"kind": "image-outside-span", "member": b.to_pairs()}
+    for i, m in enumerate(epsilon_masks(d)):
+        if not in_span(m, pairs[starts[i] : starts[i + 1]]):
+            return {"kind": "image-outside-span", "member": enumerate_family(d)[i].to_pairs()}
     return None
 
 
@@ -663,8 +698,9 @@ class Symbol:
         }
 
 
-def _symbol_masks(x: EvenSet, d: int) -> tuple[int, int]:
-    """The halves (S, T) of the symbol of x as masks over [1, D+1]: the star rule.
+def _symbol_masks(x: int, d: int) -> tuple[int, int]:
+    """The halves (S, T) of the symbol of the even set with mask x, as masks
+    over [1, D+1]: the star rule.
 
     star holds the odd members of x and the even points of [1, N] outside
     it, starstar the rest of [1, N].  Even D takes (star, starstar).  At odd
@@ -673,9 +709,7 @@ def _symbol_masks(x: EvenSet, d: int) -> tuple[int, int]:
     sector, (starstar, star - {N}) in the minus sector.
     """
     n = ground_size(d)
-    if x.n != n:
-        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
-    star = x.mask ^ _even_positions_mask(n)
+    star = x ^ _even_positions_mask(n)
     starstar = star ^ (2 << n) - 2
     if d % 2 == 0:
         return star, starstar
@@ -685,7 +719,9 @@ def _symbol_masks(x: EvenSet, d: int) -> tuple[int, int]:
 
 def symbol_of(x: EvenSet, d: int) -> Symbol:
     """The symbol attached to an even set (sector-dependent for odd D)."""
-    s, t = _symbol_masks(x, d)
+    if x.n != ground_size(d):
+        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
+    s, t = _symbol_masks(x.mask, d)
     flavor = "odd" if d % 2 == 0 else "minus" if x.mask >> x.n & 1 else "plus"
     return Symbol(frozenset(members_of(s)), frozenset(members_of(t)), flavor)
 

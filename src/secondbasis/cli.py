@@ -10,7 +10,7 @@ from array import array
 
 from .basis import _symbol_masks, build_order, change_matrix, series_size
 from .errors import DomainError, FalsificationError, ResourceGuardError
-from .f2 import members_of
+from .f2 import EvenSet, members_of
 from .family import PieceLabel
 from .limits import guard_d
 from .tables import render_table, write_table_json
@@ -91,7 +91,7 @@ def _cmd_symbols(args) -> int:
     else:
         signs = ["+", "-"]
     order = build_order(d)
-    elements = order.elements
+    masks, extension = order.masks, order.extension
     total = 0
     for sign in signs:
         # extension positions grouped by series; each symbol's halves are
@@ -109,7 +109,7 @@ def _cmd_symbols(args) -> int:
                 )
             print(f"series s={s} ({len(group)} symbols)")
             for p in group:
-                x = elements[p]
+                x = masks[extension[p]]
                 left, right = _symbol_masks(x, d)
                 # the series is read off the popcounts; each s lies in its
                 # flavor's class of defects, so a match certifies the flavor
@@ -117,9 +117,8 @@ def _cmd_symbols(args) -> int:
                 if d % 2 == 0:
                     series = abs(series)
                 if series != s:
-                    raise FalsificationError(
-                        f"symbol of {x!r} has series {series}, not {s}"
-                    )
+                    x = EvenSet.from_mask(x, order.n)
+                    raise FalsificationError(f"symbol of {x!r} has series {series}, not {s}")
                 print(f"({_points(left)} ; {_points(right)})")
             total += len(group)
     print(f"total {total}")

@@ -388,19 +388,17 @@ def _nested_sequences(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, n, (), ())
 
 
-def _pairing(seq: tuple[int, ...]) -> tuple[tuple[Arc, ...], int]:
-    # the nested pairing of seq as arcs by lower point, and its support mask
+def _pairing(seq: tuple[int, ...]) -> tuple[Arc, ...]:
+    # the nested pairing of seq as arcs by lower point
     s = len(seq) // 2
-    return tuple(Arc(seq[-1 - r], seq[r]) for r in range(s)), sum(1 << i for i in seq)
+    return tuple(Arc(seq[-1 - r], seq[r]) for r in range(s))
 
 
-def _joined(
-    inner: tuple[Arc, ...], outer: tuple[Arc, ...], n: int, supp: int
-) -> Matching:
+def _joined(inner: tuple[Arc, ...], outer: tuple[Arc, ...], n: int) -> Matching:
     arcs = inner + outer
     if inner and outer:
         arcs = tuple(sorted(arcs, key=min))  # by lower point
-    return Matching._make(arcs, n, supp)
+    return Matching._make(arcs, n)
 
 
 def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
@@ -413,26 +411,26 @@ def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
     """
     everything = ((1 << n) - 1) << 1
     for seq in _nested_sequences(n):
-        inner, supp = _pairing(seq)
-        for outer, primed_supp in iter_primed_matchings(everything ^ supp):
-            yield _joined(inner, outer, n, supp | primed_supp), seq
+        inner = _pairing(seq)
+        for outer, _ in iter_primed_matchings(everything ^ sum(1 << i for i in seq)):
+            yield _joined(inner, outer, n), seq
 
 
-def _tilings(lo: int, hi: int, left: int | None) -> Iterator[tuple[tuple[Arc, ...], int]]:
+def _tilings(lo: int, hi: int, left: int | None) -> Iterator[tuple[Arc, ...]]:
     # every set of disjoint primed arcs tiling [lo, hi] with exactly `left`
     # points uncovered (any number when None), each arc's interior tiled with
-    # none left: (arcs by lower point, support mask)
+    # none left, as arcs by lower point
     if left is not None and max(0, hi - lo + 1) % 2 != left:
         return
     if lo > hi:
-        yield (), 0
+        yield ()
         return
     if left != 0:  # lo stays uncovered
         yield from _tilings(lo + 1, hi, None if left is None else left - 1)
     for q in range(lo + 1, hi + 1, 2):  # the arc {lo, q}
-        for inner, inner_supp in _tilings(lo + 1, q - 1, 0):
-            for rest, rest_supp in _tilings(q + 1, hi, left):
-                yield (Arc(lo, q),) + inner + rest, 1 << lo | 1 << q | inner_supp | rest_supp
+        for inner in _tilings(lo + 1, q - 1, 0):
+            for rest in _tilings(q + 1, hi, left):
+                yield (Arc(lo, q),) + inner + rest
 
 
 def _state_regions(seq: tuple[int, ...], d: int, n: int) -> Iterator[list]:
@@ -466,12 +464,11 @@ def filter_family(d: int) -> list[Matching]:
     n = ground_size(d)
     members = []
     for seq in _nested_sequences(n):
-        inner, supp = _pairing(seq)
+        inner = _pairing(seq)
         for regions in _state_regions(seq, d, n):
             for parts in product(*(_tilings(*region) for region in regions)):
-                outer = tuple(arc for arcs, _ in parts for arc in arcs)
-                primed_supp = sum(mask for _, mask in parts)
-                members.append(_joined(inner, outer, n, supp | primed_supp))
+                outer = tuple(arc for arcs in parts for arc in arcs)
+                members.append(_joined(inner, outer, n))
     members.sort(key=lambda b: b.arcs)
     # certificate: each member passes the definition with its witness recomputed
     for b in members:

@@ -249,8 +249,9 @@ def orbit_representatives(d: int, which: str) -> tuple[EvenSet, ...]:
     if d % 2 == 0:
         raise DomainError("orbit representatives concern odd D only")
     order = build_order(d)
+    elements, labels = order.elements, order.labels
     chosen = []
-    for pos, (x, label) in enumerate(zip(order.elements, order.labels)):
+    for pos, (x, label) in enumerate(zip(elements, labels)):
         if label.sign != which[0]:
             continue
         if label.sign == "+" and label.t == 0:  # the primed half avoids D+1
@@ -258,9 +259,9 @@ def orbit_representatives(d: int, which: str) -> tuple[EvenSet, ...]:
         else:  # a plus-sector t here is nonzero, so t >= 0 means t > 0
             keep = (label.t >= 0) == (which[1] == "+")
         if keep:
-            chosen.append((_rank(label), pos, x))
-    chosen.sort(key=lambda item: item[:2])
-    return tuple(x for _, _, x in chosen)
+            chosen.append(pos)
+    chosen.sort(key=lambda pos: _rank(labels[pos]))  # stable: ties keep position order
+    return tuple(map(elements.__getitem__, chosen))
 
 
 def sector_matrix(d: int, which: str) -> BasisMatrix:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .arcs import cyclic_interval_mask, embed_set
+from .arcs import Matching, cyclic_interval_mask, embed_set
 from .basis import (
     CycleError,
     build_order,
@@ -101,9 +101,16 @@ def _check_laminarity(d: int) -> dict | None:
     return None
 
 
+def _lifts(d: int) -> Iterator[tuple[Matching, EvenSet, memoryview]]:
+    """Each member of X_{D-2} with its image and the image masks of its D lifts."""
+    grid = lift_images(d)
+    for r, (bp, ex) in enumerate(epsilon_pairs(d - 2)):
+        yield bp, ex, grid[r * d : r * d + d]
+
+
 def _check_recursion(d: int) -> dict | None:
     # a lifted member's image is the embedded image, up to one copy of {k, k+1}
-    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+    for bp, ex, row in _lifts(d):
         for k, lifted in enumerate(row, start=1):
             diff = lifted ^ embed_set(k, ex).mask
             if diff and diff != (1 << k) | (1 << (k + 1)):
@@ -113,7 +120,7 @@ def _check_recursion(d: int) -> dict | None:
 
 def _check_gamma_invariance(d: int) -> dict | None:
     n = ground_size(d)
-    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+    for bp, ex, row in _lifts(d):
         g = ex.gamma()
         for k, lifted in enumerate(row, start=1):
             if EvenSet.from_mask(lifted, n).gamma() != g:
@@ -133,7 +140,7 @@ def _check_primitive_forms(d: int) -> dict | None:
 
 def _check_n_transport(d: int) -> dict | None:
     n = ground_size(d)
-    for (bp, ex), row in zip(epsilon_pairs(d - 2), lift_images(d)):
+    for bp, ex, row in _lifts(d):
         inner = n - 2 in ex  # the top point of [1, N-2]
         for k, lifted in enumerate(row, start=1):
             if bool(lifted >> n & 1) != inner:
@@ -166,9 +173,9 @@ def _check_antisymmetry(d: int) -> dict | None:
     except CycleError as exc:
         return {"cycle": exc.cycle}
     # every generating edge points backwards, so the order's closure does too
-    rank, low = order.rank, order.low
-    for i, x in enumerate(order.elements):
-        m = x.mask
+    rank, low, masks = order.rank, order.low, order.masks
+    for i, p in enumerate(order.extension):
+        m = masks[p]
         for z in order.members(m):
             if z != m and rank[z >> 1 & low] >= i:
                 raise FalsificationError(f"linear extension at D={d} puts mask {z} after {m}")

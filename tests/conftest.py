@@ -72,7 +72,7 @@ def doctor(order, spans=None, elements=None):
     ``spans`` maps a mask to the masks that now generate its span.  They must
     be pairwise disjoint, so the span is still the unions of its generators,
     as ``f2.Span`` and ``Order.members`` read it.  ``elements`` is a new
-    extension: ``rank`` and ``labels`` follow it.
+    extension: ``extension``, ``rank`` and ``labels`` follow it.
     """
     low = order.low
     new = {}
@@ -87,6 +87,7 @@ def doctor(order, spans=None, elements=None):
     order.pairs, order.starts = pairs, starts
     if elements is not None:
         order.elements = list(elements)
+        order.extension = array("I", [order.index[x.mask >> 1 & low] for x in order.elements])
         order.labels = [sector_label(x, order.d) for x in order.elements]
         for p, x in enumerate(order.elements):
             order.rank[x.mask >> 1 & low] = p

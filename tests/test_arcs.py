@@ -11,10 +11,12 @@ from secondbasis.arcs import (
     embed_set,
     enumerate_matchings,
     lift_matching,
+    pair_masks,
     split_parts,
 )
 from secondbasis.errors import DomainError, ResourceGuardError
 from secondbasis.f2 import EvenSet
+from secondbasis.family import enumerate_family
 
 
 def involution_count(n):
@@ -210,3 +212,9 @@ def test_matching_repr_spells_arcs_like_the_tables():
     # at N >= 10 every arc is hyphenated, even one with single-digit ends
     assert repr(Matching([Arc(3, 4)], 11)) == "Matching([3-4], n=11)"
     assert repr(Matching([Arc(3, 4)], 9)) == "Matching([34], n=9)"
+
+
+def test_a_matching_holds_its_arcs_and_n_alone():
+    assert Matching.__slots__ == ("arcs", "n")
+    for b in enumerate_family(9):
+        assert b.support_mask == sum(pair_masks(b.arcs))

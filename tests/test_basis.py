@@ -15,6 +15,7 @@ from secondbasis.basis import (
     change_matrix,
     epsilon,
     epsilon_inverse,
+    epsilon_masks,
     epsilon_pairs,
     piece_cardinality,
     primitive_image,
@@ -74,6 +75,15 @@ def oracle_epsilon(b, d):
 def test_epsilon_equals_the_arc_by_arc_oracle(d):
     want = tuple((b, oracle_epsilon(b, d)) for b in enumerate_family(d))
     assert epsilon_pairs(d) == want
+
+
+@pytest.mark.parametrize("d", range(12))
+def test_epsilon_masks_are_the_images_in_family_order(d):
+    masks = epsilon_masks(d)
+    assert list(masks) == [epsilon(b, d).mask for b in enumerate_family(d)]
+    assert masks.readonly
+    with pytest.raises(TypeError):
+        masks[0] = 0
 
 
 def outcome(f, *args):
@@ -203,6 +213,14 @@ def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
     assert build_order.cache_info().currsize == 6
     for d in range(6):
         assert "down" not in build_order(d).__dict__, d
+
+
+def test_symbols_leave_the_even_set_extension_unbuilt(fresh_orders, capsys):
+    from secondbasis.cli import main
+
+    assert main(["symbols", "--D", "9"]) == 0
+    capsys.readouterr()
+    assert "elements" not in build_order(9).__dict__
 
 
 def test_passing_checks_leave_the_down_sets_unbuilt(fresh_orders):

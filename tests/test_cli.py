@@ -349,13 +349,13 @@ def test_a_symbol_off_its_series_is_a_falsification(capsys, monkeypatch):
     import secondbasis.cli as cli
 
     real = cli._symbol_masks
+    x = build_order(5).sector_elements("plus")[-1]
 
-    def swapped(x, d):  # the halves of the last plus-sector set swapped
-        s, t = real(x, d)
-        return (t, s) if x == build_order(5).sector_elements("plus")[-1] else (s, t)
+    def swapped(m, d):  # the halves of the last plus-sector set swapped
+        s, t = real(m, d)
+        return (t, s) if m == x.mask else (s, t)
 
     monkeypatch.setattr(cli, "_symbol_masks", swapped)
-    x = build_order(5).sector_elements("plus")[-1]
     s = 2 * x.gamma()
     with pytest.raises(FalsificationError) as exc:
         main(["symbols", "--D", "5"])

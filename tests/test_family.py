@@ -209,12 +209,12 @@ def brute_tilings(lo, hi, left):
     """The oracle: primed matchings of [lo, hi] whose arcs' interiors and,
     when a budget is given, [lo, hi] itself tile as ``_tilings`` demands."""
     free = sum(1 << p for p in range(lo, hi + 1))
-    for arcs, supp in iter_primed_matchings(free):
+    for arcs, _ in iter_primed_matchings(free):
         starts = {i: [j] for i, j in arcs}
         if any(family._tile(starts, i + 1, j - 1, 0) is None for i, j in arcs):
             continue
         if left is None or family._tile(starts, lo, hi, left) is not None:
-            yield arcs, supp
+            yield arcs
 
 
 def test_tilings_equal_the_brute_force():
@@ -224,9 +224,8 @@ def test_tilings_equal_the_brute_force():
             for left in (0, 1, None):
                 got = list(family._tilings(lo, hi, left))
                 assert len(set(got)) == len(got), (lo, hi, left)
-                for arcs, supp in got:
+                for arcs in got:
                     assert list(arcs) == sorted(arcs, key=min), (lo, hi, left, arcs)
-                    assert supp == sum(1 << p for a in arcs for p in a), arcs
                 assert set(got) == set(brute_tilings(lo, hi, left)), (lo, hi, left)
                 cases += 1
     assert cases == 195
@@ -297,7 +296,7 @@ def test_generated_non_member_is_refused(monkeypatch):
     def doctored(lo, hi, left):
         yield from real(lo, hi, left)
         if (lo, hi, left) == (1, 5, None):  # the free region of the empty sequence
-            yield fake.arcs, fake.support_mask
+            yield fake.arcs
 
     monkeypatch.setattr(family, "_tilings", doctored)
     with pytest.raises(FalsificationError, match="not in X_4"):

@@ -30,7 +30,7 @@ from secondbasis.arcs import (
     pair_evenset,
     pair_masks,
 )
-from secondbasis.basis import epsilon, epsilon_pairs, lift_images
+from secondbasis.basis import epsilon, epsilon_masks, epsilon_pairs, lift_images
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.family import enumerate_family, ground_size, lift_positions
 from tests.conftest import clear_library_caches, rebind_everywhere
@@ -109,11 +109,14 @@ def test_pair_vectors_are_shared():
 
 def test_rows_are_the_lifted_images(cold_caches):
     for d in range(2, 10):
-        want = tuple(
-            tuple(epsilon(lift_matching(k, bp, d), d).mask for k in range(1, d + 1))
+        want = [
+            epsilon(lift_matching(k, bp, d), d).mask
             for bp in enumerate_family(d - 2)
-        )
-        assert lift_images(d) == want
+            for k in range(1, d + 1)
+        ]
+        assert list(lift_images(d)) == want
+        with pytest.raises(TypeError):
+            lift_images(d)[0] = 0  # the cached grid is shared, so read-only
 
 
 @pytest.mark.parametrize("d", range(2, 12))
@@ -200,6 +203,15 @@ def test_a_stray_lift_is_a_falsification(stray_lift):
     assert stray in enumerate_family(D)
     with pytest.raises(FalsificationError) as exc:
         epsilon_pairs(D)
+    message = str(exc.value)
+    assert message.startswith(f"epsilon collision at D={D}: ")
+    assert repr(stray) in message
+
+
+def test_the_stray_collides_in_the_image_table(stray_lift):
+    stray, _ = stray_lift
+    with pytest.raises(FalsificationError) as exc:
+        epsilon_masks(D)
     message = str(exc.value)
     assert message.startswith(f"epsilon collision at D={D}: ")
     assert repr(stray) in message

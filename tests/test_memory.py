@@ -1,23 +1,26 @@
 """Peak memory gates: one command or one order build in a fresh process.
 
 ``symbols --D 13`` is the only D=13 order build among the emission commands,
-so its high-water RSS (``VmHWM``) is the write path's peak: about 25 MB on
-CPython 3.11 (x86-64 Linux).  The order keeps its spans as one flat array
-of pair masks and its positions in a dense array of 2^(N-1) slots, with no
-``f2.Span``, ``gen_spans`` dict or ``position`` dict per element (about
-29 MB with them), and ``symbols`` groups extension positions by series,
-building each line only as it prints it.  ``table --D 11 --format json``,
-the next largest emission command, writes one piece and one entry at a time:
-about 19 MB (about 27 MB when it built the whole JSON tree first).
-``build_order(15)`` alone peaks at about 52 MB (about 68 MB with the
-per-element structures).  ``verify --max-D 13 --slow`` is the verify path's
-peak: about 35 MB, with both matrix kinds stored as compressed column
-arrays and the order's properties checked on its generating edges, so no
-passing check builds the down-set bitsets.  ``SBL_MAX_D=15 verify --max-D 15
---slow`` peaks at about 98 MB (about 121 MB with the per-element
-structures, 434 MB with the down-sets).  Each gate is its peak plus about
-15%.  The child reads its own ``/proc/self/status`` after the work; the
-tests are skipped where that file does not exist.
+so its high-water RSS (``VmHWM``) is the write path's peak: about 21 MB on
+CPython 3.11 (x86-64 Linux).  The images of X_D are one ``array('I')`` of
+masks in family order, the order keeps its extension as family positions,
+its spans as one flat array of pair masks and its positions in a dense
+array of 2^(N-1) slots, and ``symbols`` prints from the masks, so that path
+builds no ``EvenSet`` or (member, image) tuple per member (about 24 MB with
+them, about 29 MB with an ``f2.Span`` and dict entries per element too).
+``table --D 11 --format json``, the next largest emission command, writes
+one piece and one entry at a time: about 19 MB (about 27 MB when it built
+the whole JSON tree first).  ``build_order(15)`` with its ``elements`` read
+peaks at about 41 MB (about 50 MB when the image table held the pairs, 68 MB
+with the per-element structures).  ``verify --max-D 13 --slow`` is the
+verify path's peak: about 34 MB, with both matrix kinds stored as compressed
+column arrays, the lift grid as one flat array of image masks, and the
+order's properties checked on its generating edges, so no passing check
+builds the down-set bitsets.  ``SBL_MAX_D=15 verify --max-D 15 --slow``
+peaks at about 89 MB (about 97 MB with the lift grid as tuples of ints, 434
+MB with the down-sets).  Each gate is its peak plus about 15%.  The child
+reads its own ``/proc/self/status`` after the work; the tests are skipped
+where that file does not exist.
 """
 
 import os
@@ -76,7 +79,7 @@ def peak_mb(
 @needs_proc
 def test_symbols_d13_peak_rss():
     mb = peak_mb(["symbols", "--D", "13"], timeout=300)
-    assert mb < 28.5, f"symbols --D 13 peaked at {mb:.1f} MB"
+    assert mb < 24.5, f"symbols --D 13 peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
@@ -91,14 +94,14 @@ def test_table_d11_json_peak_rss():
 def test_build_order_d15_peak_rss():
     # exit 0 once the extension holds all 2^16 even sets
     mb = peak_mb([], 300, call="int(len(build_order(15).elements) != 1 << 16)")
-    assert mb < 60, f"build_order(15) peaked at {mb:.1f} MB"
+    assert mb < 47, f"build_order(15) peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
 @needs_proc
 def test_verify_d13_slow_peak_rss():
     mb = peak_mb(["verify", "--max-D", "13", "--slow"], timeout=900)
-    assert mb < 41, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
+    assert mb < 39, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
@@ -106,4 +109,4 @@ def test_verify_d13_slow_peak_rss():
 def test_verify_d15_slow_peak_rss():
     # exit 0 means all twelve checks passed
     mb = peak_mb(["verify", "--max-D", "15", "--slow"], timeout=900, sbl_max_d="15")
-    assert mb < 113, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"
+    assert mb < 103, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"
