@@ -28,6 +28,8 @@ COMMANDS = [
     "verify --max-D 13 --slow",
     "SBL_MAX_D=15 verify --max-D 15 --slow",
     "table --D 11 --format json",
+    "table --D 11",
+    "matrix --D 11 --sector plus",
 ]
 # on a shared host one run's wall time moves by up to about 20%
 REPEATS = 3

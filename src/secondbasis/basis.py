@@ -7,9 +7,10 @@ induces a partial order on E_N, and the membership matrix of spans against
 that order is unitriangular; its columns are the second basis.
 
 The images of X_D are held as masks in family order (``epsilon_masks``), one
-``array('I')`` per D.  ``Order``, the lift grid, the uniqueness certificate
-and the symbols read those masks; one shared per-D table of ``EvenSet``s
-backs ``epsilon_pairs`` and ``Order.elements``, built when first read.
+``array('I')`` per D.  ``Order``, the lift grid, the uniqueness certificate,
+the tables, the matrices and the symbols read those masks and the order's
+extension positions; an ``EvenSet`` is built only for what a function
+returns, reports or prints.
 
 Symbols are the bridge to the classical bookkeeping: complementary pairs
 (S, T) over [1, D+1] with a defect that locates the Harish-Chandra series.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -32,6 +33,7 @@ from .f2 import (
     EvenSet,
     Span,
     _even_positions_mask,
+    _unions,
     in_span,
     members_of,
     span_masks,
@@ -104,13 +106,9 @@ def boundary_correction(b: Matching, d: int) -> EvenSet:
     return EvenSet.from_mask(_correction_mask(b, d), b.n)
 
 
-def epsilon(b: Matching, d: int) -> EvenSet:
-    """Sum of the cyclic intervals of all arcs, plus the boundary correction.
-
-    The intervals are folded as masks: [i, j] for a primed arc, [i, N] and
-    [1, j] for a double-primed one.  The correction is empty for even D; for
-    odd D it is read on every call, so its parity and uniqueness checks run.
-    """
+def _epsilon_mask(b: Matching, d: int) -> int:
+    # the mask of ``epsilon``, folded from the intervals: [i, j] for a primed
+    # arc, [i, N] and [1, j] for a double-primed one
     n = b.n
     mask = 0
     for i, j in b.arcs:
@@ -120,17 +118,26 @@ def epsilon(b: Matching, d: int) -> EvenSet:
             mask ^= (2 << n) - (1 << i) + (2 << j) - 2
     if d % 2:
         mask ^= _correction_mask(b, d)
-    return EvenSet.from_mask(mask, n)
+    return mask
+
+
+def epsilon(b: Matching, d: int) -> EvenSet:
+    """Sum of the cyclic intervals of all arcs, plus the boundary correction.
+
+    The correction is empty for even D; for odd D it is read on every call,
+    so its parity and uniqueness checks run.
+    """
+    return EvenSet.from_mask(_epsilon_mask(b, d), b.n)
 
 
 @lru_cache(maxsize=None)
 def epsilon_masks(d: int) -> memoryview:
     """The image masks of X_D in family order: read-only (shared).
 
-    Each image comes from ``epsilon``.  An even set is fixed by its bits
-    1..N-1, so ``mask >> 1`` over those bits is its slot among 2^(N-1); a
-    slot met twice is a collision, and the family must fill every slot, so
-    epsilon is certified injective onto E_N.
+    Each image comes from ``epsilon``'s mask and must have even size.  An
+    even set is fixed by its bits 1..N-1, so ``mask >> 1`` over those bits is
+    its slot among 2^(N-1); a slot met twice is a collision, and the family
+    must fill every slot, so epsilon is certified injective onto E_N.
     """
     family = enumerate_family(d)
     n = ground_size(d)
@@ -138,13 +145,16 @@ def epsilon_masks(d: int) -> memoryview:
     masks = array("I")
     seen = bytearray(low + 1)
     for b in family:
-        x = epsilon(b, d)
-        slot = x.mask >> 1 & low
+        m = _epsilon_mask(b, d)
+        if m.bit_count() & 1:
+            raise FalsificationError(f"epsilon of {b!r} at D={d} has odd size")
+        slot = m >> 1 & low
         if seen[slot]:
-            first = family[masks.index(x.mask)]
+            first = family[masks.index(m)]
+            x = EvenSet.from_mask(m, n)
             raise FalsificationError(f"epsilon collision at D={d}: {first!r} and {b!r} -> {x!r}")
         seen[slot] = 1
-        masks.append(x.mask)
+        masks.append(m)
     if len(masks) != 1 << (n - 1):
         raise FalsificationError(
             f"family size {len(masks)} != |E_{n}| = {1 << (n - 1)} at D={d}"
@@ -153,18 +163,12 @@ def epsilon_masks(d: int) -> memoryview:
 
 
 @lru_cache(maxsize=None)
-def _image_sets(d: int) -> tuple[EvenSet, ...]:
-    # the images as even sets in family order: the one table ``epsilon_pairs``
-    # and ``Order.elements`` share
-    n = ground_size(d)
-    return tuple(EvenSet.from_mask(m, n) for m in epsilon_masks(d))
-
-
-@lru_cache(maxsize=None)
 def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
     """(member, image) for the whole family, read off ``epsilon_masks``, which
     certifies injectivity onto E_N."""
-    return tuple(zip(enumerate_family(d), _image_sets(d)))
+    n = ground_size(d)
+    images = (EvenSet.from_mask(m, n) for m in epsilon_masks(d))
+    return tuple(zip(enumerate_family(d), images))
 
 
 @lru_cache(maxsize=None)
@@ -247,22 +251,20 @@ class CycleError(FalsificationError):
 
 
 class _MaskMap(Mapping):
-    """A read-only map keyed by the masks of E_N, iterated in extension order.
+    """``Order.gen_spans``: mask -> ``f2.Span``, built when read, iterated in
+    extension order; a key outside the masks of E_N raises ``KeyError``."""
 
-    ``read(order, slot)`` gives the value of the even set in ``slot``; a key
-    that is not the mask of an even set over [1, N] raises ``KeyError``.
-    """
+    __slots__ = ("_order",)
 
-    __slots__ = ("_order", "_read")
+    def __init__(self, order: "Order"):
+        self._order = order
 
-    def __init__(self, order: "Order", read: Callable[["Order", int], object]):
-        self._order, self._read = order, read
-
-    def __getitem__(self, m):
+    def __getitem__(self, m) -> Span:
         order = self._order
         if not isinstance(m, int) or m & 1 or m >> (order.n + 1) or m.bit_count() & 1:
             raise KeyError(m)
-        return self._read(order, m >> 1 & order.low)
+        i = order.index[m >> 1 & order.low]
+        return Span(order.pairs[order.starts[i] : order.starts[i + 1]])
 
     def __iter__(self) -> Iterator[int]:
         return map(self._order.masks.__getitem__, self._order.extension)
@@ -274,20 +276,16 @@ class _MaskMap(Mapping):
 class Order:
     """The partial order on E_N generated by span membership of preimages.
 
-    ``extension`` (``array('I')``) is the canonical linear extension as
-    family positions (piece blocks in display order, ties broken by
-    bit-vector value), ``masks`` the image masks in family order
-    (``epsilon_masks``) and ``labels`` the pieces in extension order, one
-    interned label per class.  ``elements``, the extension as ``EvenSet``s
-    from the table ``epsilon_pairs`` shares, is built on first read.  An even
-    set is fixed by its bits 1..N-1, so ``mask >> 1 & low`` is its slot in a
-    dense index of 2^(N-1) slots: ``index[slot]`` is its family position and
-    ``rank[slot]`` its extension position.  The span of a member's
-    pair-vectors is held as its k pair masks, ``pairs[starts[i]:starts[i +
-    1]]`` for family position i, in one flat ``array('I')``; ``members``
-    lists a span's unions.  ``position`` (mask -> extension position) and
-    ``gen_spans`` (mask -> ``f2.Span``, built when read) are read-only views
-    over these arrays.
+    Its readers walk int arrays.  ``extension`` (``array('I')``) is the
+    canonical linear extension as family positions (piece blocks in display
+    order, ties broken by bit-vector value), so position p holds the set of
+    mask ``masks[extension[p]]`` (``epsilon_masks``) in the piece
+    ``labels[p]``, one interned label per class.  A set's slot
+    ``mask >> 1 & low`` indexes 2^(N-1) slots: ``index[slot]`` is its family
+    position, ``rank[slot]`` its extension position.  Family position i
+    spans by the pair masks ``pairs[starts[i]:starts[i + 1]]``; ``members``
+    lists their unions, ``gen_spans`` is a mask -> ``f2.Span`` view, and
+    ``sector_positions`` is the one sign filter.
     The generating digraph X' -> span(preimage of X') - {X'} is the one
     acyclicity certificate, checked by a Kahn extension that stores no edge:
     each position walks its span in reflected Gray-code order, one pair
@@ -392,36 +390,15 @@ class Order:
                 m = min(z for z in self.members(m) if z in stalled and z != m)
             raise CycleError(d, path[step[m]:] + [m])
 
-    @cached_property
-    def elements(self) -> list[EvenSet]:
-        """The extension as even sets, from the table ``epsilon_pairs`` shares."""
-        sets = _image_sets(self.d)
-        return [sets[i] for i in self.extension]
-
-    @property
-    def position(self) -> Mapping[int, int]:
-        """mask -> extension position, read off ``rank``."""
-        return _MaskMap(self, lambda order, slot: order.rank[slot])
-
     @property
     def gen_spans(self) -> Mapping[int, Span]:
         """mask -> the span of its preimage's pair-vectors, built when read."""
-
-        def read(order: Order, slot: int) -> Span:
-            i = order.index[slot]
-            return Span(order.pairs[order.starts[i] : order.starts[i + 1]])
-
-        return _MaskMap(self, read)
+        return _MaskMap(self)
 
     def members(self, m: int) -> list[int]:
         """The unions of the pairs of m's span, in the order ``f2.Span`` lists them."""
         i = self.index[m >> 1 & self.low]
-        pairs = self.pairs
-        members = [0]
-        for q in range(self.starts[i], self.starts[i + 1]):
-            g = pairs[q]
-            members += [z | g for z in members]
-        return members
+        return _unions(self.pairs[self.starts[i] : self.starts[i + 1]])
 
     @cached_property
     def down(self) -> list[int]:
@@ -442,8 +419,8 @@ class Order:
             down.append(bits)
         return down
 
-    def sector_elements(self, sector: str) -> list[EvenSet]:
-        """The extension restricted to a sector.
+    def sector_positions(self, sector: str) -> array:
+        """The extension positions of a sector, in increasing order.
 
         "all" covers even D; "plus"/"minus" restrict odd D to the even sets
         avoiding/containing N.
@@ -451,12 +428,12 @@ class Order:
         if sector == "all":
             if self.d % 2:
                 raise DomainError("sector 'all' needs even D")
-            return self.elements
+            return array("I", range(len(self.extension)))
         if sector in ("plus", "minus"):
             if self.d % 2 == 0:
                 raise DomainError(f"sector {sector!r} needs odd D")
             sign = "-" if sector == "minus" else "+"
-            return [x for x, l in zip(self.elements, self.labels) if l.sign == sign]
+            return array("I", [p for p, l in enumerate(self.labels) if l.sign == sign])
         raise DomainError(f"unknown sector {sector!r}")
 
 
@@ -621,13 +598,15 @@ def _span_matrix(
 def change_matrix(d: int, sector: str = "all") -> BasisMatrix:
     """Span-membership matrix over the canonical extension, unitriangular.
 
-    The sector is read as in ``Order.sector_elements``; column j lists the
+    The sector is read as in ``Order.sector_positions``; column j lists the
     positions of the span members of element j.
     """
     order = build_order(d)
-    elements = order.sector_elements(sector)
-    rows = {x.mask: i for i, x in enumerate(elements)}
-    return _span_matrix(order, elements, rows, 1, f"matrix D={d} sector={sector}")
+    masks, extension = order.masks, order.extension
+    chosen = [masks[extension[p]] for p in order.sector_positions(sector)]
+    rows = {m: i for i, m in enumerate(chosen)}
+    labels = [EvenSet.from_mask(m, order.n) for m in chosen]
+    return _span_matrix(order, labels, rows, 1, f"matrix D={d} sector={sector}")
 
 
 def second_basis_vectors(

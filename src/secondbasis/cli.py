@@ -85,21 +85,18 @@ def _cmd_symbols(args) -> int:
     if d % 2 == 0:
         if args.sector:
             raise DomainError("even D has a single symbol flavor; drop --sector")
-        signs = [None]
-    elif args.sector:
-        signs = ["-" if args.sector == "minus" else "+"]
+        sectors = ["all"]
     else:
-        signs = ["+", "-"]
+        sectors = [args.sector] if args.sector else ["plus", "minus"]
     order = build_order(d)
-    masks, extension = order.masks, order.extension
+    masks, extension, labels = order.masks, order.extension, order.labels
     total = 0
-    for sign in signs:
+    for sector in sectors:
         # extension positions grouped by series; each symbol's halves are
         # read off its masks only as its line is printed
         groups: dict[int, array] = {}
-        for p, label in enumerate(order.labels):
-            if label.sign == sign:
-                groups.setdefault(_series(label), array("I")).append(p)
+        for p in order.sector_positions(sector):
+            groups.setdefault(_series(labels[p]), array("I")).append(p)
         for s in sorted(groups):
             group = groups[s]
             expected = series_size(d, s)

@@ -12,14 +12,11 @@ and x lies in it exactly when x is the union of the pairs it contains; those
 pairs are its unique decomposition.  That is the one span rule here
 (``in_span``), and ``span_masks`` refuses any generators but disjoint pairs
 of [1, N].  A ``Span`` holds only its k pair masks: its size and membership
-follow from the rule without listing the unions, which are generated afresh
-on each iteration.  ``basis.Order`` reads each family member's pair masks
-straight off its arcs, passes them through ``span_masks`` once per member
-and keeps them in one flat array; its Kahn extension regenerates the unions
-from them, one pair XORed in per step of a reflected Gray code,
-``unique_bijection_check`` tests each image against its member's pairs with
-``in_span``, and ``Order.gen_spans`` builds a ``Span`` over them when one is
-read.
+follow from the rule, and ``_unions`` lists the unions afresh for each
+iteration and for ``Order.members``.  ``basis.Order`` keeps each member's
+pair masks, checked by ``span_masks`` once per member, in one flat array;
+its Kahn walk regenerates the unions one pair per Gray-code step, and the
+uniqueness certificate and the table test each image with ``in_span``.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.
@@ -167,6 +164,14 @@ def in_span(x: int, pairs: Iterable[int]) -> bool:
     return union == x
 
 
+def _unions(pairs: Iterable[int]) -> list[int]:
+    # the 2^k members of the span of k disjoint pairs, each pair doubling them
+    members = [0]
+    for g in pairs:
+        members += [m | g for m in members]
+    return members
+
+
 class Span:
     """The span of k disjoint pairs as a set of masks, held as the k pair masks.
 
@@ -189,10 +194,7 @@ class Span:
         return in_span(x, self.pairs)
 
     def __iter__(self) -> Iterator[int]:
-        members = [0]
-        for g in self.pairs:
-            members += [m | g for m in members]
-        return iter(members)
+        return iter(_unions(self.pairs))
 
 
 def span_masks(masks: list[int], n: int) -> list[int]:

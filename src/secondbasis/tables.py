@@ -1,9 +1,9 @@
 """Rendering of the family tables in bracket notation.
 
 An entry shows a member's arcs with the bracketed ones inside its even-set
-image; their pair-vectors sum to the image, which is checked to lie in the
-member's span (``Order.gen_spans``).  Arcs print as digit pairs up to N = 9
-and as "i-j" beyond; the empty member prints as ([∅]).
+image; their pair-vectors sum to the image, which ``f2.in_span`` checks
+against the member's pair masks in ``Order.pairs``.  Arcs print as digit
+pairs up to N = 9 and as "i-j" beyond; the empty member prints as ([∅]).
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .arcs import Arc, Matching, arc_text, classify_pair, pair_masks
-from .basis import build_order, epsilon_images
+from .basis import build_order
 from .errors import DecompositionError, DomainError
-from .f2 import EvenSet, Span
-from .family import PieceLabel, ground_size, pieces
+from .f2 import EvenSet, in_span
+from .family import PieceLabel, enumerate_family, ground_size
 from .limits import guard_d
 
 __all__ = [
@@ -52,11 +52,11 @@ class TableEntry:
         }
 
 
-def table_entry(b: Matching, image: EvenSet, span: Span) -> TableEntry:
-    """The entry of a member given its image and span: the arcs inside the image."""
-    if image.mask not in span:
+def table_entry(b: Matching, m: int, pairs: Iterable[int]) -> TableEntry:
+    """The entry of a member from its image mask and span pairs: the arcs inside it."""
+    if not in_span(m, pairs):
+        image = EvenSet.from_mask(m, b.n)
         raise DecompositionError(f"{image!r} is not in the span of the generators")
-    m = image.mask
     inside = tuple([a for a, g in zip(b.arcs, pair_masks(b.arcs)) if g & m == g])
     return TableEntry(b, inside)
 
@@ -105,14 +105,13 @@ def table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
 @lru_cache(maxsize=None)
 def _table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
     order = build_order(d)
-    position, spans = order.position, order.gen_spans
-    image = epsilon_images(d)
-    out = []
-    for label, members in pieces(d).items():
-        ranked = sorted(members, key=lambda b: position[image[b].mask])
-        entries = (table_entry(b, image[b], spans[image[b].mask]) for b in ranked)
-        out.append((label, tuple(entries)))
-    return tuple(out)
+    family, masks, pairs, starts = enumerate_family(d), order.masks, order.pairs, order.starts
+    # the extension runs through the pieces in display order, one block each
+    groups: dict[PieceLabel, list[TableEntry]] = {}
+    for p, label in zip(order.extension, order.labels):
+        entry = table_entry(family[p], masks[p], pairs[starts[p] : starts[p + 1]])
+        groups.setdefault(label, []).append(entry)
+    return tuple((label, tuple(entries)) for label, entries in groups.items())
 
 
 def _selected(d: int, piece: PieceLabel | None) -> list:

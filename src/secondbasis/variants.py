@@ -11,8 +11,6 @@ matrices whose columns give bases of the orbit spaces.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .arcs import Matching, cyclic_interval_mask
 from .basis import (
     BasisMatrix,
@@ -23,7 +21,7 @@ from .basis import (
     _span_matrix,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet
+from .f2 import EvenSet, members_of
 from .family import PieceLabel, ground_size, piece_of
 
 __all__ = [
@@ -202,30 +200,31 @@ def sector_order_check(d: int) -> dict | None:
     if d % 2 == 0:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
-    elements, labels, low = order.elements, order.labels, order.low
+    masks, extension, labels, low = order.masks, order.extension, order.labels, order.low
     zero_plus = PieceLabel(0, "+")
     classes: dict[tuple[PieceLabel, int], int] = {}
     ids = bytearray(low + 1)
-    for x, label in zip(elements, labels):
-        top = x.mask >> (d + 1) & 1 if label == zero_plus else 0
-        ids[x.mask >> 1 & low] = classes.setdefault((label, top), len(classes))
+    for p, label in zip(extension, labels):
+        m = masks[p]
+        top = m >> (d + 1) & 1 if label == zero_plus else 0
+        ids[m >> 1 & low] = classes.setdefault((label, top), len(classes))
     # faults[b][a]: the kind of fault a set of class a makes below one of class b
     faults = [
         [_fault(la, ta << (d + 1), lb, tb << (d + 1), d) for la, ta in classes]
         for lb, tb in classes
     ]
-    for i, y in enumerate(elements):
-        m = y.mask
+    for i, p in enumerate(extension):
+        m = masks[p]
         column = faults[ids[m >> 1 & low]]
-        # a set makes no fault with itself, so y's own span member is harmless
+        # a set makes no fault with itself, so its own span member is harmless
         if not any(column[ids[z >> 1 & low]] for z in order.members(m)):
             continue
         down = order.down[i]
         for k in range(i):
-            x = elements[k]
-            kind = column[ids[x.mask >> 1 & low]] if down >> k & 1 else None
+            x = masks[extension[k]]
+            kind = column[ids[x >> 1 & low]] if down >> k & 1 else None
             if kind:
-                bad = {"kind": kind, "x": x.to_json(), "y": y.to_json()}
+                bad = {"kind": kind, "x": list(members_of(x)), "y": list(members_of(m))}
                 if kind == "rank-violation":
                     bad["pieces"] = [str(labels[k]), str(labels[i])]
                 return bad
@@ -235,7 +234,6 @@ def sector_order_check(d: int) -> dict | None:
 _SECTOR_NAMES = ("++", "+-", "-+", "--")
 
 
-@lru_cache(maxsize=None)
 def orbit_representatives(d: int, which: str) -> tuple[EvenSet, ...]:
     """A transversal of the involution orbits on one sector.
 
@@ -249,19 +247,18 @@ def orbit_representatives(d: int, which: str) -> tuple[EvenSet, ...]:
     if d % 2 == 0:
         raise DomainError("orbit representatives concern odd D only")
     order = build_order(d)
-    elements, labels = order.elements, order.labels
+    masks, extension, labels = order.masks, order.extension, order.labels
     chosen = []
-    for pos, (x, label) in enumerate(zip(elements, labels)):
-        if label.sign != which[0]:
-            continue
+    for p in order.sector_positions("plus" if which[0] == "+" else "minus"):
+        label = labels[p]
         if label.sign == "+" and label.t == 0:  # the primed half avoids D+1
-            keep = not x.mask >> (d + 1) & 1
+            keep = not masks[extension[p]] >> (d + 1) & 1
         else:  # a plus-sector t here is nonzero, so t >= 0 means t > 0
             keep = (label.t >= 0) == (which[1] == "+")
         if keep:
-            chosen.append(pos)
-    chosen.sort(key=lambda pos: _rank(labels[pos]))  # stable: ties keep position order
-    return tuple(map(elements.__getitem__, chosen))
+            chosen.append(p)
+    chosen.sort(key=lambda p: _rank(labels[p]))  # stable: ties keep position order
+    return tuple(EvenSet.from_mask(masks[extension[p]], order.n) for p in chosen)
 
 
 def sector_matrix(d: int, which: str) -> BasisMatrix:

@@ -26,7 +26,7 @@ from .basis import (
     unique_bijection_check,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet
+from .f2 import EvenSet, members_of
 from .family import (
     PieceLabel,
     enumerate_family,
@@ -37,6 +37,7 @@ from .family import (
 )
 from .limits import guard_d
 from .variants import (
+    _block,
     in_primed_zero_piece,
     in_primed_zero_piece_set,
     involution,
@@ -149,14 +150,12 @@ def _check_n_transport(d: int) -> dict | None:
 
 
 def _check_piece_bijections(d: int) -> dict | None:
+    # epsilon_masks refuses a shared image before any piece is read
     image = epsilon_images(d)
     for label, members in pieces(d).items():
-        images = {image[b] for b in members}
-        if len(images) != len(members):
-            return {"piece": str(label), "kind": "collision"}
-        for x in images:
-            if sector_label(x, d) != label:
-                return {"piece": str(label), "image": x.to_json()}
+        for b in members:
+            if sector_label(image[b], d) != label:
+                return {"piece": str(label), "image": image[b].to_json()}
         want = piece_cardinality(d, label)
         if len(members) != want:
             return {"piece": str(label), "size": len(members), "expected": want}
@@ -214,12 +213,13 @@ def _check_involution_suite(d: int) -> dict | None:
     zero_plus = PieceLabel(0, "+")
     # no fixed point, N kept and D+1 flipped are properties of the block
     # [1, D+1] the involution adds, unit-tested at every odd D <= 41
-    labels, rank, low = order.labels, order.rank, order.low
-    for x, lx in zip(order.elements, labels):
-        lb = labels[rank[involution(x, d).mask >> 1 & low]]
+    labels, rank, low, masks = order.labels, order.rank, order.low, order.masks
+    block = _block(d)
+    for p, lx in zip(order.extension, labels):
+        lb = labels[rank[(masks[p] ^ block) >> 1 & low]]
         want_t = -lx.t if lx.sign == "+" else -lx.t - 2
         if lb.t != want_t:
-            return {"kind": "piece-transport", "x": x.to_json()}
+            return {"kind": "piece-transport", "x": list(members_of(masks[p]))}
     image = epsilon_images(d)
     for b, x in image.items():
         if image[matching_involution(b, d)] != involution(x, d):

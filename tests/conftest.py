@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from secondbasis.basis import sector_label
+from secondbasis.f2 import EvenSet
 from secondbasis.family import ground_size
 from secondbasis.tables import parse_entry
 
@@ -60,19 +61,34 @@ def rebind_everywhere(monkeypatch, original, replacement):
                 monkeypatch.setattr(mod, attr, replacement)
 
 
+def elements(order):
+    """The order's extension as even sets: ``masks[extension[p]]`` for each p."""
+    return [EvenSet.from_mask(order.masks[i], order.n) for i in order.extension]
+
+
+def position(order, m):
+    """The extension position of the even set with mask ``m``, read off ``rank``."""
+    return order.rank[m >> 1 & order.low]
+
+
 def below(order, y):
     """The elements at or below ``y``, in extension order, read off ``order.down``."""
-    bits = order.down[order.position[y.mask]]
-    return [x for i, x in enumerate(order.elements) if bits >> i & 1]
+    bits = order.down[position(order, y.mask)]
+    masks = order.masks
+    return [
+        EvenSet.from_mask(masks[p], order.n)
+        for i, p in enumerate(order.extension)
+        if bits >> i & 1
+    ]
 
 
 def doctor(order, spans=None, elements=None):
-    """Rewrite a fresh order's arrays in place; the views and checks read them.
+    """Rewrite a fresh order's arrays in place; its readers and checks read them.
 
     ``spans`` maps a mask to the masks that now generate its span.  They must
     be pairwise disjoint, so the span is still the unions of its generators,
     as ``f2.Span`` and ``Order.members`` read it.  ``elements`` is a new
-    extension: ``extension``, ``rank`` and ``labels`` follow it.
+    extension, as even sets: ``extension``, ``rank`` and ``labels`` follow it.
     """
     low = order.low
     new = {}
@@ -86,8 +102,8 @@ def doctor(order, spans=None, elements=None):
         starts.append(len(pairs))
     order.pairs, order.starts = pairs, starts
     if elements is not None:
-        order.elements = list(elements)
-        order.extension = array("I", [order.index[x.mask >> 1 & low] for x in order.elements])
-        order.labels = [sector_label(x, order.d) for x in order.elements]
-        for p, x in enumerate(order.elements):
+        elements = list(elements)
+        order.extension = array("I", [order.index[x.mask >> 1 & low] for x in elements])
+        order.labels = [sector_label(x, order.d) for x in elements]
+        for p, x in enumerate(elements):
             order.rank[x.mask >> 1 & low] = p

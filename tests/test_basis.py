@@ -36,7 +36,7 @@ from secondbasis.family import (
     piece_of,
     pieces,
 )
-from tests.conftest import below, clear_library_caches
+from tests.conftest import below, clear_library_caches, elements, position
 
 
 def span_of(b):
@@ -142,18 +142,18 @@ def test_epsilon_in_own_span_all_desk_scales():
 def test_order_d2_brute_force():
     # frozen: at D=2 only the empty set is strictly comparable
     order = build_order(2)
-    assert [tuple(x.members) for x in order.elements] == [
+    assert [tuple(x.members) for x in elements(order)] == [
         (), (1, 2), (2, 3), (1, 3)
     ]
     empty = EvenSet([], 3)
-    for y in order.elements:
+    for y in elements(order):
         assert set(below(order, y)) == {empty, y}
 
 
 def test_order_is_partial_order():
     for d in range(0, 8):
         order = build_order(d)
-        lower = {y: set(below(order, y)) for y in order.elements}
+        lower = {y: set(below(order, y)) for y in elements(order)}
         for y, ys in lower.items():
             assert y in ys
             # antisymmetry: mutual comparability only on the diagonal
@@ -163,8 +163,8 @@ def test_order_is_partial_order():
 @pytest.mark.parametrize("d", range(12))
 def test_order_labels_are_the_sector_labels(d):
     order = build_order(d)
-    assert len(order.labels) == len(order.elements)
-    for x, label in zip(order.elements, order.labels):
+    assert len(order.labels) == len(elements(order))
+    for x, label in zip(elements(order), order.labels):
         assert label == sector_label(x, d)
     # interned: one label object per piece
     assert len({id(label) for label in order.labels}) == len(set(order.labels))
@@ -191,7 +191,7 @@ def test_the_order_labels_each_class_once(monkeypatch, d):
     def kind(x):
         return (x.gamma(), n in x) if d % 2 else x.gamma()
 
-    assert sorted(map(kind, calls)) == sorted({kind(x) for x in order.elements})
+    assert sorted(map(kind, calls)) == sorted({kind(x) for x in elements(order)})
 
 
 @pytest.fixture
@@ -215,12 +215,18 @@ def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
         assert "down" not in build_order(d).__dict__, d
 
 
-def test_symbols_leave_the_even_set_extension_unbuilt(fresh_orders, capsys):
+def test_table_and_matrix_build_no_image_or_piece_table(capsys):
     from secondbasis.cli import main
 
-    assert main(["symbols", "--D", "9"]) == 0
-    capsys.readouterr()
-    assert "elements" not in build_order(9).__dict__
+    clear_library_caches()
+    try:
+        assert main(["table", "--D", "7"]) == 0
+        assert main(["matrix", "--D", "7", "--sector", "pp"]) == 0
+        capsys.readouterr()
+        assert epsilon_pairs.cache_info().currsize == 0
+        assert pieces.cache_info().currsize == 0
+    finally:
+        clear_library_caches()
 
 
 def test_passing_checks_leave_the_down_sets_unbuilt(fresh_orders):
@@ -232,13 +238,13 @@ def test_passing_checks_leave_the_down_sets_unbuilt(fresh_orders):
 def _eager_down(order):
     # the closure read straight off the spans, member by member in extension order
     down = {}
-    for x in order.elements:
-        bits = 1 << order.position[x.mask]
+    for x in elements(order):
+        bits = 1 << position(order, x.mask)
         for z in order.gen_spans[x.mask]:
             if z != x.mask:
                 bits |= down[z]
         down[x.mask] = bits
-    return [down[x.mask] for x in order.elements]
+    return [down[x.mask] for x in elements(order)]
 
 
 def test_lazy_down_sets_equal_the_eager_closure():
@@ -286,18 +292,15 @@ def reference_extension(d):
 def test_extension_equals_the_mask_keyed_reference(d):
     masks, labels = reference_extension(d)
     order = build_order(d)
-    assert [x.mask for x in order.elements] == masks
-    assert [EvenSet.from_mask(m, ground_size(d)) for m in masks] == order.elements
+    assert [order.masks[p] for p in order.extension] == masks
     assert order.labels == labels
-    assert list(order.position.items()) == [(m, i) for i, m in enumerate(masks)]
 
 
 @pytest.mark.parametrize("d", range(10))
 def test_the_views_equal_the_reference_dicts(d):
     order = build_order(d)
-    position = {x.mask: i for i, x in enumerate(order.elements)}
     spans = {x.mask: span_of(b) for b, x in epsilon_pairs(d)}
-    assert order.position == position and list(order.position) == list(position)
+    assert list(order.gen_spans) == [x.mask for x in elements(order)]
     assert len(order.gen_spans) == len(spans)
     for m, span in spans.items():
         view = order.gen_spans[m]
@@ -319,11 +322,10 @@ def test_the_views_equal_the_reference_dicts(d):
     ],
 )
 def test_the_views_refuse_keys_outside_e_n(key):
-    order = build_order(3)
-    for view in (order.position, order.gen_spans):
-        with pytest.raises(KeyError):
-            view[key]
-        assert key not in view
+    view = build_order(3).gen_spans
+    with pytest.raises(KeyError):
+        view[key]
+    assert key not in view
 
 
 # sha256 of the lines f"{mask} {label}\n" over build_order(15), 65,536
@@ -337,12 +339,36 @@ def test_d15_extension_digest():
     try:
         order = build_order(15)
         digest = hashlib.sha256()
-        for x, label in zip(order.elements, order.labels):
-            digest.update(f"{x.mask} {label}\n".encode())
-        assert len(order.elements) == 1 << 16
+        for p, label in zip(order.extension, order.labels):
+            digest.update(f"{order.masks[p]} {label}\n".encode())
+        assert len(order.extension) == 1 << 16
         assert digest.hexdigest() == D15_EXTENSION_SHA256
     finally:
         clear_library_caches()
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_plus_and_minus_positions_partition_the_extension(d):
+    order = build_order(d)
+    plus, minus = order.sector_positions("plus"), order.sector_positions("minus")
+    assert sorted([*plus, *minus]) == list(range(len(order.extension)))
+    assert list(plus) == sorted(plus) and list(minus) == sorted(minus)
+    # plus avoids N, minus contains it
+    tops = [order.masks[p] >> order.n & 1 for p in order.extension]
+    assert {tops[p] for p in plus} == {0} and {tops[p] for p in minus} == {1}
+
+
+def test_sector_positions_refuse_a_sector_outside_d():
+    assert list(build_order(4).sector_positions("all")) == list(range(16))
+    for d, sector, message in [
+        (5, "all", "sector 'all' needs even D"),
+        (4, "plus", "sector 'plus' needs odd D"),
+        (4, "minus", "sector 'minus' needs odd D"),
+        (5, "pp", "unknown sector 'pp'"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            build_order(d).sector_positions(sector)
+        assert str(exc.value) == message
 
 
 def test_unique_bijection_certificate():
@@ -435,7 +461,7 @@ def set_rule_symbol(x, d):
 
 @pytest.mark.parametrize("d", range(10))
 def test_symbol_of_follows_the_set_rule(d):
-    for x in build_order(d).elements:
+    for x in elements(build_order(d)):
         sym = symbol_of(x, d)
         assert (sym.s, sym.t, sym.flavor) == set_rule_symbol(x, d), x
 
@@ -457,7 +483,7 @@ def test_symbol_defect_identity_random():
 
 def test_symbol_sectors_odd_d():
     d, n = 3, 5
-    for x in build_order(d).elements:
+    for x in elements(build_order(d)):
         sym = symbol_of(x, d)
         if n in x:
             assert sym.flavor == "minus" and sym.defect == 2 * x.gamma() + 2
@@ -473,7 +499,7 @@ def test_symbol_bijective_with_series_counts():
         order = build_order(d)
         if d % 2 == 0:
             groups = {}
-            for x in order.elements:
+            for x in elements(order):
                 groups.setdefault(symbol_of(x, d).series(), set()).add(symbol_of(x, d))
             assert sum(len(v) for v in groups.values()) == 1 << (n - 1)
             for s, syms in groups.items():
@@ -482,7 +508,7 @@ def test_symbol_bijective_with_series_counts():
             for sector, keep in (("plus", False), ("minus", True)):
                 syms = {
                     symbol_of(x, d)
-                    for x in order.elements
+                    for x in elements(order)
                     if (n in x) == keep
                 }
                 assert len(syms) == 1 << (n - 2)

@@ -18,9 +18,9 @@ from secondbasis.basis import (
     unique_bijection_check,
 )
 from secondbasis.f2 import in_span
-from secondbasis.family import ground_size
+from secondbasis.family import enumerate_family, ground_size
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, _sweep, run_checks
-from tests.conftest import doctor
+from tests.conftest import clear_library_caches, doctor, elements
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
 
@@ -88,7 +88,8 @@ def test_run_checks_fails_both_and_runs_the_rest(two_cycle):
 def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
     d = 4
     order = basis.Order(d)
-    early, late = order.elements[3].mask, order.elements[10].mask
+    sets = elements(order)
+    early, late = sets[3].mask, sets[10].mask
     # late, disjoint from early's one pair, joins it as a generator: the span
     # lists late before early | late, both later than early
     assert order.gen_spans[early].pairs == (early,) and not early & late
@@ -102,7 +103,7 @@ def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
 def test_an_image_outside_its_span_fails_uniqueness(monkeypatch, fresh_orders):
     d = 4
     order = basis.Order(d)
-    y = next(x.mask for x in order.elements if x.mask)
+    y = next(x.mask for x in elements(order) if x.mask)
     # with no pair inside y left, y is no union of the rest
     doctor(order, {y: [g for g in order.gen_spans[y].pairs if g & y != g]})
     monkeypatch.setattr(basis, "build_order", lambda dd: order if dd == d else build_order(dd))
@@ -148,3 +149,27 @@ def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
     assert_closed_cycle(cycle, d)
     message = f"generating digraph at D={d} has a cycle through masks {cycle}"
     assert str(exc.value) == message
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_library_caches()
+    yield
+    clear_library_caches()
+
+
+def test_a_shared_image_fails_piece_bijections(monkeypatch, fresh_caches):
+    # piece_bijections reads the images off epsilon_masks, which refuses the
+    # collision before any piece is read
+    d = 3
+    first, second = enumerate_family(d)[:2]
+    real = basis._epsilon_mask
+
+    def doctored(b, dd):  # epsilon's int core, which epsilon also wraps
+        return real(first if b == second else b, dd)
+
+    monkeypatch.setattr(basis, "_epsilon_mask", doctored)
+    image = basis.epsilon(first, d)
+    message = f"epsilon collision at D={d}: {first!r} and {second!r} -> {image!r}"
+    reports = {r.name: r.detail for r in run_checks(d)}
+    assert reports["piece_bijections"] == {"kind": "falsification", "message": message}

@@ -15,6 +15,7 @@ from secondbasis.basis import build_order, series_size, symbol_of
 from secondbasis.cli import _matrix_for, main
 from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.tables import parse_entry, render_entry, table_data, table_json
+from tests.conftest import elements
 
 
 def run(capsys, *argv):
@@ -304,11 +305,12 @@ def symbols_oracle(d, sector=None, size=series_size):
     """The grouped listing as it was first rendered: every symbol of a sector
     built, grouped by series, then printed; the lines up to a size mismatch."""
     order = build_order(d)
+    sets = elements(order)
     lines, total = [], 0
     for name in ["all"] if d % 2 == 0 else [sector] if sector else ["plus", "minus"]:
         groups = {}
-        for x in order.sector_elements(name):
-            sym = symbol_of(x, d)
+        for p in order.sector_positions(name):
+            sym = symbol_of(sets[p], d)
             left = ",".join(map(str, sorted(sym.s))) or "∅"
             right = ",".join(map(str, sorted(sym.t))) or "∅"
             groups.setdefault(sym.series(), []).append(f"({left} ; {right})")
@@ -349,7 +351,8 @@ def test_a_symbol_off_its_series_is_a_falsification(capsys, monkeypatch):
     import secondbasis.cli as cli
 
     real = cli._symbol_masks
-    x = build_order(5).sector_elements("plus")[-1]
+    order = build_order(5)
+    x = elements(order)[order.sector_positions("plus")[-1]]
 
     def swapped(m, d):  # the halves of the last plus-sector set swapped
         s, t = real(m, d)

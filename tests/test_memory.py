@@ -10,9 +10,9 @@ builds no ``EvenSet`` or (member, image) tuple per member (about 24 MB with
 them, about 29 MB with an ``f2.Span`` and dict entries per element too).
 ``table --D 11 --format json``, the next largest emission command, writes
 one piece and one entry at a time: about 19 MB (about 27 MB when it built
-the whole JSON tree first).  ``build_order(15)`` with its ``elements`` read
-peaks at about 41 MB (about 50 MB when the image table held the pairs, 68 MB
-with the per-element structures).  ``verify --max-D 13 --slow`` is the
+the whole JSON tree first).  ``build_order(15)`` peaks at about 37 MB
+(about 41 MB when its extension was also read as ``EvenSet``s, 50 MB when
+the image table held the pairs, 68 MB with the per-element structures).  ``verify --max-D 13 --slow`` is the
 verify path's peak: about 34 MB, with both matrix kinds stored as compressed
 column arrays, the lift grid as one flat array of image masks, and the
 order's properties checked on its generating edges, so no passing check
@@ -93,8 +93,8 @@ def test_table_d11_json_peak_rss():
 @needs_proc
 def test_build_order_d15_peak_rss():
     # exit 0 once the extension holds all 2^16 even sets
-    mb = peak_mb([], 300, call="int(len(build_order(15).elements) != 1 << 16)")
-    assert mb < 47, f"build_order(15) peaked at {mb:.1f} MB"
+    mb = peak_mb([], 300, call="int(len(build_order(15).extension) != 1 << 16)")
+    assert mb < 42, f"build_order(15) peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow

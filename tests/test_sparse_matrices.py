@@ -22,7 +22,7 @@ from secondbasis.basis import (
 from secondbasis.cli import _matrix_for
 from secondbasis.errors import FalsificationError
 from secondbasis.variants import involution, orbit_representatives, sector_matrix
-from tests.conftest import doctor
+from tests.conftest import doctor, elements
 
 
 def sectors(d):
@@ -38,9 +38,10 @@ def dense_reference(order, d, sector):
         return [
             [(x.mask in s) + (involution(x, d).mask in s) for s in spans] for x in reps
         ]
-    elements = order.sector_elements(sector)
-    spans = [order.gen_spans[y.mask] for y in elements]
-    return [[int(x.mask in s) for s in spans] for x in elements]
+    sets = elements(order)
+    chosen = [sets[p] for p in order.sector_positions(sector)]
+    spans = [order.gen_spans[y.mask] for y in chosen]
+    return [[int(x.mask in s) for s in spans] for x in chosen]
 
 
 def dense_fault(rows, bound, what):
@@ -131,8 +132,8 @@ DOCTORED_FAULTS = {
 )
 def test_doctored_span_names_the_dense_fault(doctored_order, edit):
     order = doctored_order
-    elements = order.elements
-    early, late = elements[3].mask, elements[10].mask
+    sets = elements(order)
+    early, late = sets[3].mask, sets[10].mask
     spans = {}
     if edit in ("below-diagonal", "both"):
         # late joins early's disjoint pairs; early | late lands at position 13

@@ -9,9 +9,9 @@ from secondbasis.arcs import Matching, pair_evenset, pair_masks
 from secondbasis.basis import build_order, epsilon_pairs
 from secondbasis.cli import main
 from secondbasis.errors import DecompositionError
-from secondbasis.f2 import EvenSet, Span, f2_sum, span_masks
+from secondbasis.f2 import EvenSet, f2_sum, span_masks
 from secondbasis.tables import table_data, table_entry
-from tests.conftest import clear_library_caches, doctor, rebind_everywhere
+from tests.conftest import clear_library_caches, doctor, elements, rebind_everywhere
 
 
 @pytest.fixture
@@ -21,13 +21,13 @@ def fresh_caches():
     clear_library_caches()
 
 
-def span_of(b):
-    return Span(span_masks(pair_masks(b.arcs), b.n))
+def pairs_of(b):
+    return span_masks(pair_masks(b.arcs), b.n)
 
 
 def entry_for(pairs, n, image):
     b = Matching.from_pairs(pairs, n)
-    return table_entry(b, EvenSet(image, n), span_of(b))
+    return table_entry(b, EvenSet(image, n).mask, pairs_of(b))
 
 
 def test_table_entry_examples():
@@ -45,7 +45,7 @@ def test_table_entry_refuses_an_image_outside_the_span():
 def test_table_entry_brackets_the_unique_decomposition():
     for d in range(0, 8):
         for b, x in epsilon_pairs(d):
-            entry = table_entry(b, x, span_of(b))
+            entry = table_entry(b, x.mask, pairs_of(b))
             vectors = [pair_evenset(a, b.n) for a in b.arcs]
             part = [g for a, g in zip(b.arcs, vectors) if a in entry.bracketed]
             assert f2_sum(part, b.n) == x
@@ -75,7 +75,7 @@ def test_table_data_reads_the_order_spans(monkeypatch, fresh_caches, d):
 
 def test_a_span_that_misses_its_image_fails_the_table(capsys, fresh_caches):
     order = build_order(5)
-    m = next(x.mask for x in order.elements if x.mask)
+    m = next(x.mask for x in elements(order) if x.mask)
     # with no pair inside m left, m is no union of the rest
     doctor(order, {m: [g for g in order.gen_spans[m].pairs if g & m != g]})
     assert main(["table", "--D", "5"]) == 2

@@ -23,7 +23,7 @@ from secondbasis.variants import (
     triangle_identity_ok,
     triangular_epsilon,
 )
-from tests.conftest import below, doctor
+from tests.conftest import below, doctor, elements, position
 
 
 def m(pairs, n):
@@ -48,7 +48,7 @@ def test_triangular_epsilon_equals_epsilon():
 def test_pair_basis_coords():
     assert pair_basis_coords(EvenSet([1, 2], 5), 4) == (1, 0, 0, 0)
     assert pair_basis_coords(EvenSet([1, 3], 5), 4) == (1, 1, 0, 0)
-    for x in build_order(4).elements:
+    for x in elements(build_order(4)):
         coords = pair_basis_coords(x, 4)
         assert pair_basis_set(coords, 4) == x
 
@@ -74,7 +74,7 @@ def test_pair_basis_embedding_images():
 def test_involution_basics():
     assert involution(EvenSet([], 3), 1) == EvenSet([1, 2], 3)
     for d in (1, 3, 5, 7):
-        for x in build_order(d).elements:
+        for x in elements(build_order(d)):
             bang = involution(x, d)
             assert bang != x
             assert involution(bang, d) == x
@@ -167,7 +167,6 @@ def test_order_readers_do_not_relabel(monkeypatch, d):
     from tests.conftest import rebind_everywhere
 
     build_order(d), epsilon_images(d)  # built before counting
-    orbit_representatives.cache_clear()
     calls = []
 
     def counted(x, dd):
@@ -186,8 +185,8 @@ def test_sector_order_properties():
 
 def reference_sector_order_check(order, d):
     """The direct reading of every clause: every y, every x in its down-set."""
-    labels = {x.mask: sector_label(x, d) for x in order.elements}
-    for y in order.elements:
+    labels = {x.mask: sector_label(x, d) for x in elements(order)}
+    for y in elements(order):
         ly = labels[y.mask]
         for x in below(order, y):
             lx = labels[x.mask]
@@ -233,19 +232,19 @@ def _doctored(monkeypatch, d, y, spans):
     """
     order = Order(d)
     xs = [x for gens in spans.values() for x in gens]
-    after = order.elements[order.position[y.mask] + 1 :]
+    after = elements(order)[position(order, y.mask) + 1 :]
     late = [x for x in after if x in xs]
-    elements = [x for x in order.elements if x not in late]
-    at = elements.index(y)
+    kept = [x for x in elements(order) if x not in late]
+    at = kept.index(y)
     for z in spans:
         assert order.gen_spans[z.mask].pairs == (z.mask,)
     doctor(
         order,
         {z.mask: [x.mask for x in gens] for z, gens in spans.items()},
-        elements[:at] + late + elements[at:],
+        kept[:at] + late + kept[at:],
     )
     for m, span in order.gen_spans.items():
-        assert all(order.position[z] <= order.position[m] for z in span)
+        assert all(position(order, z) <= position(order, m) for z in span)
 
     def doctored(dd):
         return order if dd == d else build_order(dd)
@@ -258,7 +257,7 @@ def _doctored(monkeypatch, d, y, spans):
 def _zero_plus(order, d, primed):
     return [
         x
-        for x in order.elements
+        for x in elements(order)
         if sector_label(x, d) == PieceLabel(0, "+")
         and in_primed_zero_piece_set(x, d) == primed
     ]
@@ -267,7 +266,7 @@ def _zero_plus(order, d, primed):
 def _rank_offender(order, d, y):
     """A same-sign set of another piece whose rank is not below y's."""
     ly = sector_label(y, d)
-    for x in order.elements:
+    for x in elements(order):
         lx = sector_label(x, d)
         if lx.sign == ly.sign and lx.t != ly.t and variants._rank(lx) >= variants._rank(ly):
             return x
@@ -278,7 +277,7 @@ D_DOCTOR = 5
 
 def test_doctored_rank_violation(monkeypatch):
     order = Order(D_DOCTOR)
-    y = order.elements[order.labels.index(PieceLabel(2, "+"))]
+    y = elements(order)[order.labels.index(PieceLabel(2, "+"))]
     x = _rank_offender(order, D_DOCTOR, y)  # of the (-2,+) piece: equal rank
     order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
     got = sector_order_check(D_DOCTOR)
@@ -304,7 +303,7 @@ def test_doctored_clauses_report_the_lowest_position(monkeypatch):
     y = _zero_plus(order, D_DOCTOR, primed=True)[1]
     ranked = _rank_offender(order, D_DOCTOR, y)
     unprimed = _zero_plus(order, D_DOCTOR, primed=False)[0]
-    assert order.position[unprimed.mask] < order.position[ranked.mask]
+    assert position(order, unprimed.mask) < position(order, ranked.mask)
     # ranked and unprimed overlap, so no disjoint generators hold both; the
     # chain unprimed < ranked < y puts both below y, as adding both to y's
     # span did
@@ -316,8 +315,8 @@ def test_doctored_clauses_report_the_lowest_position(monkeypatch):
 
 def test_doctored_sector_crossing_fails_the_involution_suite(monkeypatch):
     order = Order(D_DOCTOR)
-    y = order.elements[1]
-    x = next(x for x, label in zip(order.elements, order.labels) if label.sign == "-")
+    y = elements(order)[1]
+    x = next(x for x, label in zip(elements(order), order.labels) if label.sign == "-")
     order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
     got = sector_order_check(D_DOCTOR)
     assert got == reference_sector_order_check(order, D_DOCTOR)
@@ -333,8 +332,8 @@ def test_orbit_representatives():
     for d in (1, 3, 5, 7):
         n = d + 2
         order = build_order(d)
-        plus = [x for x in order.elements if n not in x]
-        minus = [x for x in order.elements if n in x]
+        plus = [x for x in elements(order) if n not in x]
+        minus = [x for x in elements(order) if n in x]
         for which, sector in (("++", plus), ("+-", plus), ("-+", minus), ("--", minus)):
             reps = orbit_representatives(d, which)
             assert len(reps) * 2 == len(sector)
