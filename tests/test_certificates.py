@@ -17,6 +17,7 @@ from secondbasis.basis import (
     epsilon_pairs,
     unique_bijection_check,
 )
+from secondbasis.errors import FalsificationError
 from secondbasis.f2 import in_span
 from secondbasis.family import enumerate_family, ground_size
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, _sweep, run_checks
@@ -173,3 +174,17 @@ def test_a_shared_image_fails_piece_bijections(monkeypatch, fresh_caches):
     message = f"epsilon collision at D={d}: {first!r} and {second!r} -> {image!r}"
     reports = {r.name: r.detail for r in run_checks(d)}
     assert reports["piece_bijections"] == {"kind": "falsification", "message": message}
+
+
+def test_an_odd_image_is_refused(monkeypatch, fresh_caches):
+    d = 3
+    odd = enumerate_family(d)[1]
+    real = basis._epsilon_mask
+
+    def doctored(b, dd):  # point 1 flipped in one member's image
+        return real(b, dd) ^ 2 if b == odd else real(b, dd)
+
+    monkeypatch.setattr(basis, "_epsilon_mask", doctored)
+    with pytest.raises(FalsificationError) as exc:
+        basis.epsilon_masks(d)
+    assert str(exc.value) == f"epsilon of {odd!r} at D={d} has odd size"
