@@ -31,16 +31,14 @@ equality exhaustively.  The boundary clauses of the third property only make
 sense when the double-primed part is non-empty, and are applied exactly
 then; for an all-primed matching only the interiors are constrained.
 
-The covering test deliberately uses a budgeted search over arbitrary interval
-systems instead of a greedy outermost-arc rule: ``is_member`` and the oracle
-run on matchings whose primed intervals may cross, and laminarity only holds
-after membership is established.  Being apart from ``_tilings``, it makes the
-certificate a real re-check.  ``cover_interval`` and ``coverings_ok`` share
-one tiling recursion, and ``coverings_ok`` builds its table of primed arcs
-once per matching.  ``distinguished_element`` reads its boundary segment from
-the segment table the filter uses, and needs no search: a matching starts at
-most one arc at a point, so a cover that leaves nothing out is a forced walk,
-and one backward pass and one forward walk list every leftover.
+The covering test is a forced walk: a matching starts at most one arc at a
+point, so a cover of [lo, hi] that leaves nothing out exists exactly when
+the walk from lo along the primed arcs lands on hi+1, and a cover can leave
+out just the walked points p from which one backward pass finds [p+1, hi]
+covered.  That holds for crossing primed intervals too, so ``is_member``
+needs no laminarity (it only holds after membership), and the walk shares
+no code with ``_tilings``, so the certificate re-checks the generator.
+``coverings_ok``, ``cover_interval`` and ``distinguished_element`` read it.
 
 ``piece_of`` runs its parity rule on every call and returns interned labels,
 one object per (t, sign).
@@ -226,32 +224,39 @@ def nested_pairing(b: Matching) -> tuple[int, ...] | None:
     Returns the (possibly empty) sequence i_1 < ... < i_{2s}, or None when the
     double-primed arcs are not exactly {i_{2s}i_1, i_{2s-1}i_2, ...}.  When a
     witness exists it is unique: the sequence is forced to be the sorted
-    support.
+    support.  By lower point, the double-primed arcs nest exactly when their
+    lower points rise and their upper points fall.
     """
-    b0 = b.double_primed()
-    seq = sorted(x for a in b0 for x in (a.i, a.j))
-    s = len(b0)
-    want = {Arc(seq[2 * s - 1 - r], seq[r]) for r in range(s)}
-    return tuple(seq) if want == set(b0) else None
+    lows, highs = [], []
+    for i, j in b.arcs:
+        if i > j:  # double-primed
+            if lows and (j < lows[-1] or i > highs[-1]):
+                return None
+            lows.append(j)
+            highs.append(i)
+    return (*lows, *reversed(highs))
 
 
-def _parity_target(seq: tuple[int, ...], d: int, n: int, n_matched: bool) -> int:
-    # the parity target read off the sorted double-primed support `seq`: it
-    # holds 2|B0| points, and its last one is i_b, the largest first coordinate
-    s = len(seq) // 2
-    if d % 2 == 0 or not s:
-        return s % 2
-    return 0 if n_matched and seq[-1] != n else 1
+def _parity(b: Matching, d: int) -> tuple[int, int]:
+    # |B0| and its target in one pass: for odd D and B0 non-empty, 0 exactly
+    # when N is matched but is not i_b, that is, when a primed arc ends at N
+    s = primed_n = 0
+    for i, j in b.arcs:
+        if i > j:
+            s += 1
+        elif j == b.n:
+            primed_n = 1
+    return s, s % 2 if d % 2 == 0 or not s else 1 - primed_n
 
 
 def parity_target(b: Matching, d: int) -> int:
     """The parity the double-primed part must have (0 or 1)."""
-    support = sorted(x for a in b.double_primed() for x in a)
-    return _parity_target(support, d, b.n, bool(b.support_mask >> b.n & 1))
+    return _parity(b, d)[1]
 
 
 def parity_ok(b: Matching, d: int) -> bool:
-    return len(b.double_primed()) % 2 == parity_target(b, d)
+    s, target = _parity(b, d)
+    return s % 2 == target
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,36 +267,35 @@ class CoverWitness:
     leftover: tuple[int, ...]
 
 
-def _starts(b: Matching) -> dict[int, list[int]]:
-    starts: dict[int, list[int]] = {}
-    for a in b.primed():
-        starts.setdefault(a.i, []).append(a.j)
-    return starts
+def _ends(b: Matching) -> dict[int, int]:
+    # the primed arcs as first point -> second point
+    return {i: j for i, j in b.arcs if i < j}
 
 
-def _tile(
-    starts: dict[int, list[int]], lo: int, hi: int, skip: int
-) -> tuple[list[Arc], list[int]] | None:
-    # tile [lo, hi] with the arcs in `starts` (first point -> second points),
-    # leaving exactly `skip` points uncovered: (arcs, skipped points) or None
-    if max(0, hi - lo + 1) % 2 != skip % 2:
-        return None
+def _covered(ends: dict[int, int], lo: int, hi: int) -> bool:
+    # whether [lo, hi] is tiled leaving nothing out: the walk from lo, taking
+    # the one arc that starts at each point, lands on hi + 1
+    while lo <= hi:
+        q = ends.get(lo, hi + 1)
+        if q > hi:
+            return False
+        lo = q + 1
+    return True
 
-    def rec(p: int, budget: int) -> tuple[list[Arc], list[int]] | None:
-        if p > hi:
-            return ([], []) if budget == 0 else None
-        for q in starts.get(p, ()):
-            if q <= hi:
-                rest = rec(q + 1, budget)
-                if rest is not None:
-                    return ([Arc(p, q)] + rest[0], rest[1])
-        if budget:
-            rest = rec(p + 1, budget - 1)
-            if rest is not None:
-                return (rest[0], [p] + rest[1])
-        return None
 
-    return rec(lo, skip)
+def _leftovers(ends: dict[int, int], lo: int, hi: int) -> list[int]:
+    # the points a cover of [lo, hi] can leave out alone, in walk order: the
+    # walked points p, those with [lo, p-1] covered, with [p+1, hi] covered
+    covered = {hi + 1: True}  # covered[p]: [p, hi] is tiled, nothing left
+    for p in range(hi, lo - 1, -1):
+        q = ends.get(p, hi + 1)
+        covered[p] = q <= hi and covered[q + 1]
+    leftovers, p = [], lo
+    while p <= hi:
+        if covered[p + 1]:
+            leftovers.append(p)
+        p = ends.get(p, hi) + 1
+    return leftovers
 
 
 def cover_interval(
@@ -301,14 +305,23 @@ def cover_interval(
 
     Returns a witness (arc list in increasing order plus the skipped points)
     or None.  An empty interval (lo > hi) is covered exactly when skip == 0,
-    and no interval is coverable when its size and skip disagree mod 2.
+    and no interval is coverable when its size and skip disagree mod 2.  Of
+    several possible leftovers the witness skips the last one the walk meets.
     """
     if skip not in (0, 1):
         raise DomainError(f"skip budget must be 0 or 1, got {skip}")
-    found = _tile(_starts(b), lo, hi, skip)
-    if found is None:
+    ends = _ends(b)
+    left = _leftovers(ends, lo, hi)[-1:] if skip else []
+    if not (left if skip else _covered(ends, lo, hi)):
         return None
-    return CoverWitness(tuple(found[0]), tuple(found[1]))
+    arcs, p = [], lo
+    while p <= hi:
+        if p in left:
+            p += 1
+        else:
+            arcs.append(Arc(p, ends[p]))
+            p = ends[p] + 1
+    return CoverWitness(tuple(arcs), tuple(left))
 
 
 def _sequence_segments(
@@ -355,13 +368,18 @@ def covering_requirements(
 def coverings_ok(b: Matching, d: int, seq: tuple[int, ...]) -> bool:
     """Whether every prescribed segment admits its prescribed cover.
 
-    ``seq`` is the nested-pairing witness of b, from ``nested_pairing``.
+    ``seq`` is the nested-pairing witness of b, from ``nested_pairing``.  The
+    rows of ``covering_requirements`` are walked without building the table.
     """
-    starts = _starts(b)
-    return all(
-        _tile(starts, lo, hi, e) is not None
-        for lo, hi, e in covering_requirements(b, d, seq)
-    )
+    n = b.n
+    ends = _ends(b)
+    for i, j in ends.items():  # the primed-arc interiors
+        if not _covered(ends, i + 1, j - 1):
+            return False
+    for lo, hi, e in _sequence_segments(seq, d, n, bool(b.support_mask >> n & 1)):
+        if not (_leftovers(ends, lo, hi) if e else _covered(ends, lo, hi)):
+            return False
+    return True
 
 
 def is_member(b: Matching, d: int) -> bool:
@@ -369,11 +387,7 @@ def is_member(b: Matching, d: int) -> bool:
     if b.n != ground_size(d):
         raise DomainError(f"matching over [1, {b.n}] does not fit D={d}")
     seq = nested_pairing(b)
-    if seq is None:
-        return False
-    if not parity_ok(b, d):
-        return False
-    return coverings_ok(b, d, seq)
+    return seq is not None and parity_ok(b, d) and coverings_ok(b, d, seq)
 
 
 def _nested_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -437,14 +451,15 @@ def _state_regions(seq: tuple[int, ...], d: int, n: int) -> Iterator[list]:
     # per state of N that passes the parity property, the regions by lo as
     # (lo, hi, budget): the sequence segments, then the gap between the halves
     # (all of [1, N] for the empty sequence) with any number left.  With N
-    # unmatched the segments stop at N-1, unless one must cover N (even D)
+    # unmatched the segments stop at N-1, unless one must cover N (even D).
+    # At odd D the parity target is 0 exactly when N is matched, not to i_2s
     s = len(seq) // 2
     if not s:  # no segments and parity target 0, whatever N does
         yield [(1, n, None)]
         return
     for n_matched in (False, True):
         segs = _sequence_segments(seq, d, n, n_matched)
-        if s % 2 != _parity_target(seq, d, n, n_matched) or (
+        if d % 2 and s % 2 == (n_matched and seq[-1] != n) or (
             not n_matched and any(hi == n for _, hi, _ in segs)
         ):
             continue
@@ -487,14 +502,8 @@ def distinguished_element(b: Matching, d: int) -> int:
     Defined for odd D, non-empty double-primed part, and N unmatched.  The
     uncovered point is provably unique for members of X_D; uniqueness is
     asserted here at runtime, so a violation surfaces as a falsification
-    instead of silently picking one.
-
-    A matching starts at most one arc at a point, so a cover that leaves
-    nothing out is a forced walk: from its first point, take the primed arc
-    starting there and go on after its end.  One backward pass marks the
-    points p from which [p, hi] is so covered, and one forward walk from lo
-    meets exactly the points p with [lo, p-1] covered; the leftovers are the
-    walked points p with [p+1, hi] covered.
+    instead of silently picking one.  The leftovers are the walked points p
+    with [p+1, hi] covered, from the same forced walk as ``coverings_ok``.
     """
     if d % 2 == 0 or not b.double_primed() or (b.support_mask >> b.n & 1):
         raise DomainError(
@@ -505,18 +514,7 @@ def distinguished_element(b: Matching, d: int) -> int:
         raise DomainError("not a member: no nested-pairing witness")
     # the one boundary segment the third property tiles with a leftover
     ((lo, hi, _),) = [seg for seg in _sequence_segments(seq, d, b.n, False) if seg[2]]
-    ends = {i: j for i, j in b.arcs if i < j}  # primed arcs by first point
-    covered = [False] * (hi + 2)  # covered[p]: [p, hi] is tiled with nothing left
-    covered[hi + 1] = True
-    for p in range(hi, lo - 1, -1):
-        q = ends.get(p, hi + 1)
-        covered[p] = q <= hi and covered[q + 1]
-    leftovers = []
-    p = lo
-    while p <= hi:
-        if covered[p + 1]:
-            leftovers.append(p)
-        p = ends.get(p, hi) + 1
+    leftovers = _leftovers(_ends(b), lo, hi)
     if len(leftovers) != 1:
         raise FalsificationError(
             f"boundary segment [{lo},{hi}] of {b!r} admits leftovers {leftovers}"

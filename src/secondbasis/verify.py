@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .arcs import Matching, cyclic_interval_mask, embed_set
+from .arcs import Matching, _splice, cyclic_interval_mask
 from .basis import (
     CycleError,
     build_order,
@@ -26,7 +26,7 @@ from .basis import (
     unique_bijection_check,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet, members_of
+from .f2 import EvenSet, _even_positions_mask, members_of
 from .family import (
     PieceLabel,
     enumerate_family,
@@ -113,18 +113,19 @@ def _check_recursion(d: int) -> dict | None:
     # a lifted member's image is the embedded image, up to one copy of {k, k+1}
     for bp, ex, row in _lifts(d):
         for k, lifted in enumerate(row, start=1):
-            diff = lifted ^ embed_set(k, ex).mask
+            diff = lifted ^ _splice(ex.mask, k)
             if diff and diff != (1 << k) | (1 << (k + 1)):
                 return {"member": bp.to_pairs(), "k": k}
     return None
 
 
 def _check_gamma_invariance(d: int) -> dict | None:
-    n = ground_size(d)
+    evens = _even_positions_mask(ground_size(d))
     for bp, ex, row in _lifts(d):
         g = ex.gamma()
         for k, lifted in enumerate(row, start=1):
-            if EvenSet.from_mask(lifted, n).gamma() != g:
+            # gamma: the even members less the odd ones
+            if 2 * (lifted & evens).bit_count() - lifted.bit_count() != g:
                 return {"member": bp.to_pairs(), "k": k}
     return None
 

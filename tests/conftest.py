@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from secondbasis.arcs import Arc
 from secondbasis.basis import sector_label
 from secondbasis.f2 import EvenSet
 from secondbasis.family import ground_size
@@ -107,3 +108,39 @@ def doctor(order, spans=None, elements=None):
         order.labels = [sector_label(x, order.d) for x in elements]
         for p, x in enumerate(elements):
             order.rank[x.mask >> 1 & low] = p
+
+
+def primed_starts(b):
+    """The primed arcs of ``b`` as first point -> list of second points."""
+    starts = {}
+    for a in b.primed():
+        starts.setdefault(a.i, []).append(a.j)
+    return starts
+
+
+def tile(starts, lo, hi, skip):
+    """The tiling search: tile [lo, hi] with the arcs in ``starts``, leaving
+    exactly ``skip`` points uncovered; (arcs, skipped points) or None.
+
+    A depth-first search that tries the arcs at a point before skipping it,
+    over arbitrary interval systems (``starts`` may hold several arcs per
+    point).  It is the reference the library's forced walk is tested against.
+    """
+    if max(0, hi - lo + 1) % 2 != skip % 2:
+        return None
+
+    def rec(p, budget):
+        if p > hi:
+            return ([], []) if budget == 0 else None
+        for q in starts.get(p, ()):
+            if q <= hi:
+                rest = rec(q + 1, budget)
+                if rest is not None:
+                    return ([Arc(p, q)] + rest[0], rest[1])
+        if budget:
+            rest = rec(p + 1, budget - 1)
+            if rest is not None:
+                return (rest[0], [p] + rest[1])
+        return None
+
+    return rec(lo, skip)

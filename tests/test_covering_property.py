@@ -1,9 +1,12 @@
 """Property tests: the interval tilings against a brute force over arc subsets.
 
-``cover_interval`` and ``coverings_ok`` share one tiling recursion, and
-``distinguished_element`` walks its forced covers; here all three are
-compared, on random matchings of [1, N <= 11], with a search that tries every
-subset of the primed arcs inside the interval.
+``cover_interval``, ``coverings_ok`` and ``distinguished_element`` share one
+forced walk: a matching starts at most one arc at a point, so a cover that
+leaves nothing out is forced, and one backward pass finds every point a cover
+can leave out alone.  Here all three are compared, on random matchings of
+[1, N <= 11], with a search that tries every subset of the primed arcs inside
+the interval.  ``tests/test_family.py`` compares them exhaustively with the
+depth-first tiling search.
 """
 
 from itertools import combinations

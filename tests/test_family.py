@@ -34,6 +34,7 @@ from secondbasis.family import (
     pieces,
     primitives,
 )
+from tests.conftest import primed_starts, tile
 
 
 def m(pairs, n):
@@ -138,6 +139,9 @@ def test_cover_interval():
     w = cover_interval(m([(3, 1)], 5), 4, 4, 1)
     assert w is not None and w.leftover == (4,)
     assert cover_interval(m([], 5), 2, 3, 1) is None  # parity mismatch
+    # an empty interval, whatever its ends, is covered exactly without a leftover
+    assert cover_interval(m([], 3), 3, -2, 0) == family.CoverWitness((), ())
+    assert cover_interval(m([], 3), 3, -2, 1) is None
     assert cover_interval(m([(1, 4)], 5), 2, 3, 0) is None
 
 
@@ -152,6 +156,84 @@ def test_coverings_examples():
     assert coverings_ok(m([], 3), 2, ())
     assert not is_member(m([(3, 1), (4, 5)], 5), 3)
     assert is_member(m([(6, 7), (5, 1), (4, 2)], 7), 5)
+
+
+def search_nested_pairing(b):
+    """The first property by its definition: sort the support, pair it up."""
+    b0 = b.double_primed()
+    seq = sorted(x for a in b0 for x in (a.i, a.j))
+    s = len(b0)
+    want = {Arc(seq[2 * s - 1 - r], seq[r]) for r in range(s)}
+    return tuple(seq) if want == set(b0) else None
+
+
+def search_parity_ok(b, d):
+    """The second property read off the sorted double-primed support."""
+    support = sorted(x for a in b.double_primed() for x in a)
+    s = len(support) // 2
+    if d % 2 == 0 or not s:
+        target = s % 2
+    else:
+        n_matched = bool(b.support_mask >> b.n & 1)
+        target = 0 if n_matched and support[-1] != b.n else 1
+    return s % 2 == target
+
+
+def search_coverings_ok(b, d, seq):
+    """The third property: the tiling search on every row of the table."""
+    starts = primed_starts(b)
+    return all(
+        tile(starts, lo, hi, e) is not None
+        for lo, hi, e in covering_requirements(b, d, seq)
+    )
+
+
+def search_is_member(b, d):
+    seq = search_nested_pairing(b)
+    return seq is not None and search_parity_ok(b, d) and search_coverings_ok(b, d, seq)
+
+
+def assert_walk_equals_the_search(n):
+    """The membership predicates on every matching of [1, n], at both D on
+    [1, n], and every ``cover_interval`` witness, against the search.
+
+    A cover uses primed arcs only, so the witnesses are compared on every
+    primed matching of [1, n], for every interval lo <= hi + 1 and budget.
+    """
+    members = 0
+    for b in iter_matchings(n):
+        seq = nested_pairing(b)
+        assert seq == search_nested_pairing(b), b
+        for d in (n - 2, n - 1):
+            if d < 0:
+                continue
+            assert parity_ok(b, d) == search_parity_ok(b, d), (b, d)
+            if seq is not None:
+                assert coverings_ok(b, d, seq) == search_coverings_ok(b, d, seq), (b, d)
+            member = is_member(b, d)
+            assert member == search_is_member(b, d), (b, d)
+            members += member
+    assert members == (1 << n - 1) * (2 if n > 1 else 1)  # |X_D| at each D
+    for arcs, _ in iter_primed_matchings(((1 << n) - 1) << 1):
+        b = Matching(arcs, n)
+        starts = primed_starts(b)
+        for lo in range(1, n + 2):
+            for hi in range(lo - 1, n + 1):
+                for skip in (0, 1):
+                    found = tile(starts, lo, hi, skip)
+                    w = cover_interval(b, lo, hi, skip)
+                    want = None if found is None else tuple(map(tuple, found))
+                    assert (w and (w.arcs, w.leftover)) == want, (b, lo, hi, skip)
+
+
+@pytest.mark.parametrize("n", range(1, 12, 2))
+def test_the_walk_equals_the_tiling_search(n):
+    assert_walk_equals_the_search(n)
+
+
+@pytest.mark.slow
+def test_the_walk_equals_the_tiling_search_at_n13():
+    assert_walk_equals_the_search(13)
 
 
 def raw_scan(d):
@@ -211,9 +293,9 @@ def brute_tilings(lo, hi, left):
     free = sum(1 << p for p in range(lo, hi + 1))
     for arcs, _ in iter_primed_matchings(free):
         starts = {i: [j] for i, j in arcs}
-        if any(family._tile(starts, i + 1, j - 1, 0) is None for i, j in arcs):
+        if any(tile(starts, i + 1, j - 1, 0) is None for i, j in arcs):
             continue
-        if left is None or family._tile(starts, lo, hi, left) is not None:
+        if left is None or tile(starts, lo, hi, left) is not None:
             yield arcs
 
 
@@ -369,12 +451,12 @@ def tiled_leftovers(b, d):
     search: every p of the segment whose two sides are tiled leaving nothing."""
     seq = nested_pairing(b)
     ((lo, hi, _),) = [seg for seg in covering_requirements(b, d, seq) if seg[2] == 1]
-    starts = family._starts(b)
+    starts = primed_starts(b)
     leftovers = [
         p
         for p in range(lo, hi + 1, 2)
-        if family._tile(starts, lo, p - 1, 0) is not None
-        and family._tile(starts, p + 1, hi, 0) is not None
+        if tile(starts, lo, p - 1, 0) is not None
+        and tile(starts, p + 1, hi, 0) is not None
     ]
     return lo, hi, leftovers
 
