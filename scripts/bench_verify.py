@@ -1,6 +1,6 @@
 """Time the verify sweeps and the write-path peak, each in a fresh process.
 
-    python scripts/bench_verify.py BENCH_<n>.json [COMMAND ...]
+    python scripts/bench_verify.py BENCH_<n>.json [--against CHECKOUT] [COMMAND ...]
 
 Each command (default: ``COMMANDS``) runs the ``secondbasis`` CLI from this
 checkout's ``src`` in a new interpreter, ``REPEATS`` times, its output
@@ -9,6 +9,10 @@ records per command the largest exit code, the wall seconds of every run and
 their median, and the largest high-water RSS (``VmHWM``, read by the child
 from ``/proc/self/status``, so Linux only), with the git SHA, the Python
 version and the number of usable CPUs.
+
+With ``--against``, each run of a command in CHECKOUT's ``src`` is followed
+by one in this checkout's, so load on a shared host falls on both sides
+alike; CHECKOUT's SHA and records go under ``"against"`` in the same file.
 """
 
 import json
@@ -44,40 +48,62 @@ sys.exit(code)
 """
 
 
-def run(command: str) -> dict:
+def run(command: str, roots: list[Path]) -> list[dict]:
+    # one record per checkout; the checkouts take turns, run by run
     argv = shlex.split(command)
     env = {k: v for k, v in os.environ.items() if k != "SBL_MAX_D"}
     while argv and "=" in argv[0]:
         name, value = argv.pop(0).split("=", 1)
         env[name] = value
-    env["PYTHONPATH"] = str(ROOT / "src")
-    codes, walls, kbs = [], [], []
+    runs = [([], [], []) for _ in roots]
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        child = subprocess.run(
-            [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
-        )
-        walls.append(round(time.perf_counter() - start, 3))
-        codes.append(child.returncode)
-        kbs += [int(kb) for kb in child.stdout.split()[-1:]]
-    return {
-        "command": command,
-        "exit_code": max(codes),
-        "wall_runs": walls,
-        "wall_s": statistics.median(walls),
-        "vmhwm_mb": round(max(kbs) / 1024, 2) if kbs else None,
-    }
+        for root, (codes, walls, kbs) in zip(roots, runs):
+            env["PYTHONPATH"] = str(root / "src")
+            start = time.perf_counter()
+            child = subprocess.run(
+                [sys.executable, "-c", CHILD, *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            walls.append(round(time.perf_counter() - start, 3))
+            codes.append(child.returncode)
+            kbs += [int(kb) for kb in child.stdout.split()[-1:]]
+    return [
+        {
+            "command": command,
+            "exit_code": max(codes),
+            "wall_runs": walls,
+            "wall_s": statistics.median(walls),
+            "vmhwm_mb": round(max(kbs) / 1024, 2) if kbs else None,
+        }
+        for codes, walls, kbs in runs
+    ]
+
+
+def git_sha(root: Path) -> str | None:
+    sha = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
+    ).stdout.strip()
+    return sha or None
 
 
 if __name__ == "__main__":
     out, *commands = sys.argv[1:]
-    sha = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
-    ).stdout.strip()
+    roots = [ROOT]
+    if commands[:1] == ["--against"]:
+        roots.insert(0, Path(commands[1]).resolve())
+        del commands[:2]
+    records = [run(command, roots) for command in commands or COMMANDS]
     report = {
-        "git_sha": sha or None,
+        "git_sha": git_sha(ROOT),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "commands": [run(command) for command in commands or COMMANDS],
+        "commands": [pair[-1] for pair in records],
     }
+    if len(roots) > 1:
+        report["against"] = {
+            "git_sha": git_sha(roots[0]),
+            "commands": [pair[0] for pair in records],
+        }
     Path(out).write_text(json.dumps(report, indent=2) + "\n")

@@ -52,7 +52,6 @@ from .family import (
     CoverWitness,
     PieceLabel,
     cover_interval,
-    covering_requirements,
     coverings_ok,
     distinguished_element,
     enumerate_family,
@@ -62,7 +61,6 @@ from .family import (
     labeled_primitives,
     nested_pairing,
     parity_ok,
-    parity_target,
     piece_of,
     pieces,
     primitives,

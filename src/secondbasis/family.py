@@ -18,10 +18,12 @@ each member from the properties.  The first fixes the double-primed part as
 the nested pairing of a sequence (built outside-in), and the second which
 states of N, matched or not, that sequence allows.  By the third, no primed
 arc crosses a sequence point (its interior could not be tiled), so the
-primed part is a product of ``_tilings`` of the regions between consecutive
-points of 0, i_1, ..., i_2s, N+1.  Each member is then certified by
-``is_member``, the definition itself.  ``nested_candidates``, every primed
-matching of the free points of each sequence, stays as the test oracle.
+primed part is a product of tilings of the regions between consecutive
+points of 0, i_1, ..., i_2s, N+1, each region tiled once per call in one
+``_Tilings`` table.  With each double-primed arc as a part of its own at its
+lower point, the parts in order concatenate to a member's arcs by lower
+point, and no member's arcs are sorted.  Each member is then certified by
+``is_member``, the definition itself.
 
 The inductive route lifts each member of X_{D-2} into all D slots with one
 ``lift_row`` call, builds a ``Matching`` only for the first lift of each
@@ -37,7 +39,7 @@ the walk from lo along the primed arcs lands on hi+1, and a cover can leave
 out just the walked points p from which one backward pass finds [p+1, hi]
 covered.  That holds for crossing primed intervals too, so ``is_member``
 needs no laminarity (it only holds after membership), and the walk shares
-no code with ``_tilings``, so the certificate re-checks the generator.
+no code with ``_Tilings``, so the certificate re-checks the generator.
 ``coverings_ok``, ``cover_interval`` and ``distinguished_element`` read it.
 
 ``piece_of`` runs its parity rule on every call and returns interned labels,
@@ -49,13 +51,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterator
 
 from .arcs import (
     Arc,
     Matching,
-    iter_primed_matchings,
     lift_matching,
     lift_row,
 )
@@ -66,7 +68,6 @@ __all__ = [
     "CoverWitness",
     "PieceLabel",
     "cover_interval",
-    "covering_requirements",
     "coverings_ok",
     "distinguished_element",
     "enumerate_family",
@@ -75,10 +76,8 @@ __all__ = [
     "is_member",
     "labeled_primitives",
     "lift_positions",
-    "nested_candidates",
     "nested_pairing",
     "parity_ok",
-    "parity_target",
     "piece_of",
     "pieces",
     "primitives",
@@ -249,11 +248,6 @@ def _parity(b: Matching, d: int) -> tuple[int, int]:
     return s, s % 2 if d % 2 == 0 or not s else 1 - primed_n
 
 
-def parity_target(b: Matching, d: int) -> int:
-    """The parity the double-primed part must have (0 or 1)."""
-    return _parity(b, d)[1]
-
-
 def parity_ok(b: Matching, d: int) -> bool:
     s, target = _parity(b, d)
     return s % 2 == target
@@ -349,27 +343,12 @@ def _sequence_segments(
     return segs
 
 
-def covering_requirements(
-    b: Matching, d: int, seq: tuple[int, ...]
-) -> list[tuple[int, int, int]]:
-    """The interval/budget table the third property demands, materialized.
-
-    Each triple (lo, hi, e) asks for [lo, hi] to be tiled with exactly e
-    uncovered points: first the primed-arc interiors, then the segments of
-    the sequence.  The case split on the boundary segments follows the
-    parity of D, whether N is matched, and the parity of the largest
-    double-primed coordinate; it only applies when the sequence is non-empty.
-    """
-    n = b.n
-    interiors = [(a.i + 1, a.j - 1, 0) for a in b.primed()]
-    return interiors + _sequence_segments(seq, d, n, bool(b.support_mask >> n & 1))
-
-
 def coverings_ok(b: Matching, d: int, seq: tuple[int, ...]) -> bool:
     """Whether every prescribed segment admits its prescribed cover.
 
     ``seq`` is the nested-pairing witness of b, from ``nested_pairing``.  The
-    rows of ``covering_requirements`` are walked without building the table.
+    rows (the primed-arc interiors, then the sequence segments) are walked
+    without building the table.
     """
     n = b.n
     ends = _ends(b)
@@ -408,82 +387,79 @@ def _pairing(seq: tuple[int, ...]) -> tuple[Arc, ...]:
     return tuple(Arc(seq[-1 - r], seq[r]) for r in range(s))
 
 
-def _joined(inner: tuple[Arc, ...], outer: tuple[Arc, ...], n: int) -> Matching:
-    arcs = inner + outer
-    if inner and outer:
-        arcs = tuple(sorted(arcs, key=min))  # by lower point
-    return Matching._make(arcs, n)
+class _Tilings(dict):
+    """(lo, hi, left) -> the tilings of the region, each built once.
 
-
-def nested_candidates(n: int) -> Iterator[tuple[Matching, tuple[int, ...]]]:
-    """Every matching of [1, n] with the first filter property, with its witness.
-
-    These are the matchings whose double-primed part is the nested pairing of
-    an increasing sequence: each such sequence (outer loop) together with
-    each primed-only matching of the remaining points (inner loop).  Yields
-    (matching, sequence); the sequence is ``nested_pairing`` of the matching.
+    A tiling is a set of disjoint primed arcs covering [lo, hi] with exactly
+    ``left`` points uncovered (any number when None), each arc's interior
+    tiled with none left, as arcs by lower point.  A region's tuple is built
+    from the table's own entries: lo uncovered, then each arc {lo, q} with
+    every tiling of its interior and of [q+1, hi].
     """
-    everything = ((1 << n) - 1) << 1
-    for seq in _nested_sequences(n):
-        inner = _pairing(seq)
-        for outer, _ in iter_primed_matchings(everything ^ sum(1 << i for i in seq)):
-            yield _joined(inner, outer, n), seq
+
+    def __missing__(self, key: tuple[int, int, int | None]) -> tuple:
+        lo, hi, left = key
+        if left is not None and max(0, hi - lo + 1) % 2 != left:
+            out = ()
+        elif lo > hi:
+            out = ((),)
+        else:
+            out = []
+            if left != 0:  # lo stays uncovered
+                out += self[lo + 1, hi, None if left is None else left - 1]
+            for q in range(lo + 1, hi + 1, 2):
+                rests = self[q + 1, hi, left]
+                for inner in self[lo + 1, q - 1, 0]:
+                    head = (Arc(lo, q),) + inner
+                    out += [head + rest for rest in rests]
+            out = tuple(out)
+        self[key] = out
+        return out
 
 
-def _tilings(lo: int, hi: int, left: int | None) -> Iterator[tuple[Arc, ...]]:
-    # every set of disjoint primed arcs tiling [lo, hi] with exactly `left`
-    # points uncovered (any number when None), each arc's interior tiled with
-    # none left, as arcs by lower point
-    if left is not None and max(0, hi - lo + 1) % 2 != left:
-        return
-    if lo > hi:
-        yield ()
-        return
-    if left != 0:  # lo stays uncovered
-        yield from _tilings(lo + 1, hi, None if left is None else left - 1)
-    for q in range(lo + 1, hi + 1, 2):  # the arc {lo, q}
-        for inner in _tilings(lo + 1, q - 1, 0):
-            for rest in _tilings(q + 1, hi, left):
-                yield (Arc(lo, q),) + inner + rest
-
-
-def _state_regions(seq: tuple[int, ...], d: int, n: int) -> Iterator[list]:
-    # per state of N that passes the parity property, the regions by lo as
-    # (lo, hi, budget): the sequence segments, then the gap between the halves
-    # (all of [1, N] for the empty sequence) with any number left.  With N
-    # unmatched the segments stop at N-1, unless one must cover N (even D).
-    # At odd D the parity target is 0 exactly when N is matched, not to i_2s
+def _state_parts(
+    seq: tuple[int, ...], d: int, n: int, tilings: _Tilings
+) -> Iterator[list[tuple]]:
+    # per state of N that passes the parity property, the choices of arcs by
+    # lower point: each double-primed arc alone at its lower point, and the
+    # tilings of each region, the sequence segments, then the gap between the
+    # halves (all of [1, N] for the empty sequence) with any number left.
+    # With N unmatched the segments stop at N-1, unless one must cover N (even
+    # D).  At odd D the parity target is 0 exactly when N is matched, not to i_2s
     s = len(seq) // 2
     if not s:  # no segments and parity target 0, whatever N does
-        yield [(1, n, None)]
+        yield [tilings[1, n, None]]
         return
+    pairing = [(a.j, ((a,),)) for a in _pairing(seq)]
     for n_matched in (False, True):
         segs = _sequence_segments(seq, d, n, n_matched)
         if d % 2 and s % 2 == (n_matched and seq[-1] != n) or (
             not n_matched and any(hi == n for _, hi, _ in segs)
         ):
             continue
-        yield sorted(segs + [(seq[s - 1] + 1, seq[s] - 1, None)], key=lambda r: r[0])
+        segs.append((seq[s - 1] + 1, seq[s] - 1, None))
+        regions = [(r[0], tilings[r]) for r in segs]
+        yield [part for _, part in sorted(pairing + regions, key=itemgetter(0))]
 
 
 def filter_family(d: int) -> list[Matching]:
     """X_D by the three-property filter, in the order of ``enumerate_family``.
 
     Each member is generated, not searched for: for each nested sequence and
-    each state of N its parity allows, every product of ``_tilings`` of the
-    regions outside the sequence.  Each member is then certified by
-    ``is_member``, so a faulty generator raises instead of returning a
-    non-member, and a dropped member shows up in ``construction_equivalence``.
+    each state of N its parity allows, every product of the tilings of the
+    regions outside the sequence, read from one ``_Tilings`` table per call.
+    Each member is then certified by ``is_member``, so a faulty generator
+    raises instead of returning a non-member, and a dropped member shows up
+    in ``construction_equivalence``.
     """
     guard_d(d, 13, "family filtering")
     n = ground_size(d)
+    tilings = _Tilings()
     members = []
     for seq in _nested_sequences(n):
-        inner = _pairing(seq)
-        for regions in _state_regions(seq, d, n):
-            for parts in product(*(_tilings(*region) for region in regions)):
-                outer = tuple(arc for arcs in parts for arc in arcs)
-                members.append(_joined(inner, outer, n))
+        for parts in _state_parts(seq, d, n, tilings):
+            for choice in product(*parts):  # the parts lie by lower point
+                members.append(Matching._make(tuple(chain.from_iterable(choice)), n))
     members.sort(key=lambda b: b.arcs)
     # certificate: each member passes the definition with its witness recomputed
     for b in members:

@@ -5,10 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from secondbasis.arcs import Arc
+from secondbasis.arcs import Arc, Matching, iter_primed_matchings
 from secondbasis.basis import sector_label
 from secondbasis.f2 import EvenSet
-from secondbasis.family import ground_size
+from secondbasis.family import (
+    _nested_sequences,
+    _pairing,
+    _parity,
+    _sequence_segments,
+    ground_size,
+)
 from secondbasis.tables import parse_entry
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,3 +150,37 @@ def tile(starts, lo, hi, skip):
         return None
 
     return rec(lo, skip)
+
+
+def parity_target(b, d):
+    """The parity the double-primed part must have (0 or 1)."""
+    return _parity(b, d)[1]
+
+
+def covering_requirements(b, d, seq):
+    """The interval/budget table the third property demands, materialized.
+
+    Each triple (lo, hi, e) asks for [lo, hi] to be tiled with exactly e
+    uncovered points: first the primed-arc interiors, then the segments of
+    the sequence.  The case split on the boundary segments follows the
+    parity of D, whether N is matched, and the parity of the largest
+    double-primed coordinate; it only applies when the sequence is non-empty.
+    """
+    n = b.n
+    interiors = [(a.i + 1, a.j - 1, 0) for a in b.primed()]
+    return interiors + _sequence_segments(seq, d, n, bool(b.support_mask >> n & 1))
+
+
+def nested_candidates(n):
+    """Every matching of [1, n] with the first filter property, with its witness.
+
+    These are the matchings whose double-primed part is the nested pairing of
+    an increasing sequence: each such sequence (outer loop) together with
+    each primed-only matching of the remaining points (inner loop).  Yields
+    (matching, sequence); the sequence is ``nested_pairing`` of the matching.
+    """
+    everything = ((1 << n) - 1) << 1
+    for seq in _nested_sequences(n):
+        inner = _pairing(seq)
+        for outer, _ in iter_primed_matchings(everything ^ sum(1 << i for i in seq)):
+            yield Matching._make(tuple(sorted(inner + outer, key=min)), n), seq

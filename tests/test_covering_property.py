@@ -21,12 +21,12 @@ from secondbasis.arcs import Matching  # noqa: E402
 from secondbasis.errors import FalsificationError  # noqa: E402
 from secondbasis.family import (  # noqa: E402
     cover_interval,
-    covering_requirements,
     coverings_ok,
     distinguished_element,
     ground_size,
     nested_pairing,
 )
+from tests.conftest import covering_requirements  # noqa: E402
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The families X_D: primitives, induction, the three-property filter, pieces."""
 
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,6 @@ from secondbasis.errors import DomainError, FalsificationError, ResourceGuardErr
 from secondbasis.family import (
     PieceLabel,
     cover_interval,
-    covering_requirements,
     coverings_ok,
     distinguished_element,
     enumerate_family,
@@ -26,15 +26,19 @@ from secondbasis.family import (
     ground_size,
     is_member,
     labeled_primitives,
-    nested_candidates,
     nested_pairing,
     parity_ok,
-    parity_target,
     piece_of,
     pieces,
     primitives,
 )
-from tests.conftest import primed_starts, tile
+from tests.conftest import (
+    covering_requirements,
+    nested_candidates,
+    parity_target,
+    primed_starts,
+    tile,
+)
 
 
 def m(pairs, n):
@@ -289,7 +293,7 @@ def test_filter_runs_the_predicates_on_survivors_only(monkeypatch):
 
 def brute_tilings(lo, hi, left):
     """The oracle: primed matchings of [lo, hi] whose arcs' interiors and,
-    when a budget is given, [lo, hi] itself tile as ``_tilings`` demands."""
+    when a budget is given, [lo, hi] itself tile as ``_Tilings`` demands."""
     free = sum(1 << p for p in range(lo, hi + 1))
     for arcs, _ in iter_primed_matchings(free):
         starts = {i: [j] for i, j in arcs}
@@ -299,18 +303,77 @@ def brute_tilings(lo, hi, left):
             yield arcs
 
 
+def recursive_tilings(lo, hi, left):
+    """The order of the table's tilings: lo uncovered first, then each arc
+    {lo, q} by q, with every tiling of its interior and then of [q+1, hi]."""
+    if left is not None and max(0, hi - lo + 1) % 2 != left:
+        return
+    if lo > hi:
+        yield ()
+        return
+    if left != 0:
+        yield from recursive_tilings(lo + 1, hi, None if left is None else left - 1)
+    for q in range(lo + 1, hi + 1, 2):
+        for inner in recursive_tilings(lo + 1, q - 1, 0):
+            for rest in recursive_tilings(q + 1, hi, left):
+                yield (Arc(lo, q),) + inner + rest
+
+
 def test_tilings_equal_the_brute_force():
     cases = 0
+    table = family._Tilings()
     for lo in range(1, 11):
         for hi in range(lo - 1, 11):
             for left in (0, 1, None):
-                got = list(family._tilings(lo, hi, left))
+                got = table[lo, hi, left]
+                assert list(got) == list(recursive_tilings(lo, hi, left)), (lo, hi, left)
                 assert len(set(got)) == len(got), (lo, hi, left)
                 for arcs in got:
                     assert list(arcs) == sorted(arcs, key=min), (lo, hi, left, arcs)
                 assert set(got) == set(brute_tilings(lo, hi, left)), (lo, hi, left)
                 cases += 1
     assert cases == 195
+
+
+def test_filter_tiles_each_region_once_per_call(monkeypatch):
+    built = Counter()
+
+    class Counted(family._Tilings):
+        def __missing__(self, key):
+            built[key] += 1
+            return super().__missing__(key)
+
+    monkeypatch.setattr(family, "_Tilings", Counted)
+    assert filter_family(11) == list(enumerate_family(11))
+    assert built and set(built.values()) == {1}
+    # the table is the call's own: the next call builds every region again
+    filter_family(11)
+    assert set(built.values()) == {2}
+
+
+def test_a_doctored_table_does_not_outlive_its_call(monkeypatch):
+    class Emptied(family._Tilings):
+        def __missing__(self, key):
+            out = super().__missing__(key)
+            if key == (1, 5, None):  # the free region of the empty sequence
+                out = self[key] = ()
+            return out
+
+    monkeypatch.setattr(family, "_Tilings", Emptied)
+    dropped = [b for b in enumerate_family(4) if not b.double_primed()]
+    assert dropped and filter_family(4) == [
+        b for b in enumerate_family(4) if b not in dropped
+    ]
+    monkeypatch.undo()
+    assert filter_family(4) == list(enumerate_family(4))
+
+
+@pytest.mark.parametrize("d", [*range(0, 12), pytest.param(13, marks=pytest.mark.slow)])
+def test_filter_members_come_out_by_lower_point(d):
+    members = filter_family(d)
+    for b in members:
+        assert list(b.arcs) == sorted(b.arcs, key=lambda a: a.lo), b
+    assert members == list(enumerate_family(d))
 
 
 def test_doctored_segment_helper_fails_equivalence(monkeypatch):
@@ -373,14 +436,15 @@ def test_generated_non_member_is_refused(monkeypatch):
     # coverings at D=4; only the recomputed witness in is_member rejects it
     fake = m([(4, 2), (5, 3)], 5)
     assert parity_ok(fake, 4) and coverings_ok(fake, 4, ()) and not is_member(fake, 4)
-    real = family._tilings
 
-    def doctored(lo, hi, left):
-        yield from real(lo, hi, left)
-        if (lo, hi, left) == (1, 5, None):  # the free region of the empty sequence
-            yield fake.arcs
+    class Doctored(family._Tilings):
+        def __missing__(self, key):
+            out = super().__missing__(key)
+            if key == (1, 5, None):  # the free region of the empty sequence
+                out = self[key] = out + (fake.arcs,)
+            return out
 
-    monkeypatch.setattr(family, "_tilings", doctored)
+    monkeypatch.setattr(family, "_Tilings", Doctored)
     with pytest.raises(FalsificationError, match="not in X_4"):
         filter_family(4)
 
