@@ -4,7 +4,9 @@
 
 Each command (default: ``COMMANDS``) runs the ``secondbasis`` CLI from this
 checkout's ``src`` in a new interpreter, ``REPEATS`` times, its output
-discarded; leading ``NAME=value`` words set the environment.  The JSON file
+discarded; leading ``NAME=value`` words set the environment.  The command
+``import`` runs nothing: its child only imports ``secondbasis.cli``, so its
+record is one process's start-up.  The JSON file
 records per command the largest exit code, the wall seconds of every run and
 their median, and the largest high-water RSS (``VmHWM``, read by the child
 from ``/proc/self/status``, so Linux only), with the git SHA, the Python
@@ -27,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = [
+    "import",
     "symbols --D 13",
     "verify --max-D 11",
     "verify --max-D 13 --slow",
@@ -40,8 +43,10 @@ REPEATS = 3
 CHILD = """
 import contextlib, os, sys
 from secondbasis.cli import main
-with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-    code = main(sys.argv[1:])
+code = 0
+if sys.argv[1:] != ["import"]:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 sys.exit(code)

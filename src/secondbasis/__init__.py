@@ -15,7 +15,6 @@ from .arcs import (
     cyclic_interval,
     embed_index,
     embed_set,
-    enumerate_matchings,
     lift_matching,
     split_parts,
 )

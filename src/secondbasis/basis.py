@@ -22,7 +22,6 @@ import heapq
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
@@ -462,20 +461,43 @@ def unique_bijection_check(d: int) -> dict | None:
     return None
 
 
-@dataclass(frozen=True)
 class BasisMatrix:
     """A square integer matrix with its row/column labels (shared order).
 
     Stored as compressed columns: column j holds the entries
     ``starts[j]:starts[j + 1]`` of ``entry_rows`` (``array('I')``, increasing
     within each column) and ``entry_values`` (``array('i')``); ``starts``
-    (``array('I')``) has one offset per column plus the end.
+    (``array('I')``) has one offset per column plus the end.  Its fields
+    cannot be rebound, and it is unhashable, as its list and arrays are.
     """
 
-    labels: list[EvenSet]
-    starts: array
-    entry_rows: array
-    entry_values: array
+    __slots__ = ("labels", "starts", "entry_rows", "entry_values")
+
+    def __init__(
+        self, labels: list[EvenSet], starts: array, entry_rows: array, entry_values: array
+    ):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "entry_rows", entry_rows)
+        object.__setattr__(self, "entry_values", entry_values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BasisMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.starts, self.entry_rows, self.entry_values) == (
+            other.labels, other.starts, other.entry_rows, other.entry_values
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"BasisMatrix(labels={self.labels!r}, starts={self.starts!r}, "
+            f"entry_rows={self.entry_rows!r}, entry_values={self.entry_values!r})"
+        )
 
     @classmethod
     def from_columns(cls, labels, columns) -> "BasisMatrix":
@@ -630,7 +652,6 @@ def second_basis_vectors(
 _FLAVOR_CLASS = {"odd": (2, 1), "plus": (4, 0), "minus": (4, 2)}
 
 
-@dataclass(frozen=True)
 class Symbol:
     """An ordered pair of complementary subsets of [1, D+1].
 
@@ -638,23 +659,37 @@ class Symbol:
     even D, 0 mod 4 ("plus") or 2 mod 4 ("minus") for odd D.
     """
 
-    s: frozenset[int]
-    t: frozenset[int]
-    flavor: str
+    __slots__ = ("s", "t", "flavor")
 
-    def __post_init__(self):
-        if self.flavor not in _FLAVOR_CLASS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.s & self.t:
+    def __init__(self, s: frozenset[int], t: frozenset[int], flavor: str):
+        if flavor not in _FLAVOR_CLASS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if s & t:
             raise ValueError("symbol halves must be disjoint")
-        m = len(self.s) + len(self.t)
-        if self.s | self.t != set(range(1, m + 1)):
+        m = len(s) + len(t)
+        if s | t != set(range(1, m + 1)):
             raise ValueError("symbol halves must partition [1, D+1]")
-        modulus, residue = _FLAVOR_CLASS[self.flavor]
-        if self.defect % modulus != residue % modulus:
-            raise ValueError(
-                f"defect {self.defect} incompatible with flavor {self.flavor!r}"
-            )
+        modulus, residue = _FLAVOR_CLASS[flavor]
+        defect = len(s) - len(t)
+        if defect % modulus != residue % modulus:
+            raise ValueError(f"defect {defect} incompatible with flavor {flavor!r}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "flavor", flavor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Symbol is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.t, self.flavor) == (other.s, other.t, other.flavor)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.t, self.flavor))
+
+    def __repr__(self) -> str:
+        return f"Symbol(s={self.s!r}, t={self.t!r}, flavor={self.flavor!r})"
 
     @property
     def defect(self) -> int:

@@ -49,7 +49,6 @@ one object per (t, sign).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from operator import itemgetter
@@ -91,18 +90,32 @@ def ground_size(d: int) -> int:
     return d + 1 if d % 2 == 0 else d + 2
 
 
-@dataclass(frozen=True, slots=True)
 class PieceLabel:
     """A block of the piece partition: t for even D, (t, sign) for odd D."""
 
-    t: int
-    sign: str | None = None
+    __slots__ = ("t", "sign")
 
-    def __post_init__(self):
-        if self.t % 2:
-            raise ValueError(f"piece parameter must be even, got {self.t}")
-        if self.sign not in (None, "+", "-"):
-            raise ValueError(f"sign must be '+', '-' or None, got {self.sign!r}")
+    def __init__(self, t: int, sign: str | None = None):
+        if t % 2:
+            raise ValueError(f"piece parameter must be even, got {t}")
+        if sign not in (None, "+", "-"):
+            raise ValueError(f"sign must be '+', '-' or None, got {sign!r}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PieceLabel is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.sign) == (other.t, other.sign)
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.sign))
+
+    def __repr__(self) -> str:
+        return f"PieceLabel(t={self.t!r}, sign={self.sign!r})"
 
     def __str__(self) -> str:
         return str(self.t) if self.sign is None else f"{self.t},{self.sign}"
@@ -253,12 +266,28 @@ def parity_ok(b: Matching, d: int) -> bool:
     return s % 2 == target
 
 
-@dataclass(frozen=True, slots=True)
 class CoverWitness:
     """Disjoint primed arcs tiling an interval, plus the uncovered leftovers."""
 
-    arcs: tuple[Arc, ...]
-    leftover: tuple[int, ...]
+    __slots__ = ("arcs", "leftover")
+
+    def __init__(self, arcs: tuple[Arc, ...], leftover: tuple[int, ...]):
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "leftover", leftover)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoverWitness is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arcs, self.leftover) == (other.arcs, other.leftover)
+
+    def __hash__(self) -> int:
+        return hash((self.arcs, self.leftover))
+
+    def __repr__(self) -> str:
+        return f"CoverWitness(arcs={self.arcs!r}, leftover={self.leftover!r})"
 
 
 def _ends(b: Matching) -> dict[int, int]:

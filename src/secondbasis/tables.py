@@ -9,7 +9,6 @@ pairs up to N = 9 and as "i-j" beyond; the empty member prints as ([∅]).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, TextIO
 
@@ -33,10 +32,28 @@ __all__ = [
 EMPTY_MARK = "∅"
 
 
-@dataclass(frozen=True)
 class TableEntry:
-    matching: Matching
-    bracketed: tuple[Arc, ...]
+    """A member and the arcs of it whose pair-vectors sum to its image."""
+
+    __slots__ = ("matching", "bracketed")
+
+    def __init__(self, matching: Matching, bracketed: tuple[Arc, ...]):
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "bracketed", bracketed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TableEntry is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matching, self.bracketed) == (other.matching, other.bracketed)
+
+    def __hash__(self) -> int:
+        return hash((self.matching, self.bracketed))
+
+    def __repr__(self) -> str:
+        return f"TableEntry(matching={self.matching!r}, bracketed={self.bracketed!r})"
 
     def unbracketed(self) -> tuple[Arc, ...]:
         inside = set(self.bracketed)

@@ -9,7 +9,6 @@ payload; the suite never weakens a check to make it pass.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .arcs import Matching, _splice, cyclic_interval_mask
@@ -51,13 +50,39 @@ from .variants import (
 __all__ = ["RunReport", "run_checks", "CHECK_NAMES"]
 
 
-@dataclass
 class RunReport:
-    name: str
-    d_values: list[int]
-    passed: bool
-    detail: dict | None = None
-    seconds: float = 0.0
+    """One check's result over its sweep of D; mutable, so unhashable."""
+
+    __slots__ = ("name", "d_values", "passed", "detail", "seconds")
+
+    def __init__(
+        self,
+        name: str,
+        d_values: list[int],
+        passed: bool,
+        detail: dict | None = None,
+        seconds: float = 0.0,
+    ):
+        self.name = name
+        self.d_values = d_values
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.d_values, self.passed, self.detail, self.seconds) == (
+            other.name, other.d_values, other.passed, other.detail, other.seconds
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"RunReport(name={self.name!r}, d_values={self.d_values!r}, "
+            f"passed={self.passed!r}, detail={self.detail!r}, seconds={self.seconds!r})"
+        )
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

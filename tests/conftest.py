@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from secondbasis.arcs import Arc, Matching, iter_primed_matchings
+from secondbasis.arcs import Arc, Matching
 from secondbasis.basis import sector_label
 from secondbasis.f2 import EvenSet
 from secondbasis.family import (
@@ -16,6 +16,7 @@ from secondbasis.family import (
     ground_size,
 )
 from secondbasis.tables import parse_entry
+from tests.oracles import iter_primed_matchings
 
 GOLDEN = Path(__file__).parent / "golden"
 

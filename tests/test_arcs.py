@@ -9,7 +9,6 @@ from secondbasis.arcs import (
     cyclic_interval,
     embed_index,
     embed_set,
-    enumerate_matchings,
     lift_matching,
     pair_masks,
     split_parts,
@@ -17,6 +16,7 @@ from secondbasis.arcs import (
 from secondbasis.errors import DomainError, ResourceGuardError
 from secondbasis.f2 import EvenSet
 from secondbasis.family import enumerate_family
+from tests.oracles import enumerate_matchings, iter_matchings
 
 
 def involution_count(n):
@@ -151,8 +151,6 @@ def test_lift_matching_checks_the_slot_of_every_matching(k):
 
 
 def test_lift_injective_and_avoids_slot():
-    from secondbasis.arcs import iter_matchings
-
     for k in (1, 2, 3, 4):
         seen = set()
         for bp in iter_matchings(3):

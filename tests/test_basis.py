@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from secondbasis import verify
-from secondbasis.arcs import Matching, cyclic_interval_mask, iter_matchings, pair_masks
+from secondbasis.arcs import Matching, cyclic_interval_mask, pair_masks
 from secondbasis.basis import (
     boundary_correction,
     build_order,
@@ -37,6 +37,7 @@ from secondbasis.family import (
     pieces,
 )
 from tests.conftest import below, clear_library_caches, elements, position
+from tests.oracles import iter_matchings
 
 
 def span_of(b):

@@ -1,9 +1,11 @@
 """The BENCH trajectory script writes one record per command, over three
 fresh-process runs, and with ``--against`` one more per command for a second
-checkout, run in turn with this one."""
+checkout, run in turn with this one.  Its first command, ``import``, times
+the start-up alone."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,15 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "bench_verify.py"
+
+
+def stand_in(tmp_path: Path) -> Path:
+    """A checkout whose CLI exits 3 whenever it is called."""
+    package = tmp_path / "other" / "src" / "secondbasis"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv):\n    return 3\n")
+    return package.parents[1]
 
 
 @pytest.mark.skipif(
@@ -39,13 +50,9 @@ def test_bench_verify_records_each_command(tmp_path):
     not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
 )
 def test_bench_verify_alternates_two_checkouts(tmp_path):
-    # a stand-in checkout whose CLI exits 3: its records must come from its src
-    package = tmp_path / "other" / "src" / "secondbasis"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text("def main(argv):\n    return 3\n")
+    # the stand-in's records must come from its src
     out = tmp_path / "BENCH_0.json"
-    argv = [sys.executable, str(SCRIPT), str(out), "--against", str(package.parents[1])]
+    argv = [sys.executable, str(SCRIPT), str(out), "--against", str(stand_in(tmp_path))]
     subprocess.run([*argv, "verify --max-D 3"], check=True, timeout=120)
     report = json.loads(out.read_text())
     assert set(report) == {"git_sha", "python", "nproc", "commands", "against"}
@@ -56,3 +63,21 @@ def test_bench_verify_alternates_two_checkouts(tmp_path):
         assert set(r) == {"command", "exit_code", "wall_runs", "wall_s", "vmhwm_mb"}
         assert r["exit_code"] == code and len(r["wall_runs"]) == 3
         assert r["wall_s"] == sorted(r["wall_runs"])[1] and r["vmhwm_mb"] > 0
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_bench_verify_import_only_runs_no_command(tmp_path):
+    assert runpy.run_path(str(SCRIPT))["COMMANDS"][0] == "import"
+    out = tmp_path / "BENCH_0.json"
+    argv = [sys.executable, str(SCRIPT), str(out), "--against", str(stand_in(tmp_path))]
+    subprocess.run([*argv, "import"], check=True, timeout=120)
+    report = json.loads(out.read_text())
+    (ours,), (theirs,) = report["commands"], report["against"]["commands"]
+    assert ours["command"] == theirs["command"] == "import"
+    # exit 0 from the stand-in: its CLI never ran
+    assert ours["exit_code"] == theirs["exit_code"] == 0
+    # this checkout's import loads the whole library; the stand-in's is empty
+    assert ours["vmhwm_mb"] > theirs["vmhwm_mb"] > 0
+    assert min(ours["wall_runs"]) > 0 and len(theirs["wall_runs"]) == 3

@@ -28,3 +28,10 @@ def test_every_package_reexport_is_in_its_module_all():
             continue
         home = import_module(value.__module__)
         assert name in home.__all__, f"secondbasis.{name} from {home.__name__}"
+
+
+def test_the_raw_matching_enumerators_live_in_the_tests():
+    # the library never walks the whole matching space; tests/oracles.py does
+    moved = {"iter_matchings", "iter_primed_matchings", "enumerate_matchings", "_arc_sets"}
+    for module in [secondbasis, *MODULES]:
+        assert not moved & set(vars(module)), module.__name__

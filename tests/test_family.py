@@ -8,13 +8,7 @@ import pytest
 
 import secondbasis.family as family
 import secondbasis.verify as verify
-from secondbasis.arcs import (
-    Arc,
-    Matching,
-    cyclic_interval,
-    iter_matchings,
-    iter_primed_matchings,
-)
+from secondbasis.arcs import Arc, Matching, cyclic_interval
 from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.family import (
     PieceLabel,
@@ -39,6 +33,7 @@ from tests.conftest import (
     primed_starts,
     tile,
 )
+from tests.oracles import iter_matchings, iter_primed_matchings
 
 
 def m(pairs, n):

@@ -24,7 +24,6 @@ from secondbasis.arcs import (
     Matching,
     classify_pair,
     embed_index,
-    iter_matchings,
     lift_matching,
     lift_row,
     pair_evenset,
@@ -34,6 +33,7 @@ from secondbasis.basis import epsilon, epsilon_masks, epsilon_pairs, lift_images
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.family import enumerate_family, ground_size, lift_positions
 from tests.conftest import clear_library_caches, rebind_everywhere
+from tests.oracles import iter_matchings
 
 LIFT_CHECKS = ["lifting_recursion", "gamma_invariance", "n_membership_transport"]
 TABLE_READERS = LIFT_CHECKS + ["piece_bijections", "triangular_closed_form"]
