@@ -1,30 +1,30 @@
 """Peak memory gates: one command or one order build in a fresh process.
 
-Every peak below includes the import baseline: a fresh
-``import secondbasis.cli`` compiled from source peaks at about 15.8 MB on
-CPython 3.11 (x86-64 Linux), about 0.8 MB less than when six record classes
-were dataclasses. ``symbols --D 13`` is the only D=13 order build among the
-emission commands, so its high-water RSS (``VmHWM``) is the write path's
-peak: about 20 MB on CPython 3.11. The images of X_D are one ``array('I')``
-of masks in family order, the order keeps its extension as family positions,
-its spans as one flat array of pair masks and its positions in a dense array
-of 2^(N-1) slots, and ``symbols`` prints from the masks, so that path builds
-no ``EvenSet`` or (member, image) tuple per member (about 24 MB with them,
-about 29 MB with an ``f2.Span`` and dict entries per element too).
+Every peak includes the import baseline: a fresh ``import secondbasis.cli``
+compiled from source peaks at about 15.8 MB on CPython 3.11 (x86-64 Linux),
+about 0.8 MB less than when six record classes were dataclasses.
+``symbols --D 13`` is the only D=13 order build among the emission commands,
+so its high-water RSS (``VmHWM``) is the write path's peak: about 20 MB on
+CPython 3.11.  The images of X_D are one ``array('I')`` of masks in family
+order, the order keeps its extension as family positions,
+its spans as one flat array of pair masks and its positions in a dense
+array of 2^(N-1) slots, and ``symbols`` prints from the masks, so that path
+builds no ``EvenSet`` or (member, image) tuple per member (about 24 MB with
+them, about 29 MB with an ``f2.Span`` and dict entries per element too).
 ``table --D 11 --format json``, the next largest emission command, writes
 one piece and one entry at a time: about 17 MB (about 27 MB when it built
-the whole JSON tree first). ``build_order(15)`` peaks at about 36 MB (about
-41 MB when its extension was also read as ``EvenSet``s, 50 MB when the image
-table held the pairs, 68 MB with the per-element structures).
-``verify --max-D 13 --slow`` is the verify path's peak: about 31 MB, with
-both matrix kinds stored as compressed column arrays, the lift grid as one
-flat array of image masks, and the order's properties checked on its
-generating edges, so no passing check builds the down-set bitsets.
-``SBL_MAX_D=15 verify --max-D 15 --slow`` peaks at about 88 MB (about 97 MB
-with the lift grid as tuples of ints, 434 MB with the down-sets). Each gate
-is its largest peak on CPython 3.10, 3.11 and 3.12 (3.11's, every time) plus
-about 15%. The child reads its own ``/proc/self/status`` after the work; the
-tests are skipped where that file does not exist.
+the whole JSON tree first).  ``build_order(15)`` peaks at about 36 MB
+(about 41 MB when its extension was also read as ``EvenSet``s, 50 MB when
+the image table held the pairs, 68 MB with the per-element structures).  ``verify --max-D 13 --slow`` is the
+verify path's peak: about 31 MB, with both matrix kinds stored as compressed
+column arrays, the lift grid as one flat array of image masks, and the
+order's properties checked on its generating edges, so no passing check
+builds the down-set bitsets.  ``SBL_MAX_D=15 verify --max-D 15 --slow``
+peaks at about 88 MB (about 97 MB with the lift grid as tuples of ints, 434
+MB with the down-sets).  Each gate is its largest peak on CPython 3.10,
+3.11 and 3.12 (3.11's, every time) plus about 15%.  The child reads its own
+``/proc/self/status`` after the work; the tests are skipped where that file
+does not exist.
 """
 
 import os

@@ -146,13 +146,6 @@ def test_symbol_refuses_bad_values(s, t, flavor, message):
         Symbol(frozenset(s), frozenset(t), flavor)
 
 
-def test_symbol_accepts_each_flavor():
-    assert Symbol(frozenset({1, 2}), frozenset({3}), "odd").defect == 1
-    assert Symbol(frozenset({1, 2}), frozenset({3, 4}), "plus").defect == 0
-    assert Symbol(frozenset({1, 2, 3, 4}), frozenset(), "plus").series() == 4
-    assert Symbol(frozenset({2}), frozenset({1, 3, 4}), "minus").d == 3
-
-
 def test_the_cli_imports_without_dataclasses_or_inspect():
     # pytest itself loads both modules, so only a fresh interpreter can tell
     code = "import sys, secondbasis.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
