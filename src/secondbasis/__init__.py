@@ -68,13 +68,11 @@ from .tables import TableEntry, parse_entry, render_entry, render_table, table_j
 from .variants import (
     in_primed_zero_piece,
     in_primed_zero_piece_set,
-    interval_counts,
     involution,
     matching_involution,
     orbit_representatives,
     pair_basis_coords,
     pair_basis_set,
-    point_counts,
     sector_matrix,
     sector_order_check,
     triangle_identity_ok,

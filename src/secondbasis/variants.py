@@ -11,7 +11,9 @@ matrices whose columns give bases of the orbit spaces.
 
 from __future__ import annotations
 
-from .arcs import Matching, cyclic_interval_mask
+from collections.abc import Iterable
+
+from .arcs import Matching
 from .basis import (
     BasisMatrix,
     build_order,
@@ -21,19 +23,17 @@ from .basis import (
     _span_matrix,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet, members_of
+from .f2 import EvenSet, _even_positions_mask, members_of
 from .family import PieceLabel, ground_size, piece_of
 
 __all__ = [
     "in_primed_zero_piece",
     "in_primed_zero_piece_set",
-    "interval_counts",
     "involution",
     "matching_involution",
     "orbit_representatives",
     "pair_basis_coords",
     "pair_basis_set",
-    "point_counts",
     "sector_matrix",
     "sector_order_check",
     "triangle_identity_ok",
@@ -45,53 +45,35 @@ __all__ = [
 # even D: the triangular-number formula
 
 
-def interval_counts(b: Matching, d: int) -> list[int]:
-    """n_1..n_{D+1}: arcs whose interval contains {k, k+1}, then |B0|."""
-    n = b.n
-    masks = [cyclic_interval_mask(a, n) for a in b.arcs]
-    counts = []
-    for k in range(1, d + 1):
-        pair = (1 << k) | (1 << (k + 1))
-        counts.append(sum(1 for m in masks if m & pair == pair))
-    counts.append(len(b.double_primed()))
-    return counts
+def _triangle_masks(b: Matching, d: int) -> tuple[int, int]:
+    """The closed form's mask and the point identity's defect (0 when it holds).
 
-
-def point_counts(b: Matching) -> list[int]:
-    """m_1..m_N: arcs whose interval contains the point k."""
-    n = b.n
-    masks = [cyclic_interval_mask(a, n) for a in b.arcs]
-    return [sum(1 for m in masks if m >> k & 1) for k in range(1, n + 1)]
-
-
-def _tri(n: int) -> int:
-    return n * (n + 1) // 2 % 2
-
-
-def triangular_epsilon(b: Matching, d: int) -> EvenSet:
-    """The closed form: sum of [n_k]{k,k+1} plus [n_{D+1}]{1,N}, even D only."""
+    Bits k of c0, c1 hold n_k mod 4 for every k, so T = c0 ^ c1 holds [n_k];
+    a wrapping interval repeats point 1 at N+1, so n_N = |B0|."""
     if d % 2:
         raise DomainError("the triangular closed form is stated for even D only")
     n = b.n
-    counts = interval_counts(b, d)
-    mask = 0
-    for k in range(1, d + 1):
-        if _tri(counts[k - 1]):
-            mask ^= (1 << k) | (1 << (k + 1))
-    if _tri(counts[d]):
-        mask ^= (1 << 1) | (1 << n)
-    return EvenSet.from_mask(mask, n)
+    c0 = c1 = points = 0
+    for i, j in b.arcs:
+        interval = (2 << j) - (1 << i) if i < j else (4 << n) - (1 << i) + (2 << j) - 2
+        x = interval & interval >> 1
+        c1 ^= c0 & x
+        c0 ^= x
+        points ^= interval
+    t, full = c0 ^ c1, (2 << n) - 2
+    inner = t & full >> 1  # [n_1..n_D]
+    form = inner ^ inner << 1 ^ (2 | 1 << n if t >> n & 1 else 0)
+    return form, (t ^ (t << 1 | t >> (n - 1)) ^ points) & full  # T + rot(T) = sum
+
+
+def triangular_epsilon(b: Matching, d: int) -> EvenSet:
+    """The closed form, sum of [n_k]{k,k+1} plus [n_{D+1}]{1,N}, bit-sliced; even D only."""
+    return EvenSet.from_mask(_triangle_masks(b, d)[0], b.n)
 
 
 def triangle_identity_ok(b: Matching, d: int) -> bool:
     """Pointwise identity: [n_k] + [n_k'] == m_k mod 2 (k' = cyclic left step)."""
-    counts = interval_counts(b, d)
-    points = point_counts(b)
-    for k in range(1, d + 2):
-        left = d + 1 if k == 1 else k - 1
-        if (_tri(counts[k - 1]) + _tri(counts[left - 1])) % 2 != points[k - 1] % 2:
-            return False
-    return True
+    return not _triangle_masks(b, d)[1]
 
 
 def pair_basis_coords(x: EvenSet, d: int) -> tuple[int, ...]:
@@ -169,15 +151,30 @@ def _rank(label: PieceLabel) -> int:
     return max(t, -t) if label.sign == "+" else max(t, -t - 2)
 
 
-def _fault(lx: PieceLabel, x: int, ly: PieceLabel, y: int, d: int) -> str | None:
-    """The kind of fault x below y makes, or None."""
+def _fault(x: int, y: int) -> str | None:
+    """The kind of fault a set of code x (``_code``) below one of code y makes, or None."""
+    lx, ly = (PieceLabel(c >> 2, "+-"[c >> 1 & 1]) for c in (x, y))  # as sector_label
     if lx.sign != ly.sign:  # a plus set's preimage leaves N unmatched
         return "sector-crossing" if ly.sign == "+" else None
     if lx.t != ly.t:
         return "rank-violation" if _rank(lx) >= _rank(ly) else None
-    if lx.t == 0 and lx.sign == "+" and x >> (d + 1) & 1 and not y >> (d + 1) & 1:
+    if lx.t == 0 and lx.sign == "+" and x & 1 and not y & 1:
         return "primed-violation"
     return None
+
+
+def _code(q: int, d: int) -> int:
+    """4·gamma(q) + 2·[N in q] + [D+1 in q] at odd D: additive over disjoint unions."""
+    gamma = 2 * (q & _even_positions_mask(d + 2)).bit_count() - q.bit_count()
+    return gamma << 2 | q >> (d + 1) & 3  # N = D+2
+
+
+def _subset_sums(codes: Iterable[int], zero: int) -> int:
+    """Bit zero + s is set for each sum s of a sub-collection of ``codes``."""
+    reach = 1 << zero
+    for c in codes:
+        reach |= reach << c if c >= 0 else reach >> -c
+    return reach
 
 
 def sector_order_check(d: int) -> dict | None:
@@ -193,36 +190,35 @@ def sector_order_check(d: int) -> dict | None:
     So the first y with a faulty edge is the first with a fault below it,
     and its lowest faulty down-set position is the counterexample.
 
-    A fault depends on the two labels alone, with the (0,+) piece split by
-    the D+1 bit, so each set gets the id of its class and the fault of every
-    pair of ids is computed once per D: an edge costs one table lookup.
+    A fault depends on the labels alone, with the (0,+) piece split by the
+    D+1 bit: on the codes.  Codes add over disjoint unions, so a subset sum
+    over y's generators' codes marks each code its span reaches; only where
+    it meets y's faulty codes do the member walk and the down-sets run.
     """
     if d % 2 == 0:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
-    masks, extension, labels, low = order.masks, order.extension, order.labels, order.low
-    zero_plus = PieceLabel(0, "+")
-    classes: dict[tuple[PieceLabel, int], int] = {}
-    ids = bytearray(low + 1)
-    for p, label in zip(extension, labels):
-        m = masks[p]
-        top = m >> (d + 1) & 1 if label == zero_plus else 0
-        ids[m >> 1 & low] = classes.setdefault((label, top), len(classes))
-    # faults[b][a]: the kind of fault a set of class a makes below one of class b
-    faults = [
-        [_fault(la, ta << (d + 1), lb, tb << (d + 1), d) for la, ta in classes]
-        for lb, tb in classes
-    ]
+    masks, extension, labels = order.masks, order.extension, order.labels
+    n, top, evens = order.n, d + 1, _even_positions_mask(order.n)
+    zero = 4 * n + 4  # the codes of subsets of [1, N] lie above -zero
+    code = {q: _code(q, d) for q in set(order.pairs)}  # the distinct generators
+    codes = [c for c in range(-zero, zero + 8) if not c & 4]  # gamma is even
+    faults = {cy: {cx: f for cx in codes if (f := _fault(cx, cy))} for cy in codes}
+    screens = {cy: sum(1 << zero + cx for cx in column) for cy, column in faults.items()}
     for i, p in enumerate(extension):
         m = masks[p]
-        column = faults[ids[m >> 1 & low]]
+        cy = (2 * (m & evens).bit_count() - m.bit_count()) << 2 | m >> top & 3  # _code
+        generators = order.pairs[order.starts[p] : order.starts[p + 1]]
+        if not _subset_sums(map(code.__getitem__, generators), zero) & screens[cy]:
+            continue
+        column = faults[cy]
         # a set makes no fault with itself, so its own span member is harmless
-        if not any(column[ids[z >> 1 & low]] for z in order.members(m)):
+        if not any(_code(z, d) in column for z in order.members(m)):
             continue
         down = order.down[i]
         for k in range(i):
             x = masks[extension[k]]
-            kind = column[ids[x >> 1 & low]] if down >> k & 1 else None
+            kind = column.get(_code(x, d)) if down >> k & 1 else None
             if kind:
                 bad = {"kind": kind, "x": list(members_of(x)), "y": list(members_of(m))}
                 if kind == "rank-violation":

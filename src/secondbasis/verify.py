@@ -11,40 +11,40 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterator
 
-from .arcs import Matching, _splice, cyclic_interval_mask
+from .arcs import _splice, cyclic_interval_mask
 from .basis import (
     CycleError,
     build_order,
     epsilon,
     epsilon_images,
-    epsilon_pairs,
+    epsilon_masks,
     lift_images,
     piece_cardinality,
     primitive_image,
-    sector_label,
     unique_bijection_check,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet, _even_positions_mask, members_of
+from .f2 import _even_positions_mask, members_of
 from .family import (
     PieceLabel,
+    _label,
     enumerate_family,
     filter_family,
     ground_size,
     labeled_primitives,
+    piece_of,
     pieces,
 )
 from .limits import guard_d
 from .variants import (
     _block,
+    _triangle_masks,
     in_primed_zero_piece,
     in_primed_zero_piece_set,
     involution,
     matching_involution,
     sector_matrix,
     sector_order_check,
-    triangle_identity_ok,
-    triangular_epsilon,
 )
 
 __all__ = ["RunReport", "run_checks", "CHECK_NAMES"]
@@ -127,31 +127,31 @@ def _check_laminarity(d: int) -> dict | None:
     return None
 
 
-def _lifts(d: int) -> Iterator[tuple[Matching, EvenSet, memoryview]]:
-    """Each member of X_{D-2} with its image and the image masks of its D lifts."""
+def _lifts(d: int) -> Iterator[tuple[int, int, memoryview]]:
+    """Each position of X_{D-2} with its image mask and the masks of its D lifts."""
     grid = lift_images(d)
-    for r, (bp, ex) in enumerate(epsilon_pairs(d - 2)):
-        yield bp, ex, grid[r * d : r * d + d]
+    for r, ex in enumerate(epsilon_masks(d - 2)):
+        yield r, ex, grid[r * d : r * d + d]
 
 
 def _check_recursion(d: int) -> dict | None:
     # a lifted member's image is the embedded image, up to one copy of {k, k+1}
-    for bp, ex, row in _lifts(d):
+    for r, ex, row in _lifts(d):
         for k, lifted in enumerate(row, start=1):
-            diff = lifted ^ _splice(ex.mask, k)
+            diff = lifted ^ _splice(ex, k)
             if diff and diff != (1 << k) | (1 << (k + 1)):
-                return {"member": bp.to_pairs(), "k": k}
+                return {"member": enumerate_family(d - 2)[r].to_pairs(), "k": k}
     return None
 
 
 def _check_gamma_invariance(d: int) -> dict | None:
     evens = _even_positions_mask(ground_size(d))
-    for bp, ex, row in _lifts(d):
-        g = ex.gamma()
+    for r, ex, row in _lifts(d):
+        g = 2 * (ex & evens).bit_count() - ex.bit_count()
         for k, lifted in enumerate(row, start=1):
             # gamma: the even members less the odd ones
             if 2 * (lifted & evens).bit_count() - lifted.bit_count() != g:
-                return {"member": bp.to_pairs(), "k": k}
+                return {"member": enumerate_family(d - 2)[r].to_pairs(), "k": k}
     return None
 
 
@@ -167,21 +167,26 @@ def _check_primitive_forms(d: int) -> dict | None:
 
 def _check_n_transport(d: int) -> dict | None:
     n = ground_size(d)
-    for bp, ex, row in _lifts(d):
-        inner = n - 2 in ex  # the top point of [1, N-2]
+    for r, ex, row in _lifts(d):
+        inner = ex >> (n - 2) & 1  # the top point of [1, N-2]
         for k, lifted in enumerate(row, start=1):
-            if bool(lifted >> n & 1) != inner:
-                return {"member": bp.to_pairs(), "k": k}
+            if lifted >> n & 1 != inner:
+                return {"member": enumerate_family(d - 2)[r].to_pairs(), "k": k}
     return None
 
 
 def _check_piece_bijections(d: int) -> dict | None:
-    # epsilon_masks refuses a shared image before any piece is read
-    image = epsilon_images(d)
+    # epsilon_masks refuses a shared image first; a label is gamma and (odd D) the N bit
+    n = ground_size(d)
+    evens, signs = _even_positions_mask(n), ("+", "-") if d % 2 else (None, None)
+    bad: dict[PieceLabel, int] = {}  # the first stray image of each piece
+    for b, m in zip(enumerate_family(d), epsilon_masks(d)):
+        label = piece_of(b, d)
+        if label != _label(2 * (m & evens).bit_count() - m.bit_count(), signs[m >> n & 1]):
+            bad.setdefault(label, m)
     for label, members in pieces(d).items():
-        for b in members:
-            if sector_label(image[b], d) != label:
-                return {"piece": str(label), "image": image[b].to_json()}
+        if label in bad:
+            return {"piece": str(label), "image": list(members_of(bad[label]))}
         want = piece_cardinality(d, label)
         if len(members) != want:
             return {"piece": str(label), "size": len(members), "expected": want}
@@ -226,10 +231,11 @@ def _check_counting(d: int) -> dict | None:
 
 
 def _check_triangular_form(d: int) -> dict | None:
-    for b, x in epsilon_pairs(d):
-        if triangular_epsilon(b, d) != x:
+    for b, m in zip(enumerate_family(d), epsilon_masks(d)):
+        form, defect = _triangle_masks(b, d)
+        if form != m:
             return {"member": b.to_pairs(), "kind": "closed-form"}
-        if not triangle_identity_ok(b, d):
+        if defect:
             return {"member": b.to_pairs(), "kind": "point-identity"}
     return None
 

@@ -29,7 +29,13 @@ from secondbasis.arcs import (
     pair_evenset,
     pair_masks,
 )
-from secondbasis.basis import epsilon, epsilon_masks, epsilon_pairs, lift_images
+from secondbasis.basis import (
+    epsilon,
+    epsilon_images,
+    epsilon_masks,
+    epsilon_pairs,
+    lift_images,
+)
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.family import enumerate_family, ground_size, lift_positions
 from tests.conftest import clear_library_caches, rebind_everywhere
@@ -169,6 +175,23 @@ def test_checks_read_the_tables(monkeypatch, cold_caches):
     for name in TABLE_READERS:
         check, _, _ = verify._CHECKS[name]
         assert verify._sweep(check, ranges[name]) is None, name
+
+
+def test_verify_builds_the_image_tables_at_odd_d_only(monkeypatch, cold_caches):
+    # the checks read epsilon_masks by position; only the involution suite's
+    # not-equivariant and primed-class clauses read the (member, image) tables
+    built = []
+
+    def spy(d):
+        built.append(d)
+        return epsilon_pairs(d)
+
+    rebind_everywhere(monkeypatch, epsilon_pairs, spy)
+    assert all(report.passed for report in verify.run_checks(11))
+    odd = list(range(1, 12, 2))
+    assert sorted(set(built)) == odd
+    assert epsilon_pairs.cache_info().currsize == len(odd)
+    assert epsilon_images.cache_info().currsize == len(odd)
 
 
 D, K = 5, 2  # an odd D, so all three lift checks sweep it

@@ -1,18 +1,26 @@
 """The triangular closed form and the odd-D involution structures."""
 
+from array import array
+
 import pytest
 
 import secondbasis.variants as variants
 import secondbasis.verify as verify
 from secondbasis.arcs import Matching
-from secondbasis.basis import Order, build_order, epsilon, sector_label
+from secondbasis.basis import (
+    Order,
+    build_order,
+    epsilon,
+    epsilon_masks,
+    lift_images,
+    sector_label,
+)
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.f2 import EvenSet
-from secondbasis.family import PieceLabel, enumerate_family, piece_of, pieces
+from secondbasis.family import PieceLabel, enumerate_family, ground_size, piece_of, pieces
 from secondbasis.variants import (
     in_primed_zero_piece,
     in_primed_zero_piece_set,
-    interval_counts,
     involution,
     matching_involution,
     orbit_representatives,
@@ -23,6 +31,7 @@ from secondbasis.variants import (
     triangle_identity_ok,
     triangular_epsilon,
 )
+from tests import oracles
 from tests.conftest import below, doctor, elements, position
 
 
@@ -32,7 +41,7 @@ def m(pairs, n):
 
 def test_interval_counts_example():
     b = m([(2, 3), (1, 4)], 5)
-    assert interval_counts(b, 4) == [1, 2, 1, 0, 0]
+    assert oracles.interval_counts(b, 4) == [1, 2, 1, 0, 0]
     assert triangular_epsilon(b, 4) == EvenSet([1, 4], 5)
 
 
@@ -43,6 +52,78 @@ def test_triangular_epsilon_equals_epsilon():
             assert triangle_identity_ok(b, d)
     with pytest.raises(DomainError):
         triangular_epsilon(m([], 5), 3)
+
+
+def test_the_point_identity_refuses_odd_d():
+    with pytest.raises(DomainError):
+        triangle_identity_ok(m([], 5), 3)
+
+
+def assert_the_core_matches_the_counts(d):
+    for b in enumerate_family(d):
+        assert triangular_epsilon(b, d) == oracles.triangular_epsilon(b, d)
+        assert oracles.triangle_identity_ok(b, d)
+        assert triangle_identity_ok(b, d)
+
+
+@pytest.mark.parametrize("d", range(0, 11, 2))
+def test_the_bit_sliced_core_matches_the_counts(d):
+    assert_the_core_matches_the_counts(d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [12, 14])
+def test_the_bit_sliced_core_matches_the_counts_slow(d):
+    assert_the_core_matches_the_counts(d)
+
+
+def test_a_doctored_image_fails_the_closed_form(monkeypatch):
+    d, r = 6, 5
+    doctored = array("I", epsilon_masks(d))
+    doctored[r] ^= 1 << 2 | 1 << 4
+    real = epsilon_masks
+    monkeypatch.setattr(verify, "epsilon_masks", lambda dd: doctored if dd == d else real(dd))
+    b = enumerate_family(d)[r]
+    assert verify._check_triangular_form(d) == {"kind": "closed-form", "member": b.to_pairs()}
+
+
+def test_a_doctored_image_fails_piece_bijections(monkeypatch):
+    # the first piece in display order with a stray image is named, with its
+    # first stray image by position, though a later piece's comes first
+    d = 5
+    family, masks = enumerate_family(d), epsilon_masks(d)
+    flip = 1 << 2 | 1 << 4  # 2 and 4 join an image: gamma rises by 2
+    free = {}
+    for r, b in enumerate(family):
+        if not masks[r] & flip:
+            free.setdefault(piece_of(b, d), []).append(r)
+    first, later = PieceLabel(0, "+"), PieceLabel(-2, "-")
+    assert list(pieces(d)).index(first) < list(pieces(d)).index(later)
+    strays = free[first][1:3] + free[later][:1]
+    assert strays[2] < strays[0]
+    doctored = array("I", masks)
+    for r in strays:
+        doctored[r] ^= flip
+    monkeypatch.setattr(verify, "epsilon_masks", lambda dd: doctored if dd == d else masks)
+    want = {"piece": "0,+", "image": list(EvenSet.from_mask(doctored[strays[0]], 7))}
+    assert verify._check_piece_bijections(d) == want
+
+
+def test_a_doctored_lift_fails_the_three_lift_checks(monkeypatch):
+    # {1, N} joins or leaves a lift's image: not one {k, k+1}, gamma moves
+    # by 2 and N flips
+    d = 5
+    n = ground_size(d)
+    grid = lift_images(d)
+    at = next(i for i, x in enumerate(grid) if not x & (2 | 1 << n))
+    doctored = array("I", grid)
+    doctored[at] ^= 2 | 1 << n
+    real = lift_images
+    monkeypatch.setattr(verify, "lift_images", lambda dd: doctored if dd == d else real(dd))
+    want = {"member": enumerate_family(d - 2)[at // d].to_pairs(), "k": at % d + 1}
+    checks = (verify._check_recursion, verify._check_gamma_invariance, verify._check_n_transport)
+    for check in checks:
+        assert check(d) == want, check.__name__
 
 
 def test_pair_basis_coords():
@@ -218,6 +299,39 @@ def test_sector_order_check_matches_reference(d):
 @pytest.mark.slow
 def test_sector_order_check_matches_reference_d11():
     assert sector_order_check(11) == reference_sector_order_check(build_order(11), 11)
+
+
+def assert_the_screen_leaves_the_member_walk_unrun(monkeypatch, d):
+    build_order(d)  # built before counting
+    walks = []
+    members = Order.members
+    monkeypatch.setattr(Order, "members", lambda self, m: walks.append(m) or members(self, m))
+    assert sector_order_check(d) is None
+    assert walks == []
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11])
+def test_the_screen_leaves_the_member_walk_unrun(monkeypatch, d):
+    assert_the_screen_leaves_the_member_walk_unrun(monkeypatch, d)
+
+
+@pytest.mark.slow
+def test_the_screen_leaves_the_member_walk_unrun_d13(monkeypatch):
+    assert_the_screen_leaves_the_member_walk_unrun(monkeypatch, 13)
+
+
+def test_a_doctored_edge_fires_the_screen(monkeypatch):
+    # the first walk is y's, the first set with a faulty edge; the down-sets
+    # then walk every span
+    order = Order(D_DOCTOR)
+    y = elements(order)[1]
+    x = next(x for x, label in zip(elements(order), order.labels) if label.sign == "-")
+    order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
+    walks = []
+    members = Order.members
+    monkeypatch.setattr(Order, "members", lambda self, m: walks.append(m) or members(self, m))
+    assert sector_order_check(D_DOCTOR)["kind"] == "sector-crossing"
+    assert walks[0] == y.mask and "down" in order.__dict__
 
 
 def _doctored(monkeypatch, d, y, spans):
