@@ -32,6 +32,7 @@ from .f2 import (
     EvenSet,
     Span,
     _even_positions_mask,
+    _mask_gamma,
     _unions,
     in_span,
     members_of,
@@ -39,6 +40,7 @@ from .f2 import (
 )
 from .family import (
     PieceLabel,
+    _label,
     distinguished_element,
     enumerate_family,
     ground_size,
@@ -75,9 +77,13 @@ def sector_label(x: EvenSet, d: int) -> PieceLabel:
     """The piece of E_N an even set belongs to (gamma, and N-membership for odd D)."""
     if x.n != ground_size(d):
         raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
-    if d % 2 == 0:
-        return PieceLabel(x.gamma())
-    return PieceLabel(x.gamma(), "-" if x.n in x else "+")
+    return _mask_label(x.mask, d)
+
+
+def _mask_label(m: int, d: int) -> PieceLabel:
+    """``sector_label`` of the set with mask m, unchecked."""
+    gamma = _mask_gamma(m, n := ground_size(d))
+    return _label(gamma) if d % 2 == 0 else _label(gamma, "-" if m >> n & 1 else "+")
 
 
 def _correction_mask(b: Matching, d: int) -> int:
@@ -329,7 +335,6 @@ class Order:
         # the mask; ``keys`` maps a (gamma, N bit) class to its shifted key,
         # and ``labels`` interns one label per key
         shift = n + 1
-        evens = _even_positions_mask(n)
         top = n if d % 2 else shift  # a mask's bit at ``shift`` is 0
         keys: dict[int, int] = {}
         labels: dict[int, PieceLabel] = {}
@@ -351,8 +356,7 @@ class Order:
                         if not popped[z] and z != me:
                             break
                     else:  # each position is pushed once
-                        kind = (2 * (me & evens).bit_count() - me.bit_count()) << 1
-                        kind |= me >> top & 1
+                        kind = _mask_gamma(me, n) << 1 | me >> top & 1
                         key = keys.get(kind)
                         if key is None:  # sector_label runs once per class
                             piece = sector_label(EvenSet.from_mask(me, n), d)

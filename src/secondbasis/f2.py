@@ -73,6 +73,11 @@ def _even_positions_mask(n: int) -> int:
     return mask
 
 
+def _mask_gamma(mask: int, n: int) -> int:
+    """gamma of a subset of [1, n]: its even members less its odd ones."""
+    return 2 * (mask & _even_positions_mask(n)).bit_count() - mask.bit_count()
+
+
 class EvenSet:
     """An even-cardinality subset of [1, n]: an element of the space E_n."""
 
@@ -138,8 +143,7 @@ class EvenSet:
 
     def gamma(self) -> int:
         """Number of even members minus number of odd members (always even)."""
-        evens = (self.mask & _even_positions_mask(self.n)).bit_count()
-        return 2 * evens - self.mask.bit_count()
+        return _mask_gamma(self.mask, self.n)
 
     def to_json(self) -> list[int]:
         return list(self.members)

@@ -23,7 +23,7 @@ from .basis import (
     _span_matrix,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import EvenSet, _even_positions_mask, members_of
+from .f2 import EvenSet, _mask_gamma, members_of
 from .family import PieceLabel, ground_size, piece_of
 
 __all__ = [
@@ -153,7 +153,7 @@ def _rank(label: PieceLabel) -> int:
 
 def _fault(x: int, y: int) -> str | None:
     """The kind of fault a set of code x (``_code``) below one of code y makes, or None."""
-    lx, ly = (PieceLabel(c >> 2, "+-"[c >> 1 & 1]) for c in (x, y))  # as sector_label
+    lx, ly = (PieceLabel(c >> 2, "+-"[c >> 1 & 1]) for c in (x, y))  # as _mask_label
     if lx.sign != ly.sign:  # a plus set's preimage leaves N unmatched
         return "sector-crossing" if ly.sign == "+" else None
     if lx.t != ly.t:
@@ -165,8 +165,7 @@ def _fault(x: int, y: int) -> str | None:
 
 def _code(q: int, d: int) -> int:
     """4·gamma(q) + 2·[N in q] + [D+1 in q] at odd D: additive over disjoint unions."""
-    gamma = 2 * (q & _even_positions_mask(d + 2)).bit_count() - q.bit_count()
-    return gamma << 2 | q >> (d + 1) & 3  # N = D+2
+    return _mask_gamma(q, d + 2) << 2 | q >> (d + 1) & 3  # N = D+2
 
 
 def _subset_sums(codes: Iterable[int], zero: int) -> int:
@@ -192,34 +191,28 @@ def sector_order_check(d: int) -> dict | None:
 
     A fault depends on the labels alone, with the (0,+) piece split by the
     D+1 bit: on the codes.  Codes add over disjoint unions, so a subset sum
-    over y's generators' codes marks each code its span reaches; only where
-    it meets y's faulty codes do the member walk and the down-sets run.
+    over y's generators' codes marks the codes its span reaches; y's down-set
+    is read only where they meet y's faulty codes, at a faulty edge.
     """
     if d % 2 == 0:
         raise DomainError("the sector order properties concern odd D only")
     order = build_order(d)
     masks, extension, labels = order.masks, order.extension, order.labels
-    n, top, evens = order.n, d + 1, _even_positions_mask(order.n)
-    zero = 4 * n + 4  # the codes of subsets of [1, N] lie above -zero
+    zero = 4 * order.n + 4  # the codes of subsets of [1, N] lie above -zero
     code = {q: _code(q, d) for q in set(order.pairs)}  # the distinct generators
     codes = [c for c in range(-zero, zero + 8) if not c & 4]  # gamma is even
     faults = {cy: {cx: f for cx in codes if (f := _fault(cx, cy))} for cy in codes}
     screens = {cy: sum(1 << zero + cx for cx in column) for cy, column in faults.items()}
     for i, p in enumerate(extension):
         m = masks[p]
-        cy = (2 * (m & evens).bit_count() - m.bit_count()) << 2 | m >> top & 3  # _code
+        cy = _code(m, d)
         generators = order.pairs[order.starts[p] : order.starts[p + 1]]
         if not _subset_sums(map(code.__getitem__, generators), zero) & screens[cy]:
             continue
-        column = faults[cy]
-        # a set makes no fault with itself, so its own span member is harmless
-        if not any(_code(z, d) in column for z in order.members(m)):
-            continue
-        down = order.down[i]
+        column, down = faults[cy], order.down[i]
         for k in range(i):
             x = masks[extension[k]]
-            kind = column.get(_code(x, d)) if down >> k & 1 else None
-            if kind:
+            if down >> k & 1 and (kind := column.get(_code(x, d))):
                 bad = {"kind": kind, "x": list(members_of(x)), "y": list(members_of(m))}
                 if kind == "rank-violation":
                     bad["pieces"] = [str(labels[k]), str(labels[i])]

@@ -14,6 +14,7 @@ from typing import Callable, Iterator
 from .arcs import _splice, cyclic_interval_mask
 from .basis import (
     CycleError,
+    _mask_label,
     build_order,
     epsilon,
     epsilon_images,
@@ -24,10 +25,9 @@ from .basis import (
     unique_bijection_check,
 )
 from .errors import DomainError, FalsificationError
-from .f2 import _even_positions_mask, members_of
+from .f2 import _mask_gamma, members_of
 from .family import (
     PieceLabel,
-    _label,
     enumerate_family,
     filter_family,
     ground_size,
@@ -145,12 +145,11 @@ def _check_recursion(d: int) -> dict | None:
 
 
 def _check_gamma_invariance(d: int) -> dict | None:
-    evens = _even_positions_mask(ground_size(d))
+    n = ground_size(d)
     for r, ex, row in _lifts(d):
-        g = 2 * (ex & evens).bit_count() - ex.bit_count()
+        g = _mask_gamma(ex, n)
         for k, lifted in enumerate(row, start=1):
-            # gamma: the even members less the odd ones
-            if 2 * (lifted & evens).bit_count() - lifted.bit_count() != g:
+            if _mask_gamma(lifted, n) != g:
                 return {"member": enumerate_family(d - 2)[r].to_pairs(), "k": k}
     return None
 
@@ -176,20 +175,20 @@ def _check_n_transport(d: int) -> dict | None:
 
 
 def _check_piece_bijections(d: int) -> dict | None:
-    # epsilon_masks refuses a shared image first; a label is gamma and (odd D) the N bit
-    n = ground_size(d)
-    evens, signs = _even_positions_mask(n), ("+", "-") if d % 2 else (None, None)
+    # epsilon_masks refuses a shared image first; each image is labelled on its own
+    sizes: dict[PieceLabel, int] = {}
     bad: dict[PieceLabel, int] = {}  # the first stray image of each piece
     for b, m in zip(enumerate_family(d), epsilon_masks(d)):
         label = piece_of(b, d)
-        if label != _label(2 * (m & evens).bit_count() - m.bit_count(), signs[m >> n & 1]):
+        sizes[label] = sizes.get(label, 0) + 1
+        if label != _mask_label(m, d):
             bad.setdefault(label, m)
-    for label, members in pieces(d).items():
+    for label in sorted(sizes, key=PieceLabel.sort_key):
         if label in bad:
             return {"piece": str(label), "image": list(members_of(bad[label]))}
         want = piece_cardinality(d, label)
-        if len(members) != want:
-            return {"piece": str(label), "size": len(members), "expected": want}
+        if sizes[label] != want:
+            return {"piece": str(label), "size": sizes[label], "expected": want}
     return None
 
 

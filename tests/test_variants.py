@@ -301,37 +301,36 @@ def test_sector_order_check_matches_reference_d11():
     assert sector_order_check(11) == reference_sector_order_check(build_order(11), 11)
 
 
-def assert_the_screen_leaves_the_member_walk_unrun(monkeypatch, d):
-    build_order(d)  # built before counting
-    walks = []
-    members = Order.members
-    monkeypatch.setattr(Order, "members", lambda self, m: walks.append(m) or members(self, m))
+def assert_the_screen_stays_silent(monkeypatch, d):
+    # a fired screen reads the down-sets, which a fresh order builds on first read
+    order = Order(d)
+    monkeypatch.setattr(variants, "build_order", lambda dd: order)
     assert sector_order_check(d) is None
-    assert walks == []
+    assert "down" not in order.__dict__
 
 
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11])
-def test_the_screen_leaves_the_member_walk_unrun(monkeypatch, d):
-    assert_the_screen_leaves_the_member_walk_unrun(monkeypatch, d)
+def test_the_screen_stays_silent_on_a_real_order(monkeypatch, d):
+    assert_the_screen_stays_silent(monkeypatch, d)
 
 
 @pytest.mark.slow
-def test_the_screen_leaves_the_member_walk_unrun_d13(monkeypatch):
-    assert_the_screen_leaves_the_member_walk_unrun(monkeypatch, 13)
+def test_the_screen_stays_silent_on_a_real_order_d13(monkeypatch):
+    assert_the_screen_stays_silent(monkeypatch, 13)
 
 
 def test_a_doctored_edge_fires_the_screen(monkeypatch):
-    # the first walk is y's, the first set with a faulty edge; the down-sets
-    # then walk every span
+    # y is the first set with a faulty edge, so the down-sets are built and
+    # the payload is the edge scan's
     order = Order(D_DOCTOR)
     y = elements(order)[1]
     x = next(x for x, label in zip(elements(order), order.labels) if label.sign == "-")
     order = _doctored(monkeypatch, D_DOCTOR, y, {y: [x]})
-    walks = []
-    members = Order.members
-    monkeypatch.setattr(Order, "members", lambda self, m: walks.append(m) or members(self, m))
-    assert sector_order_check(D_DOCTOR)["kind"] == "sector-crossing"
-    assert walks[0] == y.mask and "down" in order.__dict__
+    assert "down" not in order.__dict__
+    got = sector_order_check(D_DOCTOR)
+    assert got == reference_sector_order_check(order, D_DOCTOR)
+    assert got == {"kind": "sector-crossing", "x": x.to_json(), "y": y.to_json()}
+    assert "down" in order.__dict__
 
 
 def _doctored(monkeypatch, d, y, spans):
