@@ -81,3 +81,25 @@ def test_bench_verify_import_only_runs_no_command(tmp_path):
     # this checkout's import loads the whole library; the stand-in's is empty
     assert ours["vmhwm_mb"] > theirs["vmhwm_mb"] > 0
     assert min(ours["wall_runs"]) > 0 and len(theirs["wall_runs"]) == 3
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_import_peak_records_every_run_of_each_checkout(tmp_path):
+    out = tmp_path / "peaks.json"
+    script = SCRIPT.with_name("import_peak.py")
+    other = stand_in(tmp_path)
+    argv = [sys.executable, str(script), str(out), "3", str(SCRIPT.parents[1]), str(other)]
+    subprocess.run(argv, check=True, timeout=120)
+    report = json.loads(out.read_text())
+    assert report["python"] == ".".join(map(str, sys.version_info[:3]))
+    ours, theirs = report["checkouts"]
+    for r in (ours, theirs):
+        assert set(r) == {"git_sha", "vmhwm_runs", "median_mb", "quartiles_mb"}
+        assert len(r["vmhwm_runs"]) == 3 and r["median_mb"] == sorted(r["vmhwm_runs"])[1]
+        q1, q3 = r["quartiles_mb"]
+        assert min(r["vmhwm_runs"]) <= q1 <= r["median_mb"] <= q3 <= max(r["vmhwm_runs"])
+    # the stand-in is no git checkout; its import loads next to nothing
+    assert ours["git_sha"] and theirs["git_sha"] is None
+    assert min(ours["vmhwm_runs"]) > max(theirs["vmhwm_runs"]) > 0

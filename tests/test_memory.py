@@ -24,7 +24,7 @@ position, so no (member, image) table is built at even D (about 31 MB with
 them).  ``SBL_MAX_D=15 verify --max-D 15 --slow`` peaks at about 82 MB
 (about 87 MB with the even-D tables, 97 MB with the lift grid as tuples of
 ints, 434 MB with the down-sets).  Each gate is its largest peak on CPython 3.10,
-3.11 and 3.12 (3.11's, every time) plus about 15%.  The child reads its own
+3.11 and 3.12 (3.11's, or within 0.3 MB of it) plus about 15%.  The child reads its own
 ``/proc/self/status`` after the work; the tests are skipped where that file
 does not exist.
 """
