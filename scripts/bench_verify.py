@@ -1,22 +1,28 @@
 """Time the verify sweeps and the write-path peak, each in a fresh process.
 
-    python scripts/bench_verify.py BENCH_<n>.json [--against CHECKOUT] [COMMAND ...]
+    python scripts/bench_verify.py OUT.json [--runs N] [--against CHECKOUT] [COMMAND ...]
 
 Each command (default: ``COMMANDS``) runs the ``secondbasis`` CLI from this
-checkout's ``src`` in a new interpreter, ``REPEATS`` times, its output
-discarded; leading ``NAME=value`` words set the environment.  The command
-``import`` runs nothing: its child only imports ``secondbasis.cli``, so its
-record is one process's start-up.  The JSON file
-records per command the largest exit code, the wall seconds of every run and
-their median, and the largest high-water RSS (``VmHWM``, read by the child
-from ``/proc/self/status``, so Linux only), with the git SHA, the Python
+checkout's ``src`` in a new interpreter, ``--runs`` times (default 3), its
+output discarded; leading ``NAME=value`` words set the environment.  The
+command ``import`` runs nothing: its child only imports ``secondbasis.cli``,
+so its record is one process's start-up.  The JSON file records per command
+the largest exit code, the wall seconds of every run and their median, and
+the high-water RSS (``VmHWM``, read by the child from ``/proc/self/status``,
+so Linux only) of every run and the largest, with the git SHA, the Python
 version and the number of usable CPUs.
 
-With ``--against``, each run of a command in CHECKOUT's ``src`` is followed
-by one in this checkout's, so load on a shared host falls on both sides
-alike; CHECKOUT's SHA and records go under ``"against"`` in the same file.
+With ``--against``, CHECKOUT's ``src`` and this checkout's take turns, run by
+run, and the one that goes first alternates, so load on a shared host falls
+on both sides alike; CHECKOUT's SHA and records go under ``"against"`` in the
+same file.  One start-up reading moves by allocator steps of about 0.2 MB
+between processes of one tree, so two trees' start-up peaks are told apart
+within 0.05 MB by the median of many runs::
+
+    python scripts/bench_verify.py OUT.json --runs 40 --against PARENT import
 """
 
+import argparse
 import json
 import os
 import platform
@@ -38,8 +44,6 @@ COMMANDS = [
     "table --D 11",
     "matrix --D 11 --sector plus",
 ]
-# on a shared host one run's wall time moves by up to about 20%
-REPEATS = 3
 CHILD = """
 import contextlib, os, sys
 from secondbasis.cli import main
@@ -53,16 +57,17 @@ sys.exit(code)
 """
 
 
-def run(command: str, roots: list[Path]) -> list[dict]:
-    # one record per checkout; the checkouts take turns, run by run
+def run(command: str, roots: list[Path], runs: int) -> list[dict]:
+    # one record per checkout; the checkouts take turns, and the first alternates
     argv = shlex.split(command)
     env = {k: v for k, v in os.environ.items() if k != "SBL_MAX_D"}
     while argv and "=" in argv[0]:
         name, value = argv.pop(0).split("=", 1)
         env[name] = value
-    runs = [([], [], []) for _ in roots]
-    for _ in range(REPEATS):
-        for root, (codes, walls, kbs) in zip(roots, runs):
+    results = [([], [], []) for _ in roots]
+    for r in range(runs):
+        turn = list(zip(roots, results))
+        for root, (codes, walls, kbs) in turn if r % 2 == 0 else turn[::-1]:
             env["PYTHONPATH"] = str(root / "src")
             start = time.perf_counter()
             child = subprocess.run(
@@ -80,9 +85,10 @@ def run(command: str, roots: list[Path]) -> list[dict]:
             "exit_code": max(codes),
             "wall_runs": walls,
             "wall_s": statistics.median(walls),
+            "vmhwm_runs": [round(kb / 1024, 3) for kb in kbs],
             "vmhwm_mb": round(max(kbs) / 1024, 2) if kbs else None,
         }
-        for codes, walls, kbs in runs
+        for codes, walls, kbs in results
     ]
 
 
@@ -94,12 +100,16 @@ def git_sha(root: Path) -> str | None:
 
 
 if __name__ == "__main__":
-    out, *commands = sys.argv[1:]
-    roots = [ROOT]
-    if commands[:1] == ["--against"]:
-        roots.insert(0, Path(commands[1]).resolve())
-        del commands[:2]
-    records = [run(command, roots) for command in commands or COMMANDS]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("commands", nargs="*", default=COMMANDS)
+    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--against", type=Path)
+    args = parser.parse_intermixed_args()
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    roots = [ROOT] if args.against is None else [args.against.resolve(), ROOT]
+    records = [run(command, roots, args.runs) for command in args.commands]
     report = {
         "git_sha": git_sha(ROOT),
         "python": platform.python_version(),
@@ -111,4 +121,4 @@ if __name__ == "__main__":
             "git_sha": git_sha(roots[0]),
             "commands": [pair[0] for pair in records],
         }
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
+    args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -12,11 +12,7 @@ from .arcs import (
     Arc,
     Matching,
     classify_pair,
-    cyclic_interval,
-    embed_index,
-    embed_set,
     lift_matching,
-    split_parts,
 )
 from .basis import (
     BasisMatrix,
@@ -46,7 +42,7 @@ from .errors import (
     FalsificationError,
     ResourceGuardError,
 )
-from .f2 import EvenSet, f2_sum, span_masks
+from .f2 import EvenSet, span_masks
 from .family import (
     CoverWitness,
     PieceLabel,
@@ -71,8 +67,6 @@ from .variants import (
     involution,
     matching_involution,
     orbit_representatives,
-    pair_basis_coords,
-    pair_basis_set,
     sector_matrix,
     sector_order_check,
     triangle_identity_ok,

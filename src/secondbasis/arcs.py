@@ -16,22 +16,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .f2 import EvenSet, check_ground_size
+from .f2 import check_ground_size
 
 __all__ = [
     "Arc",
     "Matching",
     "arc_text",
     "classify_pair",
-    "cyclic_interval",
     "cyclic_interval_mask",
-    "embed_index",
-    "embed_set",
     "lift_matching",
     "lift_row",
-    "pair_evenset",
     "pair_masks",
-    "split_parts",
 ]
 
 
@@ -94,11 +89,6 @@ def pair_masks(arcs: Iterable[Arc]) -> list[int]:
     return list(map(_PAIR_MASKS.__getitem__, arcs))
 
 
-def pair_evenset(arc: Arc, n: int) -> EvenSet:
-    """The arc as a 2-element vector of E_n."""
-    return EvenSet.from_mask(pair_mask(arc), n)
-
-
 def _range_mask(lo: int, hi: int) -> int:
     # bits lo..hi inclusive; empty when lo > hi
     if lo > hi:
@@ -112,36 +102,10 @@ def cyclic_interval_mask(arc: Arc, n: int) -> int:
     return _range_mask(arc.i, n) | _range_mask(1, arc.j)
 
 
-def cyclic_interval(arc: Arc, n: int) -> EvenSet:
-    """⌊i,j⌋: the interval [i, j], wrapping through N for double-primed arcs."""
-    _check_arc(arc, n)
-    return EvenSet.from_mask(cyclic_interval_mask(arc, n), n)
-
-
-def embed_index(k: int, i: int, n: int) -> int:
-    """Order- and parity-preserving embedding [1, n-2] -> [1, n] missing k, k+1."""
-    check_ground_size(n)
-    if n < 3:
-        raise DomainError("embedding needs a target ground set of size >= 3")
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"slot index {k} outside [1, {n - 1}]")
-    if not 1 <= i <= n - 2:
-        raise DomainError(f"index {i} outside [1, {n - 2}]")
-    return i if i < k else i + 2
-
-
 def _splice(mask: int, k: int) -> int:
     # the embedding on a bitmask: bits below k stay, the rest move up by two
     low = (1 << k) - 1
     return mask & low | (mask & ~low) << 2
-
-
-def embed_set(k: int, x: EvenSet) -> EvenSet:
-    """Element-wise image of an even set under the embedding into [1, x.n + 2]."""
-    n = x.n + 2
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"slot index {k} outside [1, {n - 1}]")
-    return EvenSet.from_mask(_splice(x.mask, k), n)
 
 
 class Matching:
@@ -215,14 +179,6 @@ class Matching:
 
     def to_pairs(self) -> list[list[int]]:
         return [[a.i, a.j] for a in self.arcs]
-
-
-def split_parts(b: Matching) -> tuple[tuple[Arc, ...], tuple[Arc, ...], int | None]:
-    """(double-primed arcs, primed arcs, largest first coordinate of the former)."""
-    b0 = b.double_primed()
-    b1 = b.primed()
-    i_b = max((a.i for a in b0), default=None)
-    return b0, b1, i_b
 
 
 # one Arc object per (i, j) for every lift in the process, so the members of

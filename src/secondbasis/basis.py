@@ -298,7 +298,7 @@ class Order:
     itself, resuming the walk when that one pops; popped flags and watch
     lists are indexed by mask.  A heap entry is one int, the label's sort key
     above the mask, and the label is fixed by gamma (a popcount difference)
-    and, at odd D, the N bit, so ``sector_label`` runs once per such class.
+    and, at odd D, the N bit, so ``_mask_label`` runs once per such class.
     Each member's pair masks are read off its arcs through
     ``f2.span_masks``, once per member, which refuses any but disjoint pairs.
     Construction raises ``CycleError`` with an explicit cycle if the
@@ -358,8 +358,8 @@ class Order:
                     else:  # each position is pushed once
                         kind = _mask_gamma(me, n) << 1 | me >> top & 1
                         key = keys.get(kind)
-                        if key is None:  # sector_label runs once per class
-                            piece = sector_label(EvenSet.from_mask(me, n), d)
+                        if key is None:  # _mask_label runs once per class
+                            piece = _mask_label(me, d)
                             key = int.from_bytes(bytes(piece.sort_key()), "big")
                             labels[key] = piece
                             key = keys[kind] = key << shift
@@ -502,20 +502,6 @@ class BasisMatrix:
             f"BasisMatrix(labels={self.labels!r}, starts={self.starts!r}, "
             f"entry_rows={self.entry_rows!r}, entry_values={self.entry_values!r})"
         )
-
-    @classmethod
-    def from_columns(cls, labels, columns) -> "BasisMatrix":
-        """The matrix whose column j lists its nonzero (row, value) pairs in
-        increasing row order."""
-        starts, entry_rows, entry_values = array("I", [0]), array("I"), array("i")
-        for column in columns:
-            rows = [i for i, _ in column]
-            if any(p >= q for p, q in zip(rows, rows[1:])):
-                raise ValueError(f"column rows must increase, got {rows}")
-            entry_rows.extend(rows)
-            entry_values.extend(v for _, v in column)
-            starts.append(len(entry_rows))
-        return cls(labels, starts, entry_rows, entry_values)
 
     @property
     def columns(self) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -33,7 +33,6 @@ __all__ = [
     "EvenSet",
     "Span",
     "check_ground_size",
-    "f2_sum",
     "in_span",
     "mask_of",
     "members_of",
@@ -147,16 +146,6 @@ class EvenSet:
 
     def to_json(self) -> list[int]:
         return list(self.members)
-
-
-def f2_sum(sets: Iterable[EvenSet], n: int) -> EvenSet:
-    """Sum (symmetric difference) of a collection of even sets over [1, n]."""
-    mask = 0
-    for x in sets:
-        if x.n != n:
-            raise DimensionMismatchError(f"ground sizes differ: {x.n} != {n}")
-        mask ^= x.mask
-    return EvenSet.from_mask(mask, n)
 
 
 def in_span(x: int, pairs: Iterable[int]) -> bool:

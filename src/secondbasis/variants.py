@@ -32,8 +32,6 @@ __all__ = [
     "involution",
     "matching_involution",
     "orbit_representatives",
-    "pair_basis_coords",
-    "pair_basis_set",
     "sector_matrix",
     "sector_order_check",
     "triangle_identity_ok",
@@ -74,34 +72,6 @@ def triangular_epsilon(b: Matching, d: int) -> EvenSet:
 def triangle_identity_ok(b: Matching, d: int) -> bool:
     """Pointwise identity: [n_k] + [n_k'] == m_k mod 2 (k' = cyclic left step)."""
     return not _triangle_masks(b, d)[1]
-
-
-def pair_basis_coords(x: EvenSet, d: int) -> tuple[int, ...]:
-    """Coordinates of x in the adjacent-pair basis {1,2}, {2,3}, ..., {D,D+1}.
-
-    Coordinate j is the parity of |x ∩ [1, j]|; reconstruction round-trips.
-    """
-    if d % 2:
-        raise DomainError("the adjacent-pair basis is for even D only")
-    if x.n != ground_size(d):
-        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
-    coords = []
-    acc = 0
-    for j in range(1, d + 1):
-        acc ^= x.mask >> j & 1
-        coords.append(acc)
-    return tuple(coords)
-
-
-def pair_basis_set(coords: tuple[int, ...], d: int) -> EvenSet:
-    n = ground_size(d)
-    if len(coords) != d:
-        raise DomainError(f"expected {d} coordinates, got {len(coords)}")
-    mask = 0
-    for j, c in enumerate(coords, start=1):
-        if c:
-            mask ^= (1 << j) | (1 << (j + 1))
-    return EvenSet.from_mask(mask, n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from secondbasis.arcs import Arc, Matching
-from secondbasis.basis import sector_label
+from secondbasis.basis import BasisMatrix, sector_label
 from secondbasis.f2 import EvenSet
 from secondbasis.family import (
     _nested_sequences,
@@ -115,6 +115,16 @@ def doctor(order, spans=None, elements=None):
         order.labels = [sector_label(x, order.d) for x in elements]
         for p, x in enumerate(elements):
             order.rank[x.mask >> 1 & low] = p
+
+
+def from_columns(labels, columns):
+    """The ``BasisMatrix`` whose column j lists its nonzero (row, value) pairs."""
+    starts, rows, values = array("I", [0]), array("I"), array("i")
+    for column in columns:
+        rows.extend(i for i, _ in column)
+        values.extend(v for _, v in column)
+        starts.append(len(rows))
+    return BasisMatrix(labels, starts, rows, values)
 
 
 def primed_starts(b):

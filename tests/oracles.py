@@ -3,7 +3,8 @@
 The raw matching enumerators: the library never enumerates the whole
 matching space (the filter tiles each region of a nested sequence instead).
 The triangular closed form counted arc by arc and point by point: the
-library counts every n_k at once on bit slices.
+library counts every n_k at once on bit slices.  The embedding point by
+point: the library moves a whole mask (``arcs._splice``) or arc (``lift_row``).
 """
 
 from typing import Iterator
@@ -62,6 +63,11 @@ def enumerate_matchings(n: int) -> list[Matching]:
     """The full matching space, guarded to desk scale."""
     guard_d(n - 2, 13, "matching-space enumeration")
     return list(iter_matchings(n))
+
+
+def embed(k: int, i: int) -> int:
+    """The order- and parity-preserving embedding [1, n-2] -> [1, n] missing k, k+1."""
+    return i if i < k else i + 2
 
 
 def interval_counts(b: Matching, d: int) -> list[int]:

@@ -5,18 +5,16 @@ import pytest
 from secondbasis.arcs import (
     Arc,
     Matching,
+    _splice,
     classify_pair,
-    cyclic_interval,
-    embed_index,
-    embed_set,
+    cyclic_interval_mask,
     lift_matching,
     pair_masks,
-    split_parts,
 )
 from secondbasis.errors import DomainError, ResourceGuardError
 from secondbasis.f2 import EvenSet
 from secondbasis.family import enumerate_family
-from tests.oracles import enumerate_matchings, iter_matchings
+from tests.oracles import embed, enumerate_matchings, iter_matchings
 
 
 def involution_count(n):
@@ -37,11 +35,9 @@ def test_classify_pair():
 
 
 def test_cyclic_interval():
-    assert cyclic_interval(Arc(1, 4), 5) == EvenSet([1, 2, 3, 4], 5)
-    assert cyclic_interval(Arc(5, 3), 5) == EvenSet([5, 1, 2, 3], 5)
-    assert len(cyclic_interval(Arc(5, 1), 5)) == 2  # N - i + 1 + j
-    with pytest.raises(DomainError):
-        cyclic_interval(Arc(2, 1), 5)  # non-canonical writing
+    assert cyclic_interval_mask(Arc(1, 4), 5) == EvenSet([1, 2, 3, 4], 5).mask
+    assert cyclic_interval_mask(Arc(5, 3), 5) == EvenSet([5, 1, 2, 3], 5).mask
+    assert cyclic_interval_mask(Arc(5, 1), 5).bit_count() == 2  # N - i + 1 + j
 
 
 def test_interval_sizes_even():
@@ -51,32 +47,23 @@ def test_interval_sizes_even():
             if a == b:
                 continue
             arc = classify_pair(a, b)
-            size = len(cyclic_interval(arc, n))
+            size = cyclic_interval_mask(arc, n).bit_count()
             expected = arc.j - arc.i + 1 if arc.primed else n - arc.i + 1 + arc.j
             assert size == expected and size % 2 == 0
 
 
 def test_embed_index_examples():
-    assert [embed_index(2, i, 5) for i in (1, 2, 3)] == [1, 4, 5]
-    assert embed_index(1, 3, 5) == 5 and embed_index(1, 1, 5) == 3
-    with pytest.raises(DomainError):
-        embed_index(1, 4, 5)
+    assert [embed(2, i) for i in (1, 2, 3)] == [1, 4, 5]
+    assert embed(1, 3) == 5 and embed(1, 1) == 3
     for k in range(1, 5):
-        image = {embed_index(k, i, 5) for i in range(1, 4)}
+        image = {embed(k, i) for i in range(1, 4)}
         assert k not in image and (k + 1) not in image
-        assert all(embed_index(k, i, 5) % 2 == i % 2 for i in range(1, 4))
+        assert all(embed(k, i) % 2 == i % 2 for i in range(1, 4))
 
 
 def test_embed_set():
-    assert embed_set(1, EvenSet([], 3)) == EvenSet([], 5)
-    assert embed_set(1, EvenSet([1, 3], 3)) == EvenSet([3, 5], 5)
-
-
-@pytest.mark.parametrize("members", [[], [1, 2]])
-@pytest.mark.parametrize("k", [0, 5, 99])
-def test_embed_set_checks_the_slot_of_every_set(members, k):
-    with pytest.raises(DomainError, match=rf"^slot index {k} outside \[1, 4\]$"):
-        embed_set(k, EvenSet(members, 3))
+    assert _splice(EvenSet([], 3).mask, 1) == EvenSet([], 5).mask
+    assert _splice(EvenSet([1, 3], 3).mask, 1) == EvenSet([3, 5], 5).mask
 
 
 def test_embed_set_splice_is_the_elementwise_embedding():
@@ -87,8 +74,8 @@ def test_embed_set_splice_is_the_elementwise_embedding():
             for members in itertools.combinations(range(1, n + 1), size):
                 x = EvenSet(members, n)
                 for k in range(1, n + 2):
-                    want = EvenSet((embed_index(k, i, n + 2) for i in x), n + 2)
-                    assert embed_set(k, x) == want
+                    want = EvenSet((embed(k, i) for i in x), n + 2)
+                    assert _splice(x.mask, k) == want.mask
 
 
 def test_embed_preserves_gamma():
@@ -99,7 +86,7 @@ def test_embed_preserves_gamma():
         for members in itertools.combinations(range(1, n - 1), size):
             x = EvenSet(members, n - 2)
             for k in range(1, n):
-                assert embed_set(k, x).gamma() == x.gamma()
+                assert EvenSet.from_mask(_splice(x.mask, k), n).gamma() == x.gamma()
 
 
 def test_interval_lifting_law():
@@ -111,10 +98,10 @@ def test_interval_lifting_law():
                     continue
                 arc = classify_pair(a, b)
                 for k in range(1, n):
-                    lifted = classify_pair(embed_index(k, a, n), embed_index(k, b, n))
-                    left = cyclic_interval(lifted, n)
-                    right = embed_set(k, cyclic_interval(arc, n - 2))
-                    diff = (left ^ right).mask
+                    lifted = classify_pair(embed(k, a), embed(k, b))
+                    left = cyclic_interval_mask(lifted, n)
+                    right = _splice(cyclic_interval_mask(arc, n - 2), k)
+                    diff = left ^ right
                     assert diff in (0, (1 << k) | (1 << (k + 1)))
 
 
@@ -169,14 +156,6 @@ def test_matching_validation():
         Matching([Arc(1, 2)], 4)  # even ground size
     m = Matching.from_pairs([[3, 1], [4, 5]], 5)
     assert m.arcs == (Arc(3, 1), Arc(4, 5))  # sorted by min support element
-
-
-def test_split_parts():
-    b = Matching([Arc(2, 3), Arc(1, 4)], 5)
-    b0, b1, i_b = split_parts(b)
-    assert b0 == () and set(b1) == {Arc(2, 3), Arc(1, 4)} and i_b is None
-    assert split_parts(Matching([Arc(3, 1)], 5))[2] == 3
-    assert split_parts(Matching([Arc(5, 3), Arc(1, 2)], 5))[2] == 5
 
 
 def test_enumerate_matchings_counts():

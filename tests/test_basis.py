@@ -175,19 +175,19 @@ def test_order_labels_are_the_sector_labels(d):
 def test_the_order_labels_each_class_once(monkeypatch, d):
     # a label is fixed by gamma and, at odd D, the N bit, so Order reads one
     # label per class
-    from secondbasis.basis import Order
+    from secondbasis.basis import Order, _mask_label
     from tests.conftest import rebind_everywhere
 
     epsilon_pairs(d)  # built before counting
     calls = []
 
-    def counted(x, dd):
-        calls.append(x)
-        return sector_label(x, dd)
+    def counted(m, dd):
+        calls.append(EvenSet.from_mask(m, n))
+        return _mask_label(m, dd)
 
-    rebind_everywhere(monkeypatch, sector_label, counted)
-    order = Order(d)
+    rebind_everywhere(monkeypatch, _mask_label, counted)
     n = ground_size(d)
+    order = Order(d)
 
     def kind(x):
         return (x.gamma(), n in x) if d % 2 else x.gamma()

@@ -1,11 +1,12 @@
 """The BENCH trajectory script writes one record per command, over three
-fresh-process runs, and with ``--against`` one more per command for a second
-checkout, run in turn with this one.  Its first command, ``import``, times
-the start-up alone."""
+fresh-process runs or ``--runs N``, and with ``--against`` one more per
+command for a second checkout, run in turn with this one, the first of each
+turn alternating.  Its first command, ``import``, times the start-up alone."""
 
 import json
 import os
 import runpy
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,15 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "bench_verify.py"
+RECORD = {"command", "exit_code", "wall_runs", "wall_s", "vmhwm_runs", "vmhwm_mb"}
+
+
+def assert_runs(r, runs):
+    """Every run's wall time and peak, and the median and the largest of them."""
+    assert len(r["wall_runs"]) == len(r["vmhwm_runs"]) == runs
+    assert min(r["wall_runs"]) > 0 and min(r["vmhwm_runs"]) > 0
+    assert r["wall_s"] == statistics.median(r["wall_runs"])
+    assert abs(r["vmhwm_mb"] - max(r["vmhwm_runs"])) <= 0.005
 
 
 def stand_in(tmp_path: Path) -> Path:
@@ -39,9 +49,8 @@ def test_bench_verify_records_each_command(tmp_path):
     records = report["commands"]
     assert [r["command"] for r in records] == commands
     for r in records:
-        assert set(r) == {"command", "exit_code", "wall_runs", "wall_s", "vmhwm_mb"}
-        assert len(r["wall_runs"]) == 3 and min(r["wall_runs"]) > 0
-        assert r["wall_s"] == sorted(r["wall_runs"])[1] and r["vmhwm_mb"] > 0
+        assert set(r) == RECORD
+        assert_runs(r, 3)
     # the guard refuses D=3 under SBL_MAX_D=2, and the CLI exits 2 for it
     assert [r["exit_code"] for r in records] == [0, 2]
 
@@ -60,9 +69,9 @@ def test_bench_verify_alternates_two_checkouts(tmp_path):
     for records, code in ((report["commands"], 0), (report["against"]["commands"], 3)):
         assert [r["command"] for r in records] == ["verify --max-D 3"]
         (r,) = records
-        assert set(r) == {"command", "exit_code", "wall_runs", "wall_s", "vmhwm_mb"}
-        assert r["exit_code"] == code and len(r["wall_runs"]) == 3
-        assert r["wall_s"] == sorted(r["wall_runs"])[1] and r["vmhwm_mb"] > 0
+        assert set(r) == RECORD
+        assert r["exit_code"] == code
+        assert_runs(r, 3)
 
 
 @pytest.mark.skipif(
@@ -86,20 +95,34 @@ def test_bench_verify_import_only_runs_no_command(tmp_path):
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
 )
-def test_import_peak_records_every_run_of_each_checkout(tmp_path):
+def test_bench_verify_records_every_import_peak_of_each_checkout(tmp_path):
     out = tmp_path / "peaks.json"
-    script = SCRIPT.with_name("import_peak.py")
-    other = stand_in(tmp_path)
-    argv = [sys.executable, str(script), str(out), "3", str(SCRIPT.parents[1]), str(other)]
-    subprocess.run(argv, check=True, timeout=120)
+    argv = [sys.executable, str(SCRIPT), str(out), "--runs", "4", "import"]
+    subprocess.run([*argv, "--against", str(stand_in(tmp_path))], check=True, timeout=120)
     report = json.loads(out.read_text())
-    assert report["python"] == ".".join(map(str, sys.version_info[:3]))
-    ours, theirs = report["checkouts"]
+    (ours,), (theirs,) = report["commands"], report["against"]["commands"]
     for r in (ours, theirs):
-        assert set(r) == {"git_sha", "vmhwm_runs", "median_mb", "quartiles_mb"}
-        assert len(r["vmhwm_runs"]) == 3 and r["median_mb"] == sorted(r["vmhwm_runs"])[1]
-        q1, q3 = r["quartiles_mb"]
-        assert min(r["vmhwm_runs"]) <= q1 <= r["median_mb"] <= q3 <= max(r["vmhwm_runs"])
+        assert set(r) == RECORD
+        assert_runs(r, 4)
     # the stand-in is no git checkout; its import loads next to nothing
-    assert ours["git_sha"] and theirs["git_sha"] is None
+    assert report["git_sha"] and report["against"]["git_sha"] is None
     assert min(ours["vmhwm_runs"]) > max(theirs["vmhwm_runs"]) > 0
+
+
+def test_bench_verify_alternates_which_checkout_runs_first(tmp_path, monkeypatch):
+    # each stand-in's CLI, imported, appends its name to one log
+    log = tmp_path / "turns.log"
+    monkeypatch.setenv("TURNS_LOG", str(log))
+    roots = []
+    for name in "ab":
+        package = tmp_path / name / "src" / "secondbasis"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(
+            f"import os\nwith open(os.environ['TURNS_LOG'], 'a') as fh:\n"
+            f"    fh.write({name!r})\n"
+        )
+        roots.append(package.parents[1])
+    records = runpy.run_path(str(SCRIPT))["run"]("import", roots, 5)
+    assert log.read_text() == "ab" "ba" "ab" "ba" "ab"
+    assert [len(r["wall_runs"]) for r in records] == [5, 5]

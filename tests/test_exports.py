@@ -35,3 +35,20 @@ def test_the_raw_matching_enumerators_live_in_the_tests():
     moved = {"iter_matchings", "iter_primed_matchings", "enumerate_matchings", "_arc_sets"}
     for module in [secondbasis, *MODULES]:
         assert not moved & set(vars(module)), module.__name__
+
+
+def test_the_deleted_test_only_helpers_stay_gone():
+    # no library path called them; the tests use the int forms the library keeps
+    deleted = {
+        "f2_sum",
+        "pair_evenset",
+        "cyclic_interval",
+        "embed_index",
+        "embed_set",
+        "split_parts",
+        "pair_basis_coords",
+        "pair_basis_set",
+    }
+    for module in [secondbasis, *MODULES]:
+        assert not deleted & set(vars(module)), module.__name__
+    assert not hasattr(secondbasis.BasisMatrix, "from_columns")

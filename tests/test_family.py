@@ -8,7 +8,7 @@ import pytest
 
 import secondbasis.family as family
 import secondbasis.verify as verify
-from secondbasis.arcs import Arc, Matching, cyclic_interval
+from secondbasis.arcs import Arc, Matching, cyclic_interval_mask
 from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.family import (
     PieceLabel,
@@ -550,7 +550,7 @@ def test_pieces_partition_and_primitives():
 def test_laminarity():
     for d in range(0, 9):
         for b in enumerate_family(d):
-            ivals = [cyclic_interval(a, b.n).mask for a in b.arcs]
+            ivals = [cyclic_interval_mask(a, b.n) for a in b.arcs]
             for x, y in combinations(ivals, 2):
                 meet = x & y
                 assert meet in (0, x, y)

@@ -23,10 +23,8 @@ from secondbasis.arcs import (
     Arc,
     Matching,
     classify_pair,
-    embed_index,
     lift_matching,
     lift_row,
-    pair_evenset,
     pair_masks,
 )
 from secondbasis.basis import (
@@ -39,7 +37,7 @@ from secondbasis.basis import (
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.family import enumerate_family, ground_size, lift_positions
 from tests.conftest import clear_library_caches, rebind_everywhere
-from tests.oracles import iter_matchings
+from tests.oracles import embed, iter_matchings
 
 LIFT_CHECKS = ["lifting_recursion", "gamma_invariance", "n_membership_transport"]
 TABLE_READERS = LIFT_CHECKS + ["piece_bijections", "triangular_closed_form"]
@@ -55,9 +53,7 @@ def cold_caches():
 def oracle_lift(k, bp):
     """The lift arc by arc: embed both endpoints, re-canonicalise, validate."""
     n = bp.n + 2
-    arcs = [
-        classify_pair(embed_index(k, a.i, n), embed_index(k, a.j, n)) for a in bp.arcs
-    ]
+    arcs = [classify_pair(embed(k, a.i), embed(k, a.j)) for a in bp.arcs]
     return Matching(arcs + [Arc(k, k + 1)], n)
 
 
@@ -109,7 +105,7 @@ def test_pair_vectors_are_shared():
     shared = {}
     for b in enumerate_family(9):
         for arc, g in zip(b.arcs, pair_masks(b.arcs)):
-            assert g == pair_evenset(arc, b.n).mask, (b, arc)
+            assert g == 1 << arc.i | 1 << arc.j, (b, arc)
             assert shared.setdefault(arc, g) is g, (b, arc)
 
 

@@ -22,7 +22,7 @@ from secondbasis.basis import (
 from secondbasis.cli import _matrix_for
 from secondbasis.errors import FalsificationError
 from secondbasis.variants import involution, orbit_representatives, sector_matrix
-from tests.conftest import doctor, elements
+from tests.conftest import doctor, elements, from_columns
 
 
 def sectors(d):
@@ -75,17 +75,12 @@ def test_columns_round_trip_through_from_columns(d):
         assert (m.starts.typecode, m.entry_rows.typecode) == ("I", "I"), sector
         assert m.entry_values.typecode == "i", sector
         assert len(m.starts) == m.size() + 1 and m.starts[-1] == len(m.entry_rows)
-        assert BasisMatrix.from_columns(m.labels, m.columns) == m, sector
-
-
-def test_from_columns_refuses_rows_out_of_order():
-    with pytest.raises(ValueError):
-        BasisMatrix.from_columns([None] * 2, [((0, 1),), ((1, 1), (0, 1))])
+        assert from_columns(m.labels, m.columns) == m, sector
 
 
 @pytest.mark.parametrize("sep", [", ", ","])
 def test_row_lines_render_the_dense_rows(sep):
-    m = BasisMatrix.from_columns(
+    m = from_columns(
         [None] * 4, [((0, 1),), ((0, -12), (1, 1)), (), ((1, 345), (2, 2), (3, 1))]
     )
     assert list(m.row_lines(sep)) == [sep.join(map(str, row)) for row in m.rows]
@@ -160,7 +155,7 @@ def test_doctored_span_names_the_dense_fault(doctored_order, edit):
     ],
 )
 def test_sparse_check_reports_the_row_major_fault(columns):
-    m = BasisMatrix.from_columns([None] * 3, columns)
+    m = from_columns([None] * 3, columns)
     want = dense_fault(m.rows, 2, "m")
     if want is None:
         _assert_unitriangular(m, 2, "m")

@@ -1,15 +1,17 @@
 """Table entries read each member's span from the order and nowhere else."""
 
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
 import secondbasis.f2 as f2
-from secondbasis.arcs import Matching, pair_evenset, pair_masks
+from secondbasis.arcs import Matching, pair_masks
 from secondbasis.basis import build_order, epsilon_pairs
 from secondbasis.cli import main
 from secondbasis.errors import DecompositionError
-from secondbasis.f2 import EvenSet, f2_sum, span_masks
+from secondbasis.f2 import EvenSet, span_masks
 from secondbasis.tables import table_data, table_entry
 from tests.conftest import clear_library_caches, doctor, elements, rebind_everywhere
 
@@ -46,12 +48,12 @@ def test_table_entry_brackets_the_unique_decomposition():
     for d in range(0, 8):
         for b, x in epsilon_pairs(d):
             entry = table_entry(b, x.mask, pairs_of(b))
-            vectors = [pair_evenset(a, b.n) for a in b.arcs]
+            vectors = pair_masks(b.arcs)
             part = [g for a, g in zip(b.arcs, vectors) if a in entry.bracketed]
-            assert f2_sum(part, b.n) == x
+            assert reduce(xor, part, 0) == x.mask
             # no other sub-collection of the arcs sums to the image
             hits = sum(
-                f2_sum(combo, b.n) == x
+                reduce(xor, combo, 0) == x.mask
                 for r in range(len(b) + 1)
                 for combo in combinations(vectors, r)
             )

@@ -24,8 +24,6 @@ from secondbasis.variants import (
     involution,
     matching_involution,
     orbit_representatives,
-    pair_basis_coords,
-    pair_basis_set,
     sector_matrix,
     sector_order_check,
     triangle_identity_ok,
@@ -124,32 +122,6 @@ def test_a_doctored_lift_fails_the_three_lift_checks(monkeypatch):
     checks = (verify._check_recursion, verify._check_gamma_invariance, verify._check_n_transport)
     for check in checks:
         assert check(d) == want, check.__name__
-
-
-def test_pair_basis_coords():
-    assert pair_basis_coords(EvenSet([1, 2], 5), 4) == (1, 0, 0, 0)
-    assert pair_basis_coords(EvenSet([1, 3], 5), 4) == (1, 1, 0, 0)
-    for x in elements(build_order(4)):
-        coords = pair_basis_coords(x, 4)
-        assert pair_basis_set(coords, 4) == x
-
-
-def test_pair_basis_embedding_images():
-    # the embedding sends basis vector j to e_j, e_{j-1}+e_j+e_{j+1}, or e_{j+2}
-    from secondbasis.arcs import embed_set
-
-    d = 6
-    for k in range(1, d + 1):
-        for j in range(1, d - 1):
-            image = embed_set(k, EvenSet([j, j + 1], d - 1))
-            coords = pair_basis_coords(image, d)
-            support = tuple(i + 1 for i, c in enumerate(coords) if c)
-            if j + 1 <= k - 1:
-                assert support == (j,)
-            elif j == k - 1:
-                assert support == (j, j + 1, j + 2)
-            else:
-                assert support == (j + 2,)
 
 
 def test_involution_basics():
