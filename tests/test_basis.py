@@ -180,13 +180,13 @@ def test_the_order_labels_each_class_once(monkeypatch, d):
 
     epsilon_pairs(d)  # built before counting
     calls = []
+    n = ground_size(d)
 
     def counted(m, dd):
         calls.append(EvenSet.from_mask(m, n))
         return _mask_label(m, dd)
 
     rebind_everywhere(monkeypatch, _mask_label, counted)
-    n = ground_size(d)
     order = Order(d)
 
     def kind(x):
