@@ -67,7 +67,7 @@ def run(command: str, roots: list[Path], runs: int) -> list[dict]:
     results = [([], [], []) for _ in roots]
     for r in range(runs):
         turn = list(zip(roots, results))
-        for root, (codes, walls, kbs) in turn if r % 2 == 0 else turn[::-1]:
+        for root, (codes, walls, mbs) in turn if r % 2 == 0 else turn[::-1]:
             env["PYTHONPATH"] = str(root / "src")
             start = time.perf_counter()
             child = subprocess.run(
@@ -78,17 +78,17 @@ def run(command: str, roots: list[Path], runs: int) -> list[dict]:
             )
             walls.append(round(time.perf_counter() - start, 3))
             codes.append(child.returncode)
-            kbs += [int(kb) for kb in child.stdout.split()[-1:]]
+            mbs += [round(int(kb) / 1024, 3) for kb in child.stdout.split()[-1:]]
     return [
         {
             "command": command,
             "exit_code": max(codes),
             "wall_runs": walls,
             "wall_s": statistics.median(walls),
-            "vmhwm_runs": [round(kb / 1024, 3) for kb in kbs],
-            "vmhwm_mb": round(max(kbs) / 1024, 2) if kbs else None,
+            "vmhwm_runs": mbs,
+            "vmhwm_mb": round(max(mbs), 2) if mbs else None,
         }
-        for codes, walls, kbs in results
+        for codes, walls, mbs in results
     ]
 
 

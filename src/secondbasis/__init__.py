@@ -44,9 +44,7 @@ from .errors import (
 )
 from .f2 import EvenSet, span_masks
 from .family import (
-    CoverWitness,
     PieceLabel,
-    cover_interval,
     coverings_ok,
     distinguished_element,
     enumerate_family,

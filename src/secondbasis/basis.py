@@ -27,7 +27,7 @@ from math import comb
 from types import MappingProxyType
 
 from .arcs import Matching, pair_masks
-from .errors import DomainError, FalsificationError
+from .errors import DomainError, FalsificationError, Record
 from .f2 import (
     EvenSet,
     Span,
@@ -465,7 +465,7 @@ def unique_bijection_check(d: int) -> dict | None:
     return None
 
 
-class BasisMatrix:
+class BasisMatrix(Record):
     """A square integer matrix with its row/column labels (shared order).
 
     Stored as compressed columns: column j holds the entries
@@ -485,23 +485,7 @@ class BasisMatrix:
         object.__setattr__(self, "entry_rows", entry_rows)
         object.__setattr__(self, "entry_values", entry_values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.labels, self.starts, self.entry_rows, self.entry_values) == (
-            other.labels, other.starts, other.entry_rows, other.entry_values
-        )
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"BasisMatrix(labels={self.labels!r}, starts={self.starts!r}, "
-            f"entry_rows={self.entry_rows!r}, entry_values={self.entry_values!r})"
-        )
 
     @property
     def columns(self) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -642,7 +626,7 @@ def second_basis_vectors(
 _FLAVOR_CLASS = {"odd": (2, 1), "plus": (4, 0), "minus": (4, 2)}
 
 
-class Symbol:
+class Symbol(Record):
     """An ordered pair of complementary subsets of [1, D+1].
 
     The flavor records the residue class of the defect |S| - |T|: odd for
@@ -666,20 +650,6 @@ class Symbol:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "flavor", flavor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symbol is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.t, self.flavor) == (other.s, other.t, other.flavor)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.t, self.flavor))
-
-    def __repr__(self) -> str:
-        return f"Symbol(s={self.s!r}, t={self.t!r}, flavor={self.flavor!r})"
 
     @property
     def defect(self) -> int:

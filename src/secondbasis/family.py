@@ -40,7 +40,7 @@ out just the walked points p from which one backward pass finds [p+1, hi]
 covered.  That holds for crossing primed intervals too, so ``is_member``
 needs no laminarity (it only holds after membership), and the walk shares
 no code with ``_Tilings``, so the certificate re-checks the generator.
-``coverings_ok``, ``cover_interval`` and ``distinguished_element`` read it.
+``coverings_ok`` and ``distinguished_element`` read it.
 
 ``piece_of`` runs its parity rule on every call and returns interned labels,
 one object per (t, sign).
@@ -60,13 +60,11 @@ from .arcs import (
     lift_matching,
     lift_row,
 )
-from .errors import DomainError, FalsificationError
+from .errors import DomainError, FalsificationError, Record
 from .limits import guard_d
 
 __all__ = [
-    "CoverWitness",
     "PieceLabel",
-    "cover_interval",
     "coverings_ok",
     "distinguished_element",
     "enumerate_family",
@@ -90,7 +88,7 @@ def ground_size(d: int) -> int:
     return d + 1 if d % 2 == 0 else d + 2
 
 
-class PieceLabel:
+class PieceLabel(Record):
     """A block of the piece partition: t for even D, (t, sign) for odd D."""
 
     __slots__ = ("t", "sign")
@@ -102,20 +100,6 @@ class PieceLabel:
             raise ValueError(f"sign must be '+', '-' or None, got {sign!r}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PieceLabel is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.t, self.sign) == (other.t, other.sign)
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.sign))
-
-    def __repr__(self) -> str:
-        return f"PieceLabel(t={self.t!r}, sign={self.sign!r})"
 
     def __str__(self) -> str:
         return str(self.t) if self.sign is None else f"{self.t},{self.sign}"
@@ -266,30 +250,6 @@ def parity_ok(b: Matching, d: int) -> bool:
     return s % 2 == target
 
 
-class CoverWitness:
-    """Disjoint primed arcs tiling an interval, plus the uncovered leftovers."""
-
-    __slots__ = ("arcs", "leftover")
-
-    def __init__(self, arcs: tuple[Arc, ...], leftover: tuple[int, ...]):
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "leftover", leftover)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverWitness is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arcs, self.leftover) == (other.arcs, other.leftover)
-
-    def __hash__(self) -> int:
-        return hash((self.arcs, self.leftover))
-
-    def __repr__(self) -> str:
-        return f"CoverWitness(arcs={self.arcs!r}, leftover={self.leftover!r})"
-
-
 def _ends(b: Matching) -> dict[int, int]:
     # the primed arcs as first point -> second point
     return {i: j for i, j in b.arcs if i < j}
@@ -319,32 +279,6 @@ def _leftovers(ends: dict[int, int], lo: int, hi: int) -> list[int]:
             leftovers.append(p)
         p = ends.get(p, hi) + 1
     return leftovers
-
-
-def cover_interval(
-    b: Matching, lo: int, hi: int, skip: int
-) -> CoverWitness | None:
-    """Tile [lo, hi] with disjoint primed-arc intervals, skipping `skip` points.
-
-    Returns a witness (arc list in increasing order plus the skipped points)
-    or None.  An empty interval (lo > hi) is covered exactly when skip == 0,
-    and no interval is coverable when its size and skip disagree mod 2.  Of
-    several possible leftovers the witness skips the last one the walk meets.
-    """
-    if skip not in (0, 1):
-        raise DomainError(f"skip budget must be 0 or 1, got {skip}")
-    ends = _ends(b)
-    left = _leftovers(ends, lo, hi)[-1:] if skip else []
-    if not (left if skip else _covered(ends, lo, hi)):
-        return None
-    arcs, p = [], lo
-    while p <= hi:
-        if p in left:
-            p += 1
-        else:
-            arcs.append(Arc(p, ends[p]))
-            p = ends[p] + 1
-    return CoverWitness(tuple(arcs), tuple(left))
 
 
 def _sequence_segments(

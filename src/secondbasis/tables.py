@@ -14,7 +14,7 @@ from typing import Iterable, TextIO
 
 from .arcs import Arc, Matching, arc_text, classify_pair, pair_masks
 from .basis import build_order
-from .errors import DecompositionError, DomainError
+from .errors import DecompositionError, DomainError, Record
 from .f2 import EvenSet, in_span
 from .family import PieceLabel, enumerate_family, ground_size
 from .limits import guard_d
@@ -32,7 +32,7 @@ __all__ = [
 EMPTY_MARK = "∅"
 
 
-class TableEntry:
+class TableEntry(Record):
     """A member and the arcs of it whose pair-vectors sum to its image."""
 
     __slots__ = ("matching", "bracketed")
@@ -40,20 +40,6 @@ class TableEntry:
     def __init__(self, matching: Matching, bracketed: tuple[Arc, ...]):
         object.__setattr__(self, "matching", matching)
         object.__setattr__(self, "bracketed", bracketed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TableEntry is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.matching, self.bracketed) == (other.matching, other.bracketed)
-
-    def __hash__(self) -> int:
-        return hash((self.matching, self.bracketed))
-
-    def __repr__(self) -> str:
-        return f"TableEntry(matching={self.matching!r}, bracketed={self.bracketed!r})"
 
     def unbracketed(self) -> tuple[Arc, ...]:
         inside = set(self.bracketed)

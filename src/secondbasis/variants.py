@@ -24,7 +24,7 @@ from .basis import (
 )
 from .errors import DomainError, FalsificationError
 from .f2 import EvenSet, _mask_gamma, members_of
-from .family import PieceLabel, ground_size, piece_of
+from .family import PieceLabel, _label, ground_size, piece_of
 
 __all__ = [
     "in_primed_zero_piece",
@@ -99,14 +99,14 @@ def matching_involution(b: Matching, d: int) -> Matching:
 
 def in_primed_zero_piece_set(x: EvenSet, d: int) -> bool:
     """Whether a (0,+)-piece even set avoids D+1 (the primed half of the piece)."""
-    if sector_label(x, d) != PieceLabel(0, "+"):
+    if sector_label(x, d) != _label(0, "+"):
         raise DomainError(f"{x!r} is not in the (0,+) piece for D={d}")
     return (d + 1) not in x
 
 
 def in_primed_zero_piece(b: Matching, d: int) -> bool:
     """Whether a (0,+)-piece member leaves D+1 unmatched."""
-    if piece_of(b, d) != PieceLabel(0, "+"):
+    if piece_of(b, d) != _label(0, "+"):
         raise DomainError(f"{b!r} is not in the (0,+) piece for D={d}")
     return not (b.support_mask >> (d + 1)) & 1
 
@@ -123,7 +123,7 @@ def _rank(label: PieceLabel) -> int:
 
 def _fault(x: int, y: int) -> str | None:
     """The kind of fault a set of code x (``_code``) below one of code y makes, or None."""
-    lx, ly = (PieceLabel(c >> 2, "+-"[c >> 1 & 1]) for c in (x, y))  # as _mask_label
+    lx, ly = (_label(c >> 2, "+-"[c >> 1 & 1]) for c in (x, y))  # as _mask_label
     if lx.sign != ly.sign:  # a plus set's preimage leaves N unmatched
         return "sector-crossing" if ly.sign == "+" else None
     if lx.t != ly.t:

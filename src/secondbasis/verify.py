@@ -24,7 +24,7 @@ from .basis import (
     primitive_image,
     unique_bijection_check,
 )
-from .errors import DomainError, FalsificationError
+from .errors import DomainError, FalsificationError, Record
 from .f2 import _mask_gamma, members_of
 from .family import (
     PieceLabel,
@@ -50,7 +50,7 @@ from .variants import (
 __all__ = ["RunReport", "run_checks", "CHECK_NAMES"]
 
 
-class RunReport:
+class RunReport(Record):
     """One check's result over its sweep of D; mutable, so unhashable."""
 
     __slots__ = ("name", "d_values", "passed", "detail", "seconds")
@@ -69,20 +69,8 @@ class RunReport:
         self.detail = detail
         self.seconds = seconds
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.d_values, self.passed, self.detail, self.seconds) == (
-            other.name, other.d_values, other.passed, other.detail, other.seconds
-        )
-
+    __setattr__ = object.__setattr__
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"RunReport(name={self.name!r}, d_values={self.d_values!r}, "
-            f"passed={self.passed!r}, detail={self.detail!r}, seconds={self.seconds!r})"
-        )
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -1,12 +1,13 @@
 """Property tests: the interval tilings against a brute force over arc subsets.
 
-``cover_interval``, ``coverings_ok`` and ``distinguished_element`` share one
-forced walk: a matching starts at most one arc at a point, so a cover that
-leaves nothing out is forced, and one backward pass finds every point a cover
-can leave out alone.  Here all three are compared, on random matchings of
-[1, N <= 11], with a search that tries every subset of the primed arcs inside
-the interval.  ``tests/test_family.py`` compares them exhaustively with the
-depth-first tiling search.
+``coverings_ok`` and ``distinguished_element`` share one forced walk: a
+matching starts at most one arc at a point, so a cover that leaves nothing
+out is forced (``family._covered``), and one backward pass finds every point
+a cover can leave out alone (``family._leftovers``).  Here the walk and both
+predicates are compared, on random matchings of [1, N <= 11], with a search
+that tries every subset of the primed arcs inside the interval.
+``tests/test_family.py`` compares them exhaustively with the depth-first
+tiling search.
 """
 
 from itertools import combinations
@@ -19,8 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from secondbasis.arcs import Matching  # noqa: E402
 from secondbasis.errors import FalsificationError  # noqa: E402
+import secondbasis.family as family  # noqa: E402
 from secondbasis.family import (  # noqa: E402
-    cover_interval,
     coverings_ok,
     distinguished_element,
     ground_size,
@@ -58,15 +59,10 @@ def brute_cover(b, lo, hi, skip):
 def test_cover_interval_against_brute_force(b, data):
     lo = data.draw(st.integers(1, b.n + 1))
     hi = data.draw(st.integers(lo - 1, b.n))
-    skip = data.draw(st.sampled_from((0, 1)))
-    w = cover_interval(b, lo, hi, skip)
-    assert (w is not None) == brute_cover(b, lo, hi, skip)
-    if w is not None:
-        covered = [p for a in w.arcs for p in range(a.i, a.j + 1)]
-        assert set(w.arcs) <= set(b.primed())
-        assert len(covered) == len(set(covered))
-        assert sorted(covered + list(w.leftover)) == list(range(lo, hi + 1))
-        assert len(w.leftover) == skip
+    ends = family._ends(b)
+    assert family._covered(ends, lo, hi) == brute_cover(b, lo, hi, 0)
+    leftovers = sorted({p for (p,) in brute_leftovers(b, lo, hi, 1)})
+    assert family._leftovers(ends, lo, hi) == leftovers
 
 
 @settings(max_examples=400, deadline=None)

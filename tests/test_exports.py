@@ -48,6 +48,8 @@ def test_the_deleted_test_only_helpers_stay_gone():
         "split_parts",
         "pair_basis_coords",
         "pair_basis_set",
+        "cover_interval",
+        "CoverWitness",
     }
     for module in [secondbasis, *MODULES]:
         assert not deleted & set(vars(module)), module.__name__

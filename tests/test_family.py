@@ -12,7 +12,6 @@ from secondbasis.arcs import Arc, Matching, cyclic_interval_mask
 from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
 from secondbasis.family import (
     PieceLabel,
-    cover_interval,
     coverings_ok,
     distinguished_element,
     enumerate_family,
@@ -130,18 +129,25 @@ def test_parity_property():
     assert not parity_ok(m([(3, 1), (4, 5)], 5), 3)
 
 
+def walk(pairs, n, lo, hi):
+    """The forced walk on [lo, hi]: (tiled leaving nothing out, the points a
+    cover can leave out alone)."""
+    ends = family._ends(m(pairs, n))
+    return family._covered(ends, lo, hi), family._leftovers(ends, lo, hi)
+
+
 def test_cover_interval():
-    empty = cover_interval(m([], 3), 2, 1, 0)
-    assert empty is not None and empty.arcs == () and empty.leftover == ()
-    w = cover_interval(m([(2, 3), (1, 4)], 5), 2, 3, 0)
-    assert w is not None and w.arcs == (Arc(2, 3),)
-    w = cover_interval(m([(3, 1)], 5), 4, 4, 1)
-    assert w is not None and w.leftover == (4,)
-    assert cover_interval(m([], 5), 2, 3, 1) is None  # parity mismatch
+    assert walk([], 3, 2, 1) == (True, [])
+    assert walk([(2, 3), (1, 4)], 5, 2, 3) == (True, [])  # the arc (2, 3)
+    assert walk([(3, 1)], 5, 4, 4) == (False, [4])
+    assert walk([], 5, 2, 3) == (False, [])  # even size, so no single leftover
     # an empty interval, whatever its ends, is covered exactly without a leftover
-    assert cover_interval(m([], 3), 3, -2, 0) == family.CoverWitness((), ())
-    assert cover_interval(m([], 3), 3, -2, 1) is None
-    assert cover_interval(m([(1, 4)], 5), 2, 3, 0) is None
+    assert walk([], 3, 3, -2) == (True, [])
+    assert walk([(1, 4)], 5, 2, 3) == (False, [])
+    assert walk([(1, 2), (4, 5)], 5, 1, 5) == (False, [3])
+    assert walk([(2, 3)], 5, 1, 5) == (False, [])  # 1 and 4, 5 stay uncovered
+    assert walk([(1, 2), (3, 4)], 5, 1, 5) == (False, [5])
+    assert walk([(2, 3), (4, 5)], 5, 1, 5) == (False, [1])
 
 
 def test_covering_requirements_table():
@@ -194,10 +200,13 @@ def search_is_member(b, d):
 
 def assert_walk_equals_the_search(n):
     """The membership predicates on every matching of [1, n], at both D on
-    [1, n], and every ``cover_interval`` witness, against the search.
+    [1, n], and the forced walk, against the search.
 
-    A cover uses primed arcs only, so the witnesses are compared on every
-    primed matching of [1, n], for every interval lo <= hi + 1 and budget.
+    A cover uses primed arcs only, so the walk is compared on every primed
+    matching of [1, n], for every interval lo <= hi + 1: ``_covered`` with
+    the search's tiling that leaves nothing out, and ``_leftovers`` with
+    every point p a tiling can leave out alone, [lo, p-1] and [p+1, hi]
+    tiled.
     """
     members = 0
     for b in iter_matchings(n):
@@ -215,14 +224,16 @@ def assert_walk_equals_the_search(n):
     assert members == (1 << n - 1) * (2 if n > 1 else 1)  # |X_D| at each D
     for arcs, _ in iter_primed_matchings(((1 << n) - 1) << 1):
         b = Matching(arcs, n)
-        starts = primed_starts(b)
-        for lo in range(1, n + 2):
-            for hi in range(lo - 1, n + 1):
-                for skip in (0, 1):
-                    found = tile(starts, lo, hi, skip)
-                    w = cover_interval(b, lo, hi, skip)
-                    want = None if found is None else tuple(map(tuple, found))
-                    assert (w and (w.arcs, w.leftover)) == want, (b, lo, hi, skip)
+        starts, ends = primed_starts(b), family._ends(b)
+        tiled = {
+            (lo, hi): tile(starts, lo, hi, 0) is not None
+            for lo in range(1, n + 2)
+            for hi in range(lo - 1, n + 1)
+        }
+        for (lo, hi), covered in tiled.items():
+            assert family._covered(ends, lo, hi) == covered, (b, lo, hi)
+            left = [p for p in range(lo, hi + 1) if tiled[lo, p - 1] and tiled[p + 1, hi]]
+            assert family._leftovers(ends, lo, hi) == left, (b, lo, hi)
 
 
 @pytest.mark.parametrize("n", range(1, 12, 2))
@@ -473,11 +484,6 @@ def test_filter_guard(monkeypatch):
 def test_is_member_rejects_wrong_ground_set():
     with pytest.raises(DomainError):
         is_member(m([], 5), 2)  # D=2 lives on [1, 3]
-
-
-def test_cover_interval_budget_domain():
-    with pytest.raises(DomainError):
-        cover_interval(m([], 5), 1, 4, 2)
 
 
 def test_distinguished_element():

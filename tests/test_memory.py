@@ -2,7 +2,8 @@
 
 Every peak includes the import baseline: a fresh ``import secondbasis.cli``
 compiled from source peaks at about 15.8 MB on CPython 3.11 (x86-64 Linux),
-about 0.8 MB less than when six record classes were dataclasses.
+about 0.8 MB less than when the record classes were dataclasses (the five
+value records are now ``__slots__`` classes on one base, ``errors.Record``).
 ``symbols --D 13`` is the only D=13 order build among the emission commands,
 so its high-water RSS (``VmHWM``) is the write path's peak: about 20 MB on
 CPython 3.11.  The images of X_D are one ``array('I')`` of masks in family

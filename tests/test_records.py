@@ -1,12 +1,16 @@
-"""The library's record classes: plain ``__slots__`` classes, no dataclasses.
+"""The library's five value records: ``__slots__`` classes on one base.
 
-Each record keeps its field names and order, equals only a record of its own
-class with equal fields, hashes equal records alike, refuses assignment
-(``RunReport`` excepted: it is mutable, so unhashable) and spells its class
-and fields in its ``repr``.  A fresh ``import secondbasis.cli`` loads neither
-``dataclasses`` nor ``inspect``.
+``PieceLabel``, ``BasisMatrix``, ``Symbol``, ``TableEntry`` and ``RunReport``
+keep their own ``__init__`` and take the rest from ``errors.Record``: each
+keeps its field names and order, equals only a record of its own class with
+equal fields, hashes equal records alike, refuses assignment (``RunReport``
+excepted: it is mutable, so unhashable) and spells its class and fields in
+its ``repr``.  No other class in the library writes those methods but
+``EvenSet``, ``Matching`` and ``Span``.  A fresh ``import secondbasis.cli``
+loads neither ``dataclasses`` nor ``inspect``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,7 +22,8 @@ import pytest
 from secondbasis.arcs import Arc, Matching
 from secondbasis.basis import BasisMatrix, Symbol
 from secondbasis.f2 import EvenSet
-from secondbasis.family import CoverWitness, PieceLabel
+from secondbasis.errors import Record
+from secondbasis.family import PieceLabel
 from secondbasis.tables import TableEntry
 from secondbasis.verify import RunReport
 
@@ -28,7 +33,6 @@ SRC = Path(__file__).parents[1] / "src"
 # (class, field names in order, a builder of one value of the fields)
 RECORDS = [
     (PieceLabel, ("t", "sign"), lambda: (-2, "+")),
-    (CoverWitness, ("arcs", "leftover"), lambda: ((Arc(1, 2), Arc(3, 4)), (5,))),
     (
         BasisMatrix,
         ("labels", "starts", "entry_rows", "entry_values"),
@@ -45,6 +49,14 @@ RECORDS = [
 FROZEN = [r for r in RECORDS if r[0] is not RunReport]
 HASHABLE = [r for r in FROZEN if r[0] is not BasisMatrix]
 UNHASHABLE = [r for r in RECORDS if r not in HASHABLE]
+# a second value of each record's fields, unequal to the first
+OTHER = {
+    PieceLabel: lambda: (4, None),
+    BasisMatrix: lambda: ([EvenSet([1, 2], 3)], array("I", [0, 1]), array("I", [0]), array("i", [1])),
+    Symbol: lambda: (frozenset({1}), frozenset({2, 3}), "odd"),
+    TableEntry: lambda: (Matching([Arc(1, 2)], 3), ()),
+    RunReport: lambda: ("laminarity", [1, 3], True, None, 0.5),
+}
 
 
 def ids(records):
@@ -67,6 +79,11 @@ def test_a_record_equals_only_a_record_of_its_class(cls, names, values):
     assert record != list(values())
     subclass = type("Other", (cls,), {"__slots__": ()})
     assert record != subclass(*values())
+    # the fields come from the class that declares them, not an empty subclass
+    other = subclass(*values())
+    assert tuple(getattr(other, name) for name in names) == values()
+    assert other == subclass(*values()) and other != subclass(*OTHER[cls]())
+    assert record != cls(*OTHER[cls]())
 
 
 @pytest.mark.parametrize("cls, names, values", HASHABLE, ids=ids(HASHABLE))
@@ -117,6 +134,32 @@ def test_a_run_report_is_mutable_with_its_defaults():
 def test_a_record_repr_names_its_class_and_fields(cls, names, values):
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values()))
     assert repr(cls(*values())) == f"{cls.__name__}({fields})"
+
+
+def test_only_the_record_base_and_three_hot_classes_write_value_methods():
+    # a class body that defines __eq__, __hash__ or __repr__, or a __setattr__
+    # that raises; ``__hash__ = None`` and a plain ``__setattr__`` do not count
+    writers = set()
+    for path in sorted((SRC / "secondbasis").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name in ("__eq__", "__hash__", "__repr__")
+                    or item.name == "__setattr__"
+                    and any(isinstance(n, ast.Raise) for n in ast.walk(item))
+                ):
+                    writers.add(node.name)
+                elif isinstance(item, ast.Assign) and any(
+                    getattr(t, "id", None) in ("__eq__", "__hash__", "__repr__") for t in item.targets
+                ) and not (isinstance(item.value, ast.Constant) and item.value.value is None):
+                    writers.add(node.name)
+    assert writers == {"Record", "EvenSet", "Matching", "Span"}
+    for cls, _, _ in RECORDS:
+        assert issubclass(cls, Record) and cls.__eq__ is Record.__eq__
+        assert cls.__repr__ is Record.__repr__
+        assert cls.__hash__ in (Record.__hash__, None)
 
 
 def test_piece_label_refuses_bad_values():
