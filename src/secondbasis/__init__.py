@@ -25,7 +25,6 @@ from .basis import (
     epsilon_images,
     epsilon_inverse,
     epsilon_pairs,
-    lift_images,
     piece_cardinality,
     primitive_image,
     reduce_symbol,

@@ -7,7 +7,7 @@ induces a partial order on E_N, and the membership matrix of spans against
 that order is unitriangular; its columns are the second basis.
 
 The images of X_D are held as masks in family order (``epsilon_masks``), one
-``array('I')`` per D.  ``Order``, the lift grid, the uniqueness certificate,
+``array('I')`` per D.  ``Order``, the lift checks, the uniqueness certificate,
 the tables, the matrices and the symbols read those masks and the order's
 extension positions; an ``EvenSet`` is built only for what a function
 returns, reports or prints.
@@ -22,7 +22,7 @@ import heapq
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 from types import MappingProxyType
 
@@ -40,13 +40,14 @@ from .f2 import (
 )
 from .family import (
     PieceLabel,
+    _check_fit,
     _label,
     distinguished_element,
     enumerate_family,
     ground_size,
-    lift_positions,
     piece_of,
 )
+from .limits import per_d
 
 __all__ = [
     "BasisMatrix",
@@ -61,7 +62,6 @@ __all__ = [
     "epsilon_inverse",
     "epsilon_masks",
     "epsilon_pairs",
-    "lift_images",
     "piece_cardinality",
     "primitive_image",
     "reduce_symbol",
@@ -75,8 +75,7 @@ __all__ = [
 
 def sector_label(x: EvenSet, d: int) -> PieceLabel:
     """The piece of E_N an even set belongs to (gamma, and N-membership for odd D)."""
-    if x.n != ground_size(d):
-        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
+    _check_fit(x, d)
     return _mask_label(x.mask, d)
 
 
@@ -106,6 +105,7 @@ def boundary_correction(b: Matching, d: int) -> EvenSet:
     [u, N] (negative t) or {N} ∪ [1, u] (positive t) for the distinguished
     boundary element u.
     """
+    _check_fit(b, d)
     if d % 2 == 0:
         return EvenSet.empty(b.n)
     return EvenSet.from_mask(_correction_mask(b, d), b.n)
@@ -132,10 +132,11 @@ def epsilon(b: Matching, d: int) -> EvenSet:
     The correction is empty for even D; for odd D it is read on every call,
     so its parity and uniqueness checks run.
     """
+    _check_fit(b, d)
     return EvenSet.from_mask(_epsilon_mask(b, d), b.n)
 
 
-@lru_cache(maxsize=None)
+@per_d
 def epsilon_masks(d: int) -> memoryview:
     """The image masks of X_D in family order: read-only (shared).
 
@@ -167,7 +168,7 @@ def epsilon_masks(d: int) -> memoryview:
     return memoryview(masks).toreadonly()
 
 
-@lru_cache(maxsize=None)
+@per_d
 def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
     """(member, image) for the whole family, read off ``epsilon_masks``, which
     certifies injectivity onto E_N."""
@@ -176,31 +177,16 @@ def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
     return tuple(zip(enumerate_family(d), images))
 
 
-@lru_cache(maxsize=None)
+@per_d
 def epsilon_images(d: int) -> Mapping[Matching, EvenSet]:
     """member -> image, built once per D; read-only because it is shared."""
     return MappingProxyType(dict(epsilon_pairs(d)))
 
 
-@lru_cache(maxsize=None)
+@per_d
 def epsilon_inverse(d: int) -> Mapping[EvenSet, Matching]:
     """image -> member, built once per D; read-only because it is shared."""
     return MappingProxyType({x: b for b, x in epsilon_pairs(d)})
-
-
-@lru_cache(maxsize=None)
-def lift_images(d: int) -> memoryview:
-    """The lift grid X_{D-2} x [1, D] as image masks: flat, row-major,
-    read-only (shared).
-
-    Entry r*D + k-1 is the image mask of ``lift_matching(k, b', d)``, b' being
-    member r of X_{D-2} in family order: the position the inductive walk
-    recorded (``lift_positions``), read through ``epsilon_masks(d)``.
-    """
-    if d < 2:
-        raise DomainError(f"the lift grid needs D >= 2, got {d}")
-    masks = epsilon_masks(d)
-    return memoryview(array("I", map(masks.__getitem__, lift_positions(d)))).toreadonly()
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +426,7 @@ class Order:
         raise DomainError(f"unknown sector {sector!r}")
 
 
-@lru_cache(maxsize=None)
+@per_d
 def build_order(d: int) -> Order:
     return Order(d)
 
@@ -693,8 +679,7 @@ def _symbol_masks(x: int, d: int) -> tuple[int, int]:
 
 def symbol_of(x: EvenSet, d: int) -> Symbol:
     """The symbol attached to an even set (sector-dependent for odd D)."""
-    if x.n != ground_size(d):
-        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
+    _check_fit(x, d)
     s, t = _symbol_masks(x.mask, d)
     flavor = "odd" if d % 2 == 0 else "minus" if x.mask >> x.n & 1 else "plus"
     return Symbol(frozenset(members_of(s)), frozenset(members_of(t)), flavor)

@@ -61,7 +61,7 @@ from .arcs import (
     lift_row,
 )
 from .errors import DomainError, FalsificationError, Record
-from .limits import guard_d
+from .limits import guard_d, per_d
 
 __all__ = [
     "PieceLabel",
@@ -168,7 +168,7 @@ def primitives(d: int) -> list[Matching]:
 # inductive construction
 
 
-@lru_cache(maxsize=None)
+@per_d
 def _family(d: int) -> tuple[tuple[Matching, ...], array]:
     if d == 0:
         return (Matching((), 1),), array("I")
@@ -324,10 +324,15 @@ def coverings_ok(b: Matching, d: int, seq: tuple[int, ...]) -> bool:
     return True
 
 
+def _check_fit(x, d: int) -> None:  # x is a matching or an even set
+    if x.n != ground_size(d):
+        what = "matching" if isinstance(x, Matching) else "even set"
+        raise DomainError(f"{what} over [1, {x.n}] does not fit D={d}")
+
+
 def is_member(b: Matching, d: int) -> bool:
     """Membership in X_D by the three-property filter."""
-    if b.n != ground_size(d):
-        raise DomainError(f"matching over [1, {b.n}] does not fit D={d}")
+    _check_fit(b, d)
     seq = nested_pairing(b)
     return seq is not None and parity_ok(b, d) and coverings_ok(b, d, seq)
 
@@ -444,6 +449,7 @@ def distinguished_element(b: Matching, d: int) -> int:
     instead of silently picking one.  The leftovers are the walked points p
     with [p+1, hi] covered, from the same forced walk as ``coverings_ok``.
     """
+    _check_fit(b, d)
     if d % 2 == 0 or not b.double_primed() or (b.support_mask >> b.n & 1):
         raise DomainError(
             "distinguished element needs odd D, double-primed arcs, and N unmatched"
@@ -467,6 +473,7 @@ _label = lru_cache(maxsize=None)(PieceLabel)
 
 def piece_of(b: Matching, d: int) -> PieceLabel:
     """The piece of X_D the matching belongs to."""
+    _check_fit(b, d)
     b0 = b.double_primed()
     q = len(b0)
     if d % 2 == 0:
@@ -491,7 +498,7 @@ def piece_of(b: Matching, d: int) -> PieceLabel:
     return _label(q, "-")
 
 
-@lru_cache(maxsize=None)
+@per_d
 def pieces(d: int) -> dict[PieceLabel, tuple[Matching, ...]]:
     """The family grouped by piece, keyed in canonical piece order."""
     groups: dict[PieceLabel, list[Matching]] = {}

@@ -9,7 +9,6 @@ pairs up to N = 9 and as "i-j" beyond; the empty member prints as ([∅]).
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import Iterable, TextIO
 
 from .arcs import Arc, Matching, arc_text, classify_pair, pair_masks
@@ -17,7 +16,7 @@ from .basis import build_order
 from .errors import DecompositionError, DomainError, Record
 from .f2 import EvenSet, in_span
 from .family import PieceLabel, enumerate_family, ground_size
-from .limits import guard_d
+from .limits import guard_d, per_d
 
 __all__ = [
     "TableEntry",
@@ -105,7 +104,7 @@ def table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
     return _table_data(d)
 
 
-@lru_cache(maxsize=None)
+@per_d
 def _table_data(d: int) -> tuple[tuple[PieceLabel, tuple[TableEntry, ...]], ...]:
     order = build_order(d)
     family, masks, pairs, starts = enumerate_family(d), order.masks, order.pairs, order.starts

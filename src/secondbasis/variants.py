@@ -24,7 +24,7 @@ from .basis import (
 )
 from .errors import DomainError, FalsificationError
 from .f2 import EvenSet, _mask_gamma, members_of
-from .family import PieceLabel, _label, ground_size, piece_of
+from .family import PieceLabel, _check_fit, _label, piece_of
 
 __all__ = [
     "in_primed_zero_piece",
@@ -50,6 +50,7 @@ def _triangle_masks(b: Matching, d: int) -> tuple[int, int]:
     a wrapping interval repeats point 1 at N+1, so n_N = |B0|."""
     if d % 2:
         raise DomainError("the triangular closed form is stated for even D only")
+    _check_fit(b, d)
     n = b.n
     c0 = c1 = points = 0
     for i, j in b.arcs:
@@ -86,10 +87,8 @@ def involution(x: EvenSet, d: int) -> EvenSet:
     """x + [1, D+1]: flips membership below N, fixed-point free on E_N."""
     if d % 2 == 0:
         raise DomainError("the block-flip involution is for odd D only")
-    n = ground_size(d)
-    if x.n != n:
-        raise DomainError(f"even set over [1, {x.n}] does not fit D={d}")
-    return EvenSet.from_mask(x.mask ^ _block(d), n)
+    _check_fit(x, d)
+    return EvenSet.from_mask(x.mask ^ _block(d), x.n)
 
 
 def matching_involution(b: Matching, d: int) -> Matching:

@@ -1,9 +1,10 @@
 """The exhaustive verification suite behind `secondbasis verify`.
 
-Twelve checks, each a function of one D.  The runner sweeps every applicable D
-up to the requested bound, stops a check at its first failing D and reports
-one machine-readable result per check.  Any failure carries a reproducer
-payload; the suite never weakens a check to make it pass.
+Twelve checks, each a function of one D.  The runner sweeps D outermost: every
+applicable check at D, in ``_CHECKS`` order, then the tables below D-2 are
+released.  It stops a check at its first failing D and reports one
+machine-readable result per check.  Any failure carries a reproducer payload;
+the suite never weakens a check to make it pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .basis import (
     epsilon,
     epsilon_images,
     epsilon_masks,
-    lift_images,
     piece_cardinality,
     primitive_image,
     unique_bijection_check,
@@ -32,10 +32,11 @@ from .family import (
     filter_family,
     ground_size,
     labeled_primitives,
+    lift_positions,
     piece_of,
     pieces,
 )
-from .limits import guard_d
+from .limits import guard_d, release
 from .variants import (
     _block,
     _triangle_masks,
@@ -115,11 +116,11 @@ def _check_laminarity(d: int) -> dict | None:
     return None
 
 
-def _lifts(d: int) -> Iterator[tuple[int, int, memoryview]]:
-    """Each position of X_{D-2} with its image mask and the masks of its D lifts."""
-    grid = lift_images(d)
+def _lifts(d: int) -> Iterator[tuple[int, int, Iterator[int]]]:
+    """Each position of X_{D-2}, its image mask and the masks of its D lifts."""
+    masks, grid = epsilon_masks(d), lift_positions(d)
     for r, ex in enumerate(epsilon_masks(d - 2)):
-        yield r, ex, grid[r * d : r * d + d]
+        yield r, ex, map(masks.__getitem__, grid[r * d : r * d + d])
 
 
 def _check_recursion(d: int) -> dict | None:
@@ -284,15 +285,6 @@ def _ranges(max_d: int, slow: bool) -> dict[str, list[int]]:
     return ranges
 
 
-def _sweep(check: Callable[[int], dict | None], ds: list[int]) -> dict | None:
-    """Run ``check`` at each D in order; the first failure, tagged with its D."""
-    for d in ds:
-        detail = check(d)
-        if detail is not None:
-            return {"D": d, **detail}
-    return None
-
-
 CHECK_NAMES = list(_CHECKS)
 
 
@@ -301,24 +293,20 @@ def run_checks(max_d: int, slow: bool = False) -> list[RunReport]:
     if max_d < 0:
         raise DomainError(f"max-D must be >= 0, got {max_d}")
     guard_d(max_d, 13 if slow else 11, "verification")
-    ranges = _ranges(max_d, slow)
-    reports = []
-    for name, (check, _, _) in _CHECKS.items():
-        ds = ranges[name]
-        start = time.perf_counter()
-        try:
-            detail = _sweep(check, ds)
-        except FalsificationError as exc:
-            detail = {"kind": "falsification", "message": str(exc)}
-        except Exception as exc:  # a check that raises fails alone; the suite goes on
-            detail = {"kind": "error", "type": type(exc).__name__, "message": str(exc)}
-        reports.append(
-            RunReport(
-                name=name,
-                d_values=ds,
-                passed=detail is None,
-                detail=detail,
-                seconds=time.perf_counter() - start,
-            )
-        )
+    reports = [RunReport(name, ds, True) for name, ds in _ranges(max_d, slow).items()]
+    for d in range(max_d + 1):
+        for report in reports:
+            if not report.passed or d not in report.d_values:
+                continue  # a check stops at its first failing D
+            start = time.perf_counter()
+            try:
+                detail = _CHECKS[report.name][0](d)
+                report.detail = None if detail is None else {"D": d, **detail}
+            except FalsificationError as exc:
+                report.detail = {"kind": "falsification", "message": str(exc)}
+            except Exception as exc:  # a check that raises fails alone; the suite goes on
+                report.detail = {"kind": "error", "type": type(exc).__name__, "message": str(exc)}
+            report.passed = report.detail is None
+            report.seconds += time.perf_counter() - start
+        release(d - 2)
     return reports

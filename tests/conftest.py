@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from secondbasis import limits
 from secondbasis.arcs import Arc, Matching
 from secondbasis.basis import BasisMatrix, sector_label
 from secondbasis.f2 import EvenSet
@@ -52,13 +53,35 @@ def library_modules():
     ]
 
 
-def clear_library_caches():
-    """Empty every per-process cache: each library attribute with ``cache_clear``."""
-    for mod in library_modules():
-        for value in list(vars(mod).values()):
-            clear = getattr(value, "cache_clear", None)
-            if callable(clear):
-                clear()
+def empty_store():
+    """Drop every per-D table the library holds: ``limits.release`` of every D."""
+    limits.release(sys.maxsize)
+
+
+@pytest.fixture
+def cold_store():
+    """An empty store of per-D tables before the test and after it."""
+    empty_store()
+    yield
+    empty_store()
+
+
+def stored(builder):
+    """The Ds at which the store holds a table of ``builder``, a ``limits.per_d`` function."""
+    return sorted(d for d, tables in limits._store.items() if builder.__wrapped__ in tables)
+
+
+def sweep(check, ds):
+    """Run ``check`` at each D in order; the first failure, tagged with its D.
+
+    One check's part of ``verify.run_checks``, without its report: a check
+    that raises raises here.
+    """
+    for d in ds:
+        detail = check(d)
+        if detail is not None:
+            return {"D": d, **detail}
+    return None
 
 
 def rebind_everywhere(monkeypatch, original, replacement):

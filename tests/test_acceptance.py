@@ -34,9 +34,8 @@ from secondbasis.verify import (
     _check_primitive_forms,
     _check_recursion,
     _check_triangular_form,
-    _sweep,
 )
-from tests.conftest import below, clear_library_caches, load_corpus
+from tests.conftest import below, empty_store, load_corpus, sweep
 
 
 @contextmanager
@@ -51,7 +50,7 @@ def criterion(number, description):
 
 def test_criterion_1_golden_tables():
     with criterion(1, "tables D=1..7 match the reference corpus, under 2 s"):
-        clear_library_caches()  # the 2 s gate times a cold build
+        empty_store()  # the 2 s gate times a cold build
         start = time.perf_counter()
         rendered = {d: table_data(d) for d in range(1, 8)}
         elapsed = time.perf_counter() - start
@@ -110,32 +109,32 @@ def test_criterion_3_construction_equivalence_slow():
 def test_criterion_4_bijection_theorem_suite():
     with criterion(4, "piece bijections D<=9, unique-matching certificate D<=9, "
                       "antisymmetry D<=11"):
-        assert _sweep(_check_piece_bijections, list(range(0, 10))) is None
+        assert sweep(_check_piece_bijections, list(range(0, 10))) is None
         for d in range(0, 10):
             assert unique_bijection_check(d) is None, f"D={d}"
-        assert _sweep(_check_antisymmetry, list(range(0, 12))) is None
+        assert sweep(_check_antisymmetry, list(range(0, 12))) is None
 
 
 def test_criterion_5_triangular_equality():
     with criterion(5, "triangular closed form equals epsilon, even D<=10, "
                       "with the pointwise identity"):
-        assert _sweep(_check_triangular_form, [0, 2, 4, 6, 8, 10]) is None
+        assert sweep(_check_triangular_form, [0, 2, 4, 6, 8, 10]) is None
 
 
 def test_criterion_6_involution_suite():
     with criterion(6, "involution piece transport and equivariance, primed classes, "
                       "order properties, orbit matrices in {0,1,2}, odd D<=9"):
-        assert _sweep(_check_involution_suite, [1, 3, 5, 7, 9]) is None
+        assert sweep(_check_involution_suite, [1, 3, 5, 7, 9]) is None
 
 
 def test_criterion_7_invariant_properties():
     with criterion(7, "laminarity, lifting recursion, gamma invariance, primitive "
                       "closed forms, N-transport, symbol defect identity"):
-        assert _sweep(_check_laminarity, list(range(0, 10))) is None
-        assert _sweep(_check_recursion, list(range(2, 10))) is None
-        assert _sweep(_check_gamma_invariance, list(range(2, 10))) is None
-        assert _sweep(_check_primitive_forms, list(range(0, 12))) is None
-        assert _sweep(_check_n_transport, [3, 5, 7, 9]) is None
+        assert sweep(_check_laminarity, list(range(0, 10))) is None
+        assert sweep(_check_recursion, list(range(2, 10))) is None
+        assert sweep(_check_gamma_invariance, list(range(2, 10))) is None
+        assert sweep(_check_primitive_forms, list(range(0, 12))) is None
+        assert sweep(_check_n_transport, [3, 5, 7, 9]) is None
         rng = random.Random(41)
         for d in (2, 4, 5, 7, 9, 11):
             n = ground_size(d)

@@ -36,7 +36,7 @@ from secondbasis.family import (
     piece_of,
     pieces,
 )
-from tests.conftest import below, clear_library_caches, elements, position
+from tests.conftest import below, elements, position, rebind_everywhere, stored
 from tests.oracles import iter_matchings
 
 
@@ -195,14 +195,7 @@ def test_the_order_labels_each_class_once(monkeypatch, d):
     assert sorted(map(kind, calls)) == sorted({kind(x) for x in elements(order)})
 
 
-@pytest.fixture
-def fresh_orders():
-    build_order.cache_clear()
-    yield
-    build_order.cache_clear()
-
-
-def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
+def test_emit_commands_leave_the_down_sets_unbuilt(cold_store, capsys):
     from secondbasis.cli import main
 
     for d in range(6):
@@ -211,29 +204,34 @@ def test_emit_commands_leave_the_down_sets_unbuilt(fresh_orders, capsys):
         for sector in ("plus", "minus", "pp", "mm") if d % 2 else ("all",):
             assert main(["matrix", "--D", str(d), "--sector", sector]) == 0
     capsys.readouterr()
-    assert build_order.cache_info().currsize == 6
+    assert stored(build_order) == list(range(6))
     for d in range(6):
         assert "down" not in build_order(d).__dict__, d
 
 
-def test_table_and_matrix_build_no_image_or_piece_table(capsys):
+def test_table_and_matrix_build_no_image_or_piece_table(capsys, cold_store):
     from secondbasis.cli import main
 
-    clear_library_caches()
-    try:
-        assert main(["table", "--D", "7"]) == 0
-        assert main(["matrix", "--D", "7", "--sector", "pp"]) == 0
-        capsys.readouterr()
-        assert epsilon_pairs.cache_info().currsize == 0
-        assert pieces.cache_info().currsize == 0
-    finally:
-        clear_library_caches()
+    assert main(["table", "--D", "7"]) == 0
+    assert main(["matrix", "--D", "7", "--sector", "pp"]) == 0
+    capsys.readouterr()
+    assert stored(epsilon_pairs) == []
+    assert stored(pieces) == []
 
 
-def test_passing_checks_leave_the_down_sets_unbuilt(fresh_orders):
+def test_passing_checks_leave_the_down_sets_unbuilt(monkeypatch, cold_store):
+    # the runner releases the orders of the lower Ds, so each is held here
+    orders = []
+
+    def held(d):
+        orders.append(build_order(d))
+        return orders[-1]
+
+    rebind_everywhere(monkeypatch, build_order, held)
     assert all(report.passed for report in verify.run_checks(7))
-    for d in range(8):
-        assert "down" not in build_order(d).__dict__, d
+    assert {order.d for order in orders} == set(range(8))
+    for order in orders:
+        assert "down" not in order.__dict__, order.d
 
 
 def _eager_down(order):
@@ -335,17 +333,13 @@ D15_EXTENSION_SHA256 = "9c08dac360c459a871c050915faea4bd4d69a746f0de5af36ba71836
 
 
 @pytest.mark.slow
-def test_d15_extension_digest():
-    clear_library_caches()
-    try:
-        order = build_order(15)
-        digest = hashlib.sha256()
-        for p, label in zip(order.extension, order.labels):
-            digest.update(f"{order.masks[p]} {label}\n".encode())
-        assert len(order.extension) == 1 << 16
-        assert digest.hexdigest() == D15_EXTENSION_SHA256
-    finally:
-        clear_library_caches()
+def test_d15_extension_digest(cold_store):
+    order = build_order(15)
+    digest = hashlib.sha256()
+    for p, label in zip(order.extension, order.labels):
+        digest.update(f"{order.masks[p]} {label}\n".encode())
+    assert len(order.extension) == 1 << 16
+    assert digest.hexdigest() == D15_EXTENSION_SHA256
 
 
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])

@@ -20,21 +20,14 @@ from secondbasis.basis import (
 from secondbasis.errors import FalsificationError
 from secondbasis.f2 import in_span
 from secondbasis.family import enumerate_family, ground_size
-from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, _sweep, run_checks
-from tests.conftest import clear_library_caches, doctor, elements
+from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, run_checks
+from tests.conftest import doctor, elements, sweep
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
 
 
 @pytest.fixture
-def fresh_orders():
-    build_order.cache_clear()
-    yield
-    build_order.cache_clear()
-
-
-@pytest.fixture
-def two_cycle(monkeypatch, fresh_orders):
+def two_cycle(monkeypatch, cold_store):
     """Spans at N = 3 in which two images lie in each other's span."""
     a, b = sorted(x.mask for _, x in epsilon_pairs(D) if x.mask)[:2]
     real = basis.span_masks
@@ -69,7 +62,7 @@ def test_uniqueness_reports_the_alternating_cycle(two_cycle):
 
 
 def test_antisymmetry_reports_the_cycle(two_cycle):
-    bad = _sweep(_check_antisymmetry, [0, D])
+    bad = sweep(_check_antisymmetry, [0, D])
     assert bad is not None and bad["D"] == D and set(bad) == {"D", "cycle"}
     assert_closed_cycle(bad["cycle"])
     assert set(bad["cycle"]) == set(two_cycle)
@@ -86,7 +79,7 @@ def test_run_checks_fails_both_and_runs_the_rest(two_cycle):
     assert failed == {"unique_bijection", "order_antisymmetry", "involution_suite"}
 
 
-def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
+def test_a_later_span_member_fails_antisymmetry(monkeypatch, cold_store):
     d = 4
     order = basis.Order(d)
     sets = elements(order)
@@ -101,7 +94,7 @@ def test_a_later_span_member_fails_antisymmetry(monkeypatch, fresh_orders):
     assert failed == {"order_antisymmetry": {"kind": "falsification", "message": message}}
 
 
-def test_an_image_outside_its_span_fails_uniqueness(monkeypatch, fresh_orders):
+def test_an_image_outside_its_span_fails_uniqueness(monkeypatch, cold_store):
     d = 4
     order = basis.Order(d)
     y = next(x.mask for x in elements(order) if x.mask)
@@ -114,7 +107,7 @@ def test_an_image_outside_its_span_fails_uniqueness(monkeypatch, fresh_orders):
 
 
 @pytest.mark.parametrize("d", [4, 5])
-def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
+def test_checks_reuse_the_order_spans(monkeypatch, cold_store, d):
     build_order(d)
     calls = []
     monkeypatch.setattr(basis, "span_masks", lambda *args: calls.append(args))
@@ -123,7 +116,7 @@ def test_checks_reuse_the_order_spans(monkeypatch, fresh_orders, d):
     assert calls == []
 
 
-def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
+def test_a_three_cycle_stalls_the_order_build(monkeypatch, cold_store):
     d = 5
     # pairwise-disjoint single-arc members whose image is their own pair:
     # each span is {0, image}, so the doctored edges a -> b -> c -> a are
@@ -152,14 +145,7 @@ def test_a_three_cycle_stalls_the_order_build(monkeypatch, fresh_orders):
     assert str(exc.value) == message
 
 
-@pytest.fixture
-def fresh_caches():
-    clear_library_caches()
-    yield
-    clear_library_caches()
-
-
-def test_a_shared_image_fails_piece_bijections(monkeypatch, fresh_caches):
+def test_a_shared_image_fails_piece_bijections(monkeypatch, cold_store):
     # piece_bijections reads the images off epsilon_masks, which refuses the
     # collision before any piece is read
     d = 3
@@ -176,7 +162,7 @@ def test_a_shared_image_fails_piece_bijections(monkeypatch, fresh_caches):
     assert reports["piece_bijections"] == {"kind": "falsification", "message": message}
 
 
-def test_an_odd_image_is_refused(monkeypatch, fresh_caches):
+def test_an_odd_image_is_refused(monkeypatch, cold_store):
     d = 3
     odd = enumerate_family(d)[1]
     real = basis._epsilon_mask

@@ -9,7 +9,9 @@ import pytest
 import secondbasis.family as family
 import secondbasis.verify as verify
 from secondbasis.arcs import Arc, Matching, cyclic_interval_mask
+from secondbasis.basis import boundary_correction, epsilon, sector_label, symbol_of
 from secondbasis.errors import DomainError, FalsificationError, ResourceGuardError
+from secondbasis.f2 import EvenSet
 from secondbasis.family import (
     PieceLabel,
     coverings_ok,
@@ -25,11 +27,18 @@ from secondbasis.family import (
     pieces,
     primitives,
 )
+from secondbasis.variants import (
+    in_primed_zero_piece,
+    involution,
+    triangle_identity_ok,
+    triangular_epsilon,
+)
 from tests.conftest import (
     covering_requirements,
     nested_candidates,
     parity_target,
     primed_starts,
+    sweep,
     tile,
 )
 from tests.oracles import iter_matchings, iter_primed_matchings
@@ -396,7 +405,7 @@ def test_doctored_segment_helper_fails_equivalence(monkeypatch):
 
     monkeypatch.setattr(family, "_sequence_segments", doctored)
     assert filter_family(d) == [b for b in enumerate_family(d) if b != victim]
-    assert verify._sweep(verify._check_construction_equivalence, list(range(d + 1))) == {
+    assert sweep(verify._check_construction_equivalence, list(range(d + 1))) == {
         "D": d,
         "filter_only": [],
         "inductive_only": [victim.to_pairs()],
@@ -467,7 +476,7 @@ def test_equivalence_builds_each_family_once_per_d(monkeypatch):
         return [b for b in members if b != dropped] + [stranger] if d == 3 else members
 
     monkeypatch.setattr(verify, "filter_family", doctored)
-    assert verify._sweep(verify._check_construction_equivalence, [0, 1, 2, 3, 4]) == {
+    assert sweep(verify._check_construction_equivalence, [0, 1, 2, 3, 4]) == {
         "D": 3,
         "filter_only": [stranger.to_pairs()],
         "inductive_only": [dropped.to_pairs()],
@@ -484,6 +493,33 @@ def test_filter_guard(monkeypatch):
 def test_is_member_rejects_wrong_ground_set():
     with pytest.raises(DomainError):
         is_member(m([], 5), 2)  # D=2 lives on [1, 3]
+
+
+# (function, matching, D): the matching's ground set is not D's [1, N]
+WRONG_GROUND_SET = [
+    (is_member, m([], 5), 2),
+    (piece_of, m([(5, 3)], 5), 5),  # the same arc on [1, 7] is in piece -2,+
+    (epsilon, m([], 3), 5),
+    (boundary_correction, m([], 3), 4),
+    (distinguished_element, m([(4, 2)], 5), 5),
+    (in_primed_zero_piece, m([], 3), 5),
+    (triangular_epsilon, m([], 3), 4),
+    (triangle_identity_ok, m([], 3), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "function, b, d", WRONG_GROUND_SET, ids=[f.__name__ for f, _, _ in WRONG_GROUND_SET]
+)
+def test_a_matching_on_the_wrong_ground_set_is_refused(function, b, d):
+    with pytest.raises(DomainError, match=rf"^matching over \[1, {b.n}\] does not fit D={d}$"):
+        function(b, d)
+
+
+@pytest.mark.parametrize("function", [sector_label, symbol_of, involution])
+def test_an_even_set_on_the_wrong_ground_set_is_refused(function):
+    with pytest.raises(DomainError, match=r"^even set over \[1, 5\] does not fit D=5$"):
+        function(EvenSet([], 5), 5)
 
 
 def test_distinguished_element():

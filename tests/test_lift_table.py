@@ -2,10 +2,11 @@
 
 ``enumerate_family`` lifts each member of X_{D-2} into all D slots with one
 ``lift_row`` call and records where every lift lands in X_D
-(``lift_positions``); ``lift_images(d)`` reads those positions through the
-epsilon table.  Building both calls ``lift_row`` once per member of
-X_{D-2}, and the rows hold |X_{D-2}|·D lifts.  ``lift_images(d)`` is checked
-against a direct recomputation; once the tables exist, the lift checks,
+(``lift_positions``); the lift checks read those positions through the
+epsilon table (``verify._lifts``), so the grid is held once, as positions.
+Building it calls ``lift_row`` once per member of X_{D-2}, and the rows hold
+|X_{D-2}|·D lifts.  The lifts' images are checked against a direct
+recomputation; once the tables exist, the lift checks,
 ``piece_bijections`` and ``triangular_closed_form`` run with the lift and
 epsilon functions disabled.  A doctored row entry that leaves X_D enters the
 inductive family: ``construction_equivalence`` names it, and every check
@@ -32,22 +33,14 @@ from secondbasis.basis import (
     epsilon_images,
     epsilon_masks,
     epsilon_pairs,
-    lift_images,
 )
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.family import enumerate_family, ground_size, lift_positions
-from tests.conftest import clear_library_caches, rebind_everywhere
+from tests.conftest import empty_store, rebind_everywhere, stored, sweep
 from tests.oracles import embed, iter_matchings
 
 LIFT_CHECKS = ["lifting_recursion", "gamma_invariance", "n_membership_transport"]
 TABLE_READERS = LIFT_CHECKS + ["piece_bijections", "triangular_closed_form"]
-
-
-@pytest.fixture
-def cold_caches():
-    clear_library_caches()
-    yield
-    clear_library_caches()
 
 
 def oracle_lift(k, bp):
@@ -109,16 +102,18 @@ def test_pair_vectors_are_shared():
             assert shared.setdefault(arc, g) is g, (b, arc)
 
 
-def test_rows_are_the_lifted_images(cold_caches):
+def test_rows_are_the_lifted_images(cold_store):
     for d in range(2, 10):
         want = [
             epsilon(lift_matching(k, bp, d), d).mask
             for bp in enumerate_family(d - 2)
             for k in range(1, d + 1)
         ]
-        assert list(lift_images(d)) == want
+        assert [m for _, _, row in verify._lifts(d) for m in row] == want
         with pytest.raises(TypeError):
-            lift_images(d)[0] = 0  # the cached grid is shared, so read-only
+            lift_positions(d)[0] = 0  # the stored grid is shared, so read-only
+        with pytest.raises(TypeError):
+            epsilon_masks(d)[0] = 0  # and so are the masks it is read through
 
 
 @pytest.mark.parametrize("d", range(2, 12))
@@ -133,14 +128,14 @@ def test_positions_are_where_the_lifts_land(d):
 
 def test_no_lift_grid_below_d2():
     assert len(lift_positions(0)) == len(lift_positions(1)) == 0
-    for d in (0, 1):
-        message = rf"^the lift grid needs D >= 2, got {d}$"
+    for d in (0, 1):  # there is no X_{D-2} to lift
+        message = rf"^D must be >= 0, got {d - 2}$"
         with pytest.raises(DomainError, match=message):
-            lift_images(d)
+            list(verify._lifts(d))
 
 
 @pytest.mark.parametrize("d", range(2, 10))
-def test_the_lift_grid_is_walked_once(monkeypatch, cold_caches, d):
+def test_the_lift_grid_is_walked_once(monkeypatch, cold_store, d):
     enumerate_family(d - 2)  # the levels below walk their own grids
     rows = []
 
@@ -150,17 +145,17 @@ def test_the_lift_grid_is_walked_once(monkeypatch, cold_caches, d):
 
     rebind_everywhere(monkeypatch, lift_row, counted)
     enumerate_family(d)
-    lift_images(d)
+    list(verify._lifts(d))
     assert len(rows) == len(enumerate_family(d - 2))
     assert sum(map(len, rows)) == len(enumerate_family(d - 2)) * d
 
 
-def test_checks_read_the_tables(monkeypatch, cold_caches):
+def test_checks_read_the_tables(monkeypatch, cold_store):
     ranges = verify._ranges(7, False)
     for d in range(8):
         epsilon_pairs(d)
         if d >= 2:
-            lift_images(d)
+            lift_positions(d)
 
     def disabled(*args):
         raise AssertionError("recomputed instead of read from a table")
@@ -170,10 +165,10 @@ def test_checks_read_the_tables(monkeypatch, cold_caches):
     rebind_everywhere(monkeypatch, epsilon, disabled)
     for name in TABLE_READERS:
         check, _, _ = verify._CHECKS[name]
-        assert verify._sweep(check, ranges[name]) is None, name
+        assert sweep(check, ranges[name]) is None, name
 
 
-def test_verify_builds_the_image_tables_at_odd_d_only(monkeypatch, cold_caches):
+def test_verify_builds_the_image_tables_at_odd_d_only(monkeypatch, cold_store):
     # the checks read epsilon_masks by position; only the involution suite's
     # not-equivariant and primed-class clauses read the (member, image) tables
     built = []
@@ -186,8 +181,8 @@ def test_verify_builds_the_image_tables_at_odd_d_only(monkeypatch, cold_caches):
     assert all(report.passed for report in verify.run_checks(11))
     odd = list(range(1, 12, 2))
     assert sorted(set(built)) == odd
-    assert epsilon_pairs.cache_info().currsize == len(odd)
-    assert epsilon_images.cache_info().currsize == len(odd)
+    # the runner releases every D below max_d - 2; the odd Ds above stay
+    assert stored(epsilon_pairs) == stored(epsilon_images) == [9, 11]
 
 
 D, K = 5, 2  # an odd D, so all three lift checks sweep it
@@ -211,10 +206,10 @@ def stray_lift(monkeypatch):
             row[K - 1] = stray.arcs
         return row
 
-    clear_library_caches()
+    empty_store()
     rebind_everywhere(monkeypatch, lift_row, doctored)
     yield stray, displaced
-    clear_library_caches()
+    empty_store()
 
 
 def test_a_stray_lift_is_a_falsification(stray_lift):

@@ -22,7 +22,7 @@ from secondbasis.basis import (
 from secondbasis.cli import _matrix_for
 from secondbasis.errors import FalsificationError
 from secondbasis.variants import involution, orbit_representatives, sector_matrix
-from tests.conftest import doctor, elements, from_columns
+from tests.conftest import doctor, elements, from_columns, sweep
 
 
 def sectors(d):
@@ -183,7 +183,7 @@ def test_second_basis_vectors_read_the_columns(no_dense_rows):
 
 
 def test_involution_suite_reads_the_columns(no_dense_rows):
-    assert verify._sweep(verify._check_involution_suite, [1, 3, 5]) is None
+    assert sweep(verify._check_involution_suite, [1, 3, 5]) is None
 
 
 def test_tracer_read_surface():

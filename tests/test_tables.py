@@ -13,14 +13,7 @@ from secondbasis.cli import main
 from secondbasis.errors import DecompositionError
 from secondbasis.f2 import EvenSet, span_masks
 from secondbasis.tables import table_data, table_entry
-from tests.conftest import clear_library_caches, doctor, elements, rebind_everywhere
-
-
-@pytest.fixture
-def fresh_caches():
-    clear_library_caches()
-    yield
-    clear_library_caches()
+from tests.conftest import doctor, elements, rebind_everywhere
 
 
 def pairs_of(b):
@@ -61,7 +54,7 @@ def test_table_entry_brackets_the_unique_decomposition():
 
 
 @pytest.mark.parametrize("d", [5, 7])
-def test_table_data_reads_the_order_spans(monkeypatch, fresh_caches, d):
+def test_table_data_reads_the_order_spans(monkeypatch, cold_store, d):
     build_order(d)
     calls = []
     real = f2.span_masks
@@ -75,7 +68,7 @@ def test_table_data_reads_the_order_spans(monkeypatch, fresh_caches, d):
     assert calls == []
 
 
-def test_a_span_that_misses_its_image_fails_the_table(capsys, fresh_caches):
+def test_a_span_that_misses_its_image_fails_the_table(capsys, cold_store):
     order = build_order(5)
     m = next(x.mask for x in elements(order) if x.mask)
     # with no pair inside m left, m is no union of the rest

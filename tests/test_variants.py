@@ -12,12 +12,18 @@ from secondbasis.basis import (
     build_order,
     epsilon,
     epsilon_masks,
-    lift_images,
     sector_label,
 )
 from secondbasis.errors import DomainError, FalsificationError
 from secondbasis.f2 import EvenSet
-from secondbasis.family import PieceLabel, enumerate_family, ground_size, piece_of, pieces
+from secondbasis.family import (
+    PieceLabel,
+    enumerate_family,
+    ground_size,
+    lift_positions,
+    piece_of,
+    pieces,
+)
 from secondbasis.variants import (
     in_primed_zero_piece,
     in_primed_zero_piece_set,
@@ -112,12 +118,12 @@ def test_a_doctored_lift_fails_the_three_lift_checks(monkeypatch):
     # by 2 and N flips
     d = 5
     n = ground_size(d)
-    grid = lift_images(d)
-    at = next(i for i, x in enumerate(grid) if not x & (2 | 1 << n))
+    masks, grid = list(epsilon_masks(d)), lift_positions(d)
+    at = next(i for i, p in enumerate(grid) if not masks[p] & (2 | 1 << n))
     doctored = array("I", grid)
-    doctored[at] ^= 2 | 1 << n
-    real = lift_images
-    monkeypatch.setattr(verify, "lift_images", lambda dd: doctored if dd == d else real(dd))
+    doctored[at] = masks.index(masks[grid[at]] ^ (2 | 1 << n))  # epsilon is onto E_N
+    real = lift_positions
+    monkeypatch.setattr(verify, "lift_positions", lambda dd: doctored if dd == d else real(dd))
     want = {"member": enumerate_family(d - 2)[at // d].to_pairs(), "k": at % d + 1}
     checks = (verify._check_recursion, verify._check_gamma_invariance, verify._check_n_transport)
     for check in checks:
