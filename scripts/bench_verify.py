@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = [
     "import",
     "symbols --D 13",
+    "SBL_MAX_D=15 symbols --D 15",
     "verify --max-D 11",
     "verify --max-D 13 --slow",
     "SBL_MAX_D=15 verify --max-D 15 --slow",

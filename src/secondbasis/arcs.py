@@ -9,10 +9,16 @@ tag.  A matching is a set of pairwise disjoint arcs.
 Each arc carries a cyclic interval on [1, N]: the plain interval [i, j] for a
 primed arc, the wrap-around [i, N] ∪ [1, j] for a double-primed one.  Both
 have even size, so intervals and arc pair-vectors live in E_N.
+
+The gap-inserting lift works on keys: a matching's arcs by lower point as
+(i, j) byte pairs (``arc_key``), which sort as the arcs do.  A pair mask
+names its arc, and ``arcs_of`` reads the one shared ``Arc`` of each.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -21,11 +27,14 @@ from .f2 import check_ground_size
 __all__ = [
     "Arc",
     "Matching",
+    "arc_key",
     "arc_text",
+    "arcs_of",
     "classify_pair",
     "cyclic_interval_mask",
+    "key_masks",
+    "lift_keys",
     "lift_matching",
-    "lift_row",
     "pair_masks",
 ]
 
@@ -181,85 +190,72 @@ class Matching:
         return [[a.i, a.j] for a in self.arcs]
 
 
-# one Arc object per (i, j) for every lift in the process, so the members of
-# a family share their arcs instead of each holding its own copies
-_SHARED_ARCS: dict[tuple[int, int], Arc] = {}
+# one Arc object per pair for every member built in the process, so the
+# members of a family share their arcs instead of each holding its own copies
+class _Arcs(dict):
+    """pair mask -> its arc in canonical writing, filled as masks occur."""
+
+    def __missing__(self, g: int) -> Arc:
+        arc = self[g] = classify_pair((g & -g).bit_length() - 1, g.bit_length() - 1)
+        return arc
 
 
-def _shared_arc(i: int, j: int) -> Arc:
-    arc = _SHARED_ARCS.get((i, j))
-    return arc if arc is not None else _SHARED_ARCS.setdefault((i, j), Arc(i, j))
+_ARCS = _Arcs()
 
 
-class _Shift(dict):
-    """Slot k's lift on arcs: an arc -> its shared image, filled as arcs occur.
-
-    The embedding moves a point i to i + 2 when i >= k and keeps it below, so
-    the image does not depend on D and one table serves every D.  The key
-    None stands for the short arc {k, k+1} the slot inserts.
-    """
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        super().__init__({None: _shared_arc(k, k + 1)})
-        self.k = k
-
-    def __missing__(self, arc: Arc) -> Arc:
-        i, j = arc
-        k = self.k
-        image = self[arc] = _shared_arc(i + 2 if i >= k else i, j + 2 if j >= k else j)
-        return image
+def arcs_of(masks: Iterable[int]) -> list[Arc]:
+    """The shared arcs of the pair masks: a list, as a freed tuple stays in a free list."""
+    return list(map(_ARCS.__getitem__, masks))
 
 
-_SHIFTS: list[_Shift] = []  # _SHIFTS[k - 1] is slot k's table
+def arc_key(arcs: Iterable[Arc]) -> bytes:
+    """A matching's key: its arcs by lower point as (i, j) byte pairs."""
+    return bytes(chain.from_iterable(arcs))
 
 
-def lift_row(bp: Matching, d: int) -> list[tuple[Arc, ...]]:
-    """The arcs of the D lifts of ``bp``: entry k-1 holds slot k's, by lower point.
+def key_masks(key: bytes) -> Iterator[int]:
+    """The pair masks of a key's arcs, in the key's order."""
+    return (1 << key[t] | 1 << key[t + 1] for t in range(0, len(key), 2))
+
+
+_SLOTS: list[tuple[bytes, bytes]] = []  # slot k's (translate table, short arc key)
+
+
+def lift_keys(key: bytes, d: int) -> list[bytes]:
+    """The keys of the D lifts of the matching with key ``key``: entry k-1 holds slot k's.
 
     Slot k inserts the short arc {k, k+1} and moves every point i >= k to
-    i + 2.  The embedding [1, n-2] -> [1, n] is strictly increasing, misses k
-    and k+1, and keeps the parity of every difference, so each moved arc keeps
+    i + 2, one ``bytes.translate`` (each slot's table is made on first use).
+    The embedding [1, n-2] -> [1, n] is strictly increasing, misses k and
+    k+1, and keeps the parity of every difference, so each moved arc keeps
     its canonical writing, the arcs keep their order by lower point, and the
-    short arc goes right after the arcs that start below k.  Every arc of a
-    lift, the short one included, is the one process-wide object of its
-    (i, j), read from slot k's shift table.  The lift must land on the ground
-    set of the target D.  That the lifts land in X_D is certified by
-    ``construction_equivalence``.
+    short arc goes right after the arcs that start below k.  That the lifts
+    land in X_D is certified by ``construction_equivalence``.
     """
-    if bp.n + 2 != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
-        raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
-    while len(_SHIFTS) < d:
-        _SHIFTS.append(_Shift(len(_SHIFTS) + 1))
-    arcs = bp.arcs
-    los = [i if i < j else j for i, j in arcs] + [d + 1]
+    while len(_SLOTS) < d:
+        k = len(_SLOTS) + 1
+        table = bytes(min(i + 2 if i >= k else i, 255) for i in range(256))
+        _SLOTS.append((table, bytes((k, k + 1))))
+    lows = [min(key[t], key[t + 1]) for t in range(0, len(key), 2)]
     row = []
-    cut = 0
-    keys = (None, *arcs)  # the arcs with the short arc's key after those below k
-    for k, shift in enumerate(_SHIFTS[:d], start=1):
-        if los[cut] < k:
-            while los[cut] < k:
-                cut += 1
-            keys = (*arcs[:cut], None, *arcs[cut:])
-        # tuple() of a bare map guesses its size and shrinks it, so the
-        # tuples of repeated lifts, freed, would pile up in CPython's tuple
-        # free lists; through a list the tuple gets its exact size
-        row.append(tuple(list(map(shift.__getitem__, keys))))
+    for k, (table, short) in enumerate(_SLOTS[:d], start=1):
+        cut = 2 * bisect_left(lows, k)
+        moved = key.translate(table)
+        row.append(moved[:cut] + short + moved[cut:])
     return row
 
 
 def lift_matching(k: int, bp: Matching, d: int) -> Matching:
     """Insert the short arc {k, k+1} and shift the rest through the embedding.
 
-    The lift is entry k-1 of ``lift_row(bp, d)``, whose arcs need no
-    re-checking, so it is built through ``Matching._make``.  The lift must
-    land on the ground set of the target D, and k lie in [1, D].
+    The lift is entry k-1 of ``lift_keys`` on bp's key, whose arcs need no
+    re-checking, so it is built through ``Matching._make`` from the shared
+    arcs.  The lift must land on the ground set of the target D, and k lie
+    in [1, D].
     """
     n = bp.n + 2
-    if n != d + 1 + d % 2:
+    if n != d + 1 + d % 2:  # N = D+1 or D+2, whichever is odd
         raise DomainError(f"matching over [1, {bp.n}] does not lift to D={d}")
     if not 1 <= k <= d:
         raise DomainError(f"slot index {k} outside [1, {d}]")
-    return Matching._make(lift_row(bp, d)[k - 1], n)
-
+    return Matching._make(tuple(arcs_of(key_masks(lift_keys(arc_key(bp.arcs), d)[k - 1]))), n)

@@ -7,10 +7,12 @@ induces a partial order on E_N, and the membership matrix of spans against
 that order is unitriangular; its columns are the second basis.
 
 The images of X_D are held as masks in family order (``epsilon_masks``), one
-``array('I')`` per D.  ``Order``, the lift checks, the uniqueness certificate,
-the tables, the matrices and the symbols read those masks and the order's
-extension positions; an ``EvenSet`` is built only for what a function
-returns, reports or prints.
+``array('I')`` per D, each folded from a member's arcs as read off the
+family's pair masks (``family.family_pairs``); ``Order`` holds those pair
+masks as its spans, so neither builds a ``Matching``.  ``Order``, the lift
+checks, the uniqueness certificate, the tables, the matrices and the symbols
+read the image masks and the order's extension positions; an ``EvenSet`` is
+built only for what a function returns, reports or prints.
 
 Symbols are the bridge to the classical bookkeeping: complementary pairs
 (S, T) over [1, D+1] with a defect that locates the Harish-Chandra series.
@@ -21,12 +23,12 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from math import comb
 from types import MappingProxyType
 
-from .arcs import Matching, pair_masks
+from .arcs import Arc, Matching, arcs_of
 from .errors import DomainError, FalsificationError, Record
 from .f2 import (
     EvenSet,
@@ -41,11 +43,12 @@ from .f2 import (
 from .family import (
     PieceLabel,
     _check_fit,
+    _distinguished,
     _label,
-    distinguished_element,
+    _piece,
     enumerate_family,
+    family_pairs,
     ground_size,
-    piece_of,
 )
 from .limits import per_d
 
@@ -85,14 +88,13 @@ def _mask_label(m: int, d: int) -> PieceLabel:
     return _label(gamma) if d % 2 == 0 else _label(gamma, "-" if m >> n & 1 else "+")
 
 
-def _correction_mask(b: Matching, d: int) -> int:
-    # the mask of ``boundary_correction`` at odd D; every member's label is
-    # read, so the parity rule of ``piece_of`` runs on each
-    label = piece_of(b, d)
+def _correction(arcs: Sequence[Arc], n: int, d: int) -> int:
+    # the mask of ``boundary_correction`` at odd D, off a member's arcs; every
+    # member's label is read, so the parity rule of ``piece_of`` runs on each
+    label = _piece(arcs, n, d)
     if label.sign != "+" or label.t == 0:
         return 0
-    n = b.n
-    u = distinguished_element(b, d)
+    u = _distinguished(arcs, n, d)
     if label.t < 0:
         return (2 << n) - (1 << u)
     return 1 << n | (2 << u) - 2
@@ -108,21 +110,20 @@ def boundary_correction(b: Matching, d: int) -> EvenSet:
     _check_fit(b, d)
     if d % 2 == 0:
         return EvenSet.empty(b.n)
-    return EvenSet.from_mask(_correction_mask(b, d), b.n)
+    return EvenSet.from_mask(_correction(b.arcs, b.n, d), b.n)
 
 
-def _epsilon_mask(b: Matching, d: int) -> int:
-    # the mask of ``epsilon``, folded from the intervals: [i, j] for a primed
-    # arc, [i, N] and [1, j] for a double-primed one
-    n = b.n
+def _image(arcs: Sequence[Arc], n: int, d: int) -> int:
+    # the mask of ``epsilon`` on a member's arcs, folded from the intervals:
+    # [i, j] for a primed arc, [i, N] and [1, j] for a double-primed one
     mask = 0
-    for i, j in b.arcs:
+    for i, j in arcs:
         if i < j:
             mask ^= (2 << j) - (1 << i)
         else:
             mask ^= (2 << n) - (1 << i) + (2 << j) - 2
     if d % 2:
-        mask ^= _correction_mask(b, d)
+        mask ^= _correction(arcs, n, d)
     return mask
 
 
@@ -133,31 +134,36 @@ def epsilon(b: Matching, d: int) -> EvenSet:
     so its parity and uniqueness checks run.
     """
     _check_fit(b, d)
-    return EvenSet.from_mask(_epsilon_mask(b, d), b.n)
+    return EvenSet.from_mask(_image(b.arcs, b.n, d), b.n)
 
 
 @per_d
 def epsilon_masks(d: int) -> memoryview:
     """The image masks of X_D in family order: read-only (shared).
 
-    Each image comes from ``epsilon``'s mask and must have even size.  An
-    even set is fixed by its bits 1..N-1, so ``mask >> 1`` over those bits is
-    its slot among 2^(N-1); a slot met twice is a collision, and the family
-    must fill every slot, so epsilon is certified injective onto E_N.
+    Each image is folded from a member's arcs, read off the family's pair
+    masks, and must have even size; a ``Matching`` is built only to name a
+    faulty member.  An even set is fixed by its bits 1..N-1, so
+    ``mask >> 1`` over those bits is its slot among 2^(N-1); a slot met twice
+    is a collision, and the family must fill every slot, so epsilon is
+    certified injective onto E_N.
     """
-    family = enumerate_family(d)
+    pairs, starts = family_pairs(d)
     n = ground_size(d)
     low = (1 << (n - 1)) - 1
     masks = array("I")
     seen = bytearray(low + 1)
-    for b in family:
-        m = _epsilon_mask(b, d)
+    for a, z in zip(starts, starts[1:]):
+        arcs = arcs_of(pairs[a:z])
+        m = _image(arcs, n, d)
         if m.bit_count() & 1:
+            b = Matching._make(tuple(arcs), n)
             raise FalsificationError(f"epsilon of {b!r} at D={d} has odd size")
         slot = m >> 1 & low
         if seen[slot]:
-            first = family[masks.index(m)]
-            x = EvenSet.from_mask(m, n)
+            i = masks.index(m)
+            first = Matching._make(tuple(arcs_of(pairs[starts[i] : starts[i + 1]])), n)
+            b, x = Matching._make(tuple(arcs), n), EvenSet.from_mask(m, n)
             raise FalsificationError(f"epsilon collision at D={d}: {first!r} and {b!r} -> {x!r}")
         seen[slot] = 1
         masks.append(m)
@@ -285,8 +291,10 @@ class Order:
     lists are indexed by mask.  A heap entry is one int, the label's sort key
     above the mask, and the label is fixed by gamma (a popcount difference)
     and, at odd D, the N bit, so ``_mask_label`` runs once per such class.
-    Each member's pair masks are read off its arcs through
-    ``f2.span_masks``, once per member, which refuses any but disjoint pairs.
+    The spans are the family's pair-mask arrays (``family.family_pairs``),
+    each member's checked by ``f2.span_masks`` once, which refuses any but
+    disjoint pairs; where a check hands back other pairs, the order holds
+    its own arrays of what the checks return.
     Construction raises ``CycleError`` with an explicit cycle if the
     extension stalls.  Kahn's pop order already puts every generating edge
     backwards, as the ``order_antisymmetry`` check certifies edge by edge;
@@ -298,11 +306,16 @@ class Order:
         self.n = n = ground_size(d)
         self.low = low = (1 << (n - 1)) - 1
         self.masks = masks = epsilon_masks(d)
-        self.pairs = pairs = array("I")
-        self.starts = starts = array("I", [0])
-        for b in enumerate_family(d):
-            pairs.extend(span_masks(pair_masks(b.arcs), n))
-            starts.append(len(pairs))
+        pairs, starts = family_pairs(d)
+        held = None  # the order's own arrays, once a check hands back other pairs
+        for i, (a, b) in enumerate(zip(starts, starts[1:])):
+            checked = span_masks(given := pairs[a:b].tolist(), n)
+            if held is None and checked != given:
+                held = array("I", pairs[:a]), array("I", starts[: i + 1])
+            if held is not None:
+                held[0].extend(checked)
+                held[1].append(len(held[0]))
+        self.pairs, self.starts = pairs, starts = held or (pairs, starts)
         # Kahn as the class docstring describes
         self.index = index = array("I", [0]) * (low + 1)
         for i, m in enumerate(masks):

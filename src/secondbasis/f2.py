@@ -13,10 +13,11 @@ pairs are its unique decomposition.  That is the one span rule here
 (``in_span``), and ``span_masks`` refuses any generators but disjoint pairs
 of [1, N].  A ``Span`` holds only its k pair masks: its size and membership
 follow from the rule, and ``_unions`` lists the unions afresh for each
-iteration and for ``Order.members``.  ``basis.Order`` keeps each member's
-pair masks, checked by ``span_masks`` once per member, in one flat array;
-its Kahn walk regenerates the unions one pair per Gray-code step, and the
-uniqueness certificate and the table test each image with ``in_span``.
+iteration and for ``Order.members``.  ``basis.Order`` holds the family's
+one flat array of pair masks (``family.family_pairs``), each member's
+checked by ``span_masks`` once; its Kahn walk regenerates the unions one
+pair per Gray-code step, and the uniqueness certificate and the table test
+each image with ``in_span``.
 
 All values are immutable after construction, so everything here is safe for
 unrestricted concurrent use.

@@ -25,13 +25,18 @@ lower point, the parts in order concatenate to a member's arcs by lower
 point, and no member's arcs are sorted.  Each member is then certified by
 ``is_member``, the definition itself.
 
-The inductive route lifts each member of X_{D-2} into all D slots with one
-``lift_row`` call, builds a ``Matching`` only for the first lift of each
-member, and records where each lift lands (``lift_positions``).  The two
-constructions are proved equal; ``verify``-level checks re-derive that
-equality exhaustively.  The boundary clauses of the third property only make
-sense when the double-primed part is non-empty, and are applied exactly
-then; for an all-primed matching only the interiors are constrained.
+The inductive route holds X_D as flat arrays: every member's pair masks, by
+lower point, in family order, with the offset of each member's run
+(``family_pairs``), and the lift grid (``lift_positions``).  It lifts each
+member of X_{D-2}, as a key of (i, j) byte pairs, into all D slots with one
+``lift_keys`` call, deduplicates the lifts in one dict, and records where
+each lift lands; keys sort as the arcs do, so the family order is the order
+of the arcs.  A ``Matching`` is built per member only when
+``enumerate_family`` is called.  The two constructions are proved equal;
+``verify``-level checks re-derive that equality exhaustively.  The boundary
+clauses of the third property only make sense when the double-primed part
+is non-empty, and are applied exactly then; for an all-primed matching only
+the interiors are constrained.
 
 The covering test is a forced walk: a matching starts at most one arc at a
 point, so a cover of [lo, hi] that leaves nothing out exists exactly when
@@ -43,7 +48,9 @@ no code with ``_Tilings``, so the certificate re-checks the generator.
 ``coverings_ok`` and ``distinguished_element`` read it.
 
 ``piece_of`` runs its parity rule on every call and returns interned labels,
-one object per (t, sign).
+one object per (t, sign).  It and ``distinguished_element`` read a member's
+arcs alone, so epsilon's table reads them off the pair masks without a
+``Matching``, which is built only to name a faulty member.
 """
 
 from __future__ import annotations
@@ -52,14 +59,9 @@ from array import array
 from functools import lru_cache
 from itertools import chain, product
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .arcs import (
-    Arc,
-    Matching,
-    lift_matching,
-    lift_row,
-)
+from .arcs import Arc, Matching, arc_key, arcs_of, key_masks, lift_keys, lift_matching
 from .errors import DomainError, FalsificationError, Record
 from .limits import guard_d, per_d
 
@@ -68,6 +70,7 @@ __all__ = [
     "coverings_ok",
     "distinguished_element",
     "enumerate_family",
+    "family_pairs",
     "filter_family",
     "ground_size",
     "is_member",
@@ -169,35 +172,58 @@ def primitives(d: int) -> list[Matching]:
 
 
 @per_d
-def _family(d: int) -> tuple[tuple[Matching, ...], array]:
+def _family(d: int) -> tuple[array, array, array]:
+    # X_D as flat arrays: the members' pair masks, each member's by lower
+    # point, in family order; the offset of each member's run; the lift grid
     if d == 0:
-        return (Matching((), 1),), array("I")
-    if d == 1:  # the primitives and the one lift of the empty matching on [1, 1]
+        keys, grid = [b""], array("I")
+    elif d == 1:  # the primitives and the one lift of the empty matching on [1, 1]
         base = primitives(1) + [lift_matching(1, Matching((), 1), 1)]
-        return tuple(sorted(base, key=lambda b: b.arcs)), array("I")
-    n = ground_size(d)
-    found = list({b.arcs: b for b in primitives(d)}.values())  # in order of meeting
-    seen = {b.arcs: i for i, b in enumerate(found)}
-    walk = array("I")
-    for bp in _family(d - 2)[0]:
-        for arcs in lift_row(bp, d):
-            i = seen.get(arcs)
-            if i is None:  # a Matching is built once per member, not per lift
-                i = seen[arcs] = len(found)
-                found.append(Matching._make(arcs, n))
-            walk.append(i)
-    ranked = [seen[arcs] for arcs in sorted(seen)]
-    del seen
-    position = array("I", [0]) * len(found)
-    for p, i in enumerate(ranked):
-        position[i] = p
-    return tuple(found[i] for i in ranked), array("I", map(position.__getitem__, walk))
+        keys, grid = sorted(arc_key(b.arcs) for b in base), array("I")
+    else:  # keys in order of meeting, each lift's recorded by that order
+        seen: dict[bytes, int] = {}
+        for b in primitives(d):
+            seen.setdefault(arc_key(b.arcs), len(seen))
+        walk = array("I")
+        pairs, starts, _ = _family(d - 2)
+        parents = arc_key(arcs_of(pairs))  # the keys of X_{D-2}, end to end
+        for a, b in zip(starts, starts[1:]):
+            for key in lift_keys(parents[2 * a : 2 * b], d):
+                walk.append(seen.setdefault(key, len(seen)))
+        keys = sorted(seen)
+        position = array("I", [0]) * len(keys)
+        for p, key in enumerate(keys):
+            position[seen[key]] = p
+        del seen
+        grid = array("I", map(position.__getitem__, walk))
+    pairs, starts = array("I"), array("I", [0])
+    for key in keys:
+        pairs.extend(key_masks(key))
+        starts.append(len(pairs))
+    return pairs, starts, grid
+
+
+def family_pairs(d: int) -> tuple[memoryview, memoryview]:
+    """X_D as pair masks, read-only (shared): the masks of every member's arcs,
+    by lower point, in family order, and the offsets of each member's run."""
+    guard_d(d, 15, "family enumeration")
+    pairs, starts, _ = _family(d)
+    return memoryview(pairs).toreadonly(), memoryview(starts).toreadonly()
 
 
 def enumerate_family(d: int) -> tuple[Matching, ...]:
     """X_D by induction: primitives plus every lift of X_{D-2}, deduplicated."""
     guard_d(d, 15, "family enumeration")
-    return _family(d)[0]
+    return _members(d)
+
+
+@per_d
+def _members(d: int) -> tuple[Matching, ...]:
+    # one Matching per member, built from the pair masks on first request
+    n = ground_size(d)
+    pairs, starts, _ = _family(d)
+    arcs = tuple(arcs_of(pairs))  # a slice of a tuple is a tuple of its exact size
+    return tuple(Matching._make(arcs[a:b], n) for a, b in zip(starts, starts[1:]))
 
 
 def lift_positions(d: int) -> memoryview:
@@ -207,14 +233,14 @@ def lift_positions(d: int) -> memoryview:
     member r of X_{D-2}, as the walk that builds X_D recorded it; empty for D < 2.
     """
     guard_d(d, 15, "family enumeration")
-    return memoryview(_family(d)[1]).toreadonly()
+    return memoryview(_family(d)[2]).toreadonly()
 
 
 # ---------------------------------------------------------------------------
 # the three filter properties
 
 
-def nested_pairing(b: Matching) -> tuple[int, ...] | None:
+def nested_pairing(b: Iterable[Arc]) -> tuple[int, ...] | None:
     """The increasing sequence whose nested pairing is the double-primed part.
 
     Returns the (possibly empty) sequence i_1 < ... < i_{2s}, or None when the
@@ -224,7 +250,7 @@ def nested_pairing(b: Matching) -> tuple[int, ...] | None:
     lower points rise and their upper points fall.
     """
     lows, highs = [], []
-    for i, j in b.arcs:
+    for i, j in b:
         if i > j:  # double-primed
             if lows and (j < lows[-1] or i > highs[-1]):
                 return None
@@ -250,9 +276,9 @@ def parity_ok(b: Matching, d: int) -> bool:
     return s % 2 == target
 
 
-def _ends(b: Matching) -> dict[int, int]:
+def _ends(arcs: Iterable[Arc]) -> dict[int, int]:
     # the primed arcs as first point -> second point
-    return {i: j for i, j in b.arcs if i < j}
+    return {i: j for i, j in arcs if i < j}
 
 
 def _covered(ends: dict[int, int], lo: int, hi: int) -> bool:
@@ -454,13 +480,19 @@ def distinguished_element(b: Matching, d: int) -> int:
         raise DomainError(
             "distinguished element needs odd D, double-primed arcs, and N unmatched"
         )
-    seq = nested_pairing(b)
+    return _distinguished(b.arcs, b.n, d)
+
+
+def _distinguished(arcs: Sequence[Arc], n: int, d: int) -> int:
+    # distinguished_element on a member's arcs, its conditions met
+    seq = nested_pairing(arcs)
     if seq is None:
         raise DomainError("not a member: no nested-pairing witness")
     # the one boundary segment the third property tiles with a leftover
-    ((lo, hi, _),) = [seg for seg in _sequence_segments(seq, d, b.n, False) if seg[2]]
-    leftovers = _leftovers(_ends(b), lo, hi)
+    ((lo, hi, _),) = [seg for seg in _sequence_segments(seq, d, n, False) if seg[2]]
+    leftovers = _leftovers(_ends(arcs), lo, hi)
     if len(leftovers) != 1:
+        b = Matching._make(tuple(arcs), n)
         raise FalsificationError(
             f"boundary segment [{lo},{hi}] of {b!r} admits leftovers {leftovers}"
         )
@@ -474,28 +506,36 @@ _label = lru_cache(maxsize=None)(PieceLabel)
 def piece_of(b: Matching, d: int) -> PieceLabel:
     """The piece of X_D the matching belongs to."""
     _check_fit(b, d)
-    b0 = b.double_primed()
-    q = len(b0)
+    return _piece(b.arcs, b.n, d)
+
+
+def _piece(arcs: Sequence[Arc], n: int, d: int) -> PieceLabel:
+    # piece_of on a member's arcs, from |B0|, the largest first coordinate
+    # of B0 (0 when B0 is empty), and whether N is matched
+    q = top = 0
+    n_matched = False
+    for i, j in arcs:
+        if i > j:
+            q += 1
+            top = i if i > top else top
+        elif j == n:
+            n_matched = True
     if d % 2 == 0:
         return _label(q) if q % 2 == 0 else _label(-q - 1)
-    n = b.n
-    n_matched = bool(b.support_mask >> n & 1)
-    if not n_matched:
+    if not (n_matched or top == n):
         if q == 0:
             return _label(0, "+")
-        if q % 2 == 0:
-            raise DomainError(f"{b!r} violates the parity property for D={d}")
-        i_b = max(a.i for a in b0)  # the largest first coordinate of B0
-        return _label(q + 1, "+") if i_b % 2 == 0 else _label(-q - 1, "+")
-    if q == 0:
+        if q % 2:
+            return _label(q + 1, "+") if top % 2 == 0 else _label(-q - 1, "+")
+    elif q == 0:
         return _label(0, "-")
-    if max(a.i for a in b0) == n:
-        if q % 2 == 0:
-            raise DomainError(f"{b!r} violates the parity property for D={d}")
-        return _label(-q - 1, "-")
-    if q % 2 == 1:
-        raise DomainError(f"{b!r} violates the parity property for D={d}")
-    return _label(q, "-")
+    elif top == n:
+        if q % 2:
+            return _label(-q - 1, "-")
+    elif q % 2 == 0:
+        return _label(q, "-")
+    b = Matching._make(tuple(arcs), n)
+    raise DomainError(f"{b!r} violates the parity property for D={d}")
 
 
 @per_d

@@ -3,12 +3,13 @@
 import hashlib
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from secondbasis import verify
-from secondbasis.arcs import Matching, cyclic_interval_mask, pair_masks
+from secondbasis.arcs import Arc, Matching, cyclic_interval_mask, pair_masks
 from secondbasis.basis import (
     boundary_correction,
     build_order,
@@ -35,6 +36,7 @@ from secondbasis.family import (
     labeled_primitives,
     piece_of,
     pieces,
+    primitives,
 )
 from tests.conftest import below, elements, position, rebind_everywhere, stored
 from tests.oracles import iter_matchings
@@ -217,6 +219,38 @@ def test_table_and_matrix_build_no_image_or_piece_table(capsys, cold_store):
     capsys.readouterr()
     assert stored(epsilon_pairs) == []
     assert stored(pieces) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["symbols", "--D", "9"], ["matrix", "--D", "9", "--sector", "plus"]]
+)
+def test_the_write_path_builds_no_member_matching(monkeypatch, capsys, cold_store, argv):
+    # the images and the order read the family's pair masks; the only
+    # Matchings built are each D's primitives and, at D=1, the empty
+    # matching on [1, 1] and its lift
+    from secondbasis import family
+    from secondbasis.cli import main
+
+    want = Counter((b.arcs, b.n) for d in range(1, 10, 2) for b in primitives(d))
+    want.update([((), 1), ((Arc(1, 2),), 3)])
+    built = Counter()
+    make, init = Matching.__dict__["_make"].__func__, Matching.__init__
+
+    def counted_make(cls, arcs, n):
+        b = make(cls, arcs, n)
+        built[b.arcs, b.n] += 1
+        return b
+
+    def counted_init(self, arcs, n):
+        init(self, arcs, n)
+        built[self.arcs, self.n] += 1
+
+    monkeypatch.setattr(Matching, "_make", classmethod(counted_make))
+    monkeypatch.setattr(Matching, "__init__", counted_init)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == want
+    assert stored(family._members) == []
 
 
 def test_passing_checks_leave_the_down_sets_unbuilt(monkeypatch, cold_store):

@@ -150,12 +150,12 @@ def test_a_shared_image_fails_piece_bijections(monkeypatch, cold_store):
     # collision before any piece is read
     d = 3
     first, second = enumerate_family(d)[:2]
-    real = basis._epsilon_mask
+    real = basis._image
 
-    def doctored(b, dd):  # epsilon's int core, which epsilon also wraps
-        return real(first if b == second else b, dd)
+    def doctored(arcs, n, dd):  # epsilon's int core on arcs, which epsilon also wraps
+        return real(first.arcs if (tuple(arcs), n) == (second.arcs, second.n) else arcs, n, dd)
 
-    monkeypatch.setattr(basis, "_epsilon_mask", doctored)
+    monkeypatch.setattr(basis, "_image", doctored)
     image = basis.epsilon(first, d)
     message = f"epsilon collision at D={d}: {first!r} and {second!r} -> {image!r}"
     reports = {r.name: r.detail for r in run_checks(d)}
@@ -165,12 +165,13 @@ def test_a_shared_image_fails_piece_bijections(monkeypatch, cold_store):
 def test_an_odd_image_is_refused(monkeypatch, cold_store):
     d = 3
     odd = enumerate_family(d)[1]
-    real = basis._epsilon_mask
+    real = basis._image
 
-    def doctored(b, dd):  # point 1 flipped in one member's image
-        return real(b, dd) ^ 2 if b == odd else real(b, dd)
+    def doctored(arcs, n, dd):  # point 1 flipped in one member's image
+        flip = 2 if (tuple(arcs), n) == (odd.arcs, odd.n) else 0
+        return real(arcs, n, dd) ^ flip
 
-    monkeypatch.setattr(basis, "_epsilon_mask", doctored)
+    monkeypatch.setattr(basis, "_image", doctored)
     with pytest.raises(FalsificationError) as exc:
         basis.epsilon_masks(d)
     assert str(exc.value) == f"epsilon of {odd!r} at D={d} has odd size"

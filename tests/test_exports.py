@@ -37,6 +37,13 @@ def test_the_raw_matching_enumerators_live_in_the_tests():
         assert not moved & set(vars(module)), module.__name__
 
 
+def test_the_matching_lift_lives_in_the_tests():
+    # the library lifts byte keys (arcs.lift_keys); tests/oracles.py keeps the Matching lift
+    moved = {"lift_row", "_Shift", "_SHIFTS", "_SHARED_ARCS", "_shared_arc"}
+    for module in [secondbasis, *MODULES]:
+        assert not moved & set(vars(module)), module.__name__
+
+
 def test_the_deleted_test_only_helpers_stay_gone():
     # no library path called them; the tests use the int forms the library keeps
     deleted = {

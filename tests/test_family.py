@@ -264,7 +264,8 @@ def test_filter_matches_enumeration():
     # the raw scan's members, listed in the order of enumerate_family
     for d in range(0, 10):
         want = sorted(raw_scan(d), key=lambda b: b.arcs)
-        assert filter_family(d) == want == list(enumerate_family(d)), f"D={d}"
+        members = filter_family(d)
+        assert members == want and tuple(members) == enumerate_family(d), f"D={d}"
 
 
 def candidate_route(d):

@@ -1,31 +1,36 @@
 """The lift grid is walked once per D, by the inductive construction.
 
-``enumerate_family`` lifts each member of X_{D-2} into all D slots with one
-``lift_row`` call and records where every lift lands in X_D
-(``lift_positions``); the lift checks read those positions through the
-epsilon table (``verify._lifts``), so the grid is held once, as positions.
-Building it calls ``lift_row`` once per member of X_{D-2}, and the rows hold
-|X_{D-2}|·D lifts.  The lifts' images are checked against a direct
-recomputation; once the tables exist, the lift checks,
-``piece_bijections`` and ``triangular_closed_form`` run with the lift and
-epsilon functions disabled.  A doctored row entry that leaves X_D enters the
-inductive family: ``construction_equivalence`` names it, and every check
-that reads the epsilon table FAILs with the collision it causes.
-``lift_matching`` is entry k of ``lift_row`` and is checked against the lift
-computed arc by arc, and the arcs of lifts are shared: equal arcs are one
-object across all lifts.  Pair vectors are shared in the same way: equal
-(i, j, n) vectors are one object.
+``enumerate_family`` and the per-D pair masks it is built from come from one
+walk: each member of X_{D-2}, as a key of (i, j) byte pairs, is lifted into
+all D slots with one ``lift_keys`` call, and the walk records where every
+lift lands in X_D (``lift_positions``); the lift checks read those positions
+through the epsilon table (``verify._lifts``), so the grid is held once, as
+positions.  Building it calls ``lift_keys`` once per member of X_{D-2}, and
+the rows hold |X_{D-2}|·D lifts.  The family and the grid equal those of the
+``Matching`` lift in ``tests/oracles.py``, member for member and position for
+position.  The lifts' images are checked against a direct recomputation;
+once the tables exist, the lift checks, ``piece_bijections`` and
+``triangular_closed_form`` run with the lift and epsilon functions disabled.
+A doctored row entry that leaves X_D enters the inductive family:
+``construction_equivalence`` names it, and every check that reads the
+epsilon table FAILs with the collision it causes.  ``lift_matching`` is
+entry k of the oracle's row and is checked against the lift computed arc by
+arc, and the arcs of lifts are shared: equal arcs are one object across all
+lifts.  Pair vectors are shared in the same way: equal (i, j, n) vectors are
+one object.
 """
 
 import pytest
 
+import secondbasis.basis as basis
 import secondbasis.verify as verify
 from secondbasis.arcs import (
     Arc,
     Matching,
+    arc_key,
     classify_pair,
+    lift_keys,
     lift_matching,
-    lift_row,
     pair_masks,
 )
 from secondbasis.basis import (
@@ -35,9 +40,15 @@ from secondbasis.basis import (
     epsilon_pairs,
 )
 from secondbasis.errors import DomainError, FalsificationError
-from secondbasis.family import enumerate_family, ground_size, lift_positions
+from secondbasis.family import (
+    distinguished_element,
+    enumerate_family,
+    ground_size,
+    lift_positions,
+    piece_of,
+)
 from tests.conftest import empty_store, rebind_everywhere, stored, sweep
-from tests.oracles import embed, iter_matchings
+from tests.oracles import embed, iter_matchings, lift_row, oracle_family
 
 LIFT_CHECKS = ["lifting_recursion", "gamma_invariance", "n_membership_transport"]
 TABLE_READERS = LIFT_CHECKS + ["piece_bijections", "triangular_closed_form"]
@@ -84,13 +95,22 @@ def test_lifts_share_their_arcs():
 
 @pytest.mark.parametrize("d", range(1, 10))
 def test_lift_matching_is_entry_k_of_the_row(d):
+    # the oracle's row of arcs, the library's row of keys, and lift_matching agree
     n = ground_size(d) - 2
     parents = list(iter_matchings(n)) if n <= 7 else enumerate_family(d - 2)
     for bp in parents:
-        row = lift_row(bp, d)
-        assert len(row) == d
+        row, keys = lift_row(bp, d), lift_keys(arc_key(bp.arcs), d)
+        assert len(row) == len(keys) == d
         for k in range(1, d + 1):
             assert row[k - 1] == lift_matching(k, bp, d).arcs, (bp, k)
+            assert keys[k - 1] == arc_key(row[k - 1]), (bp, k)
+
+
+@pytest.mark.parametrize("d", [*range(12), pytest.param(13, marks=pytest.mark.slow)])
+def test_the_family_and_its_grid_equal_the_matching_lift(d):
+    members, grid = oracle_family(d)
+    assert enumerate_family(d) == members
+    assert list(lift_positions(d)) == grid
 
 
 def test_pair_vectors_are_shared():
@@ -139,11 +159,11 @@ def test_the_lift_grid_is_walked_once(monkeypatch, cold_store, d):
     enumerate_family(d - 2)  # the levels below walk their own grids
     rows = []
 
-    def counted(bp, dd):
-        rows.append(lift_row(bp, dd))
+    def counted(key, dd):
+        rows.append(lift_keys(key, dd))
         return rows[-1]
 
-    rebind_everywhere(monkeypatch, lift_row, counted)
+    rebind_everywhere(monkeypatch, lift_keys, counted)
     enumerate_family(d)
     list(verify._lifts(d))
     assert len(rows) == len(enumerate_family(d - 2))
@@ -160,9 +180,10 @@ def test_checks_read_the_tables(monkeypatch, cold_store):
     def disabled(*args):
         raise AssertionError("recomputed instead of read from a table")
 
-    rebind_everywhere(monkeypatch, lift_row, disabled)
+    rebind_everywhere(monkeypatch, lift_keys, disabled)
     rebind_everywhere(monkeypatch, lift_matching, disabled)
     rebind_everywhere(monkeypatch, epsilon, disabled)
+    rebind_everywhere(monkeypatch, basis._image, disabled)
     for name in TABLE_READERS:
         check, _, _ = verify._CHECKS[name]
         assert sweep(check, ranges[name]) is None, name
@@ -190,7 +211,7 @@ D, K = 5, 2  # an odd D, so all three lift checks sweep it
 
 @pytest.fixture
 def stray_lift(monkeypatch):
-    """Entry K of the row of member 0 of X_{D-2} replaced by a non-member's arcs.
+    """Entry K of the row of member 0 of X_{D-2} replaced by a non-member's key.
 
     Returns (stray, the true lift it displaced).  Every per-D cache is
     cleared before and after the doctored run.
@@ -200,14 +221,14 @@ def stray_lift(monkeypatch):
     stray = next(b for b in iter_matchings(ground_size(D)) if b not in members)
     displaced = lift_matching(K, bp, D)
 
-    def doctored(b, d):
-        row = lift_row(b, d)
-        if (d, b) == (D, bp):
-            row[K - 1] = stray.arcs
+    def doctored(key, d):
+        row = lift_keys(key, d)
+        if (d, key) == (D, arc_key(bp.arcs)):
+            row[K - 1] = arc_key(stray.arcs)
         return row
 
     empty_store()
-    rebind_everywhere(monkeypatch, lift_row, doctored)
+    rebind_everywhere(monkeypatch, lift_keys, doctored)
     yield stray, displaced
     empty_store()
 
@@ -254,3 +275,33 @@ def test_run_checks_fails_the_three_lift_checks(stray_lift):
     assert sorted(failed) == sorted(
         ["construction_equivalence", "piece_counts"] + table_readers
     )
+
+
+@pytest.mark.parametrize(
+    "pairs, reader",
+    [
+        ([(5, 1), (4, 2)], piece_of),  # two double-primed arcs, N unmatched
+        ([(1, 4), (2, 5), (8, 6)], distinguished_element),  # leftovers [1, 5]
+    ],
+    ids=["parity", "two-leftovers"],
+)
+def test_a_lift_off_the_rules_fails_the_table_build(monkeypatch, cold_store, pairs, reader):
+    # the image table reads a member's label and leftover off its arcs, with
+    # the checks and the message of the Matching-level reader
+    d = 7
+    bad = Matching.from_pairs(pairs, ground_size(d))
+    with pytest.raises((DomainError, FalsificationError)) as want:
+        reader(bad, d)
+    parent = arc_key(enumerate_family(d - 2)[0].arcs)
+
+    def doctored(key, dd):
+        row = lift_keys(key, dd)
+        if (dd, key) == (d, parent):
+            row[0] = arc_key(bad.arcs)
+        return row
+
+    rebind_everywhere(monkeypatch, lift_keys, doctored)
+    with pytest.raises(type(want.value)) as exc:
+        epsilon_masks(d)
+    assert str(exc.value) == str(want.value)
+    assert repr(bad) in str(exc.value)

@@ -5,17 +5,21 @@ compiled from source peaks at about 15.8 MB on CPython 3.11 (x86-64 Linux),
 about 0.8 MB less than when the record classes were dataclasses (the five
 value records are now ``__slots__`` classes on one base, ``errors.Record``).
 ``symbols --D 13`` is the only D=13 order build among the emission commands,
-so its high-water RSS (``VmHWM``) is the write path's peak: about 20 MB on
-CPython 3.11.  The images of X_D are one ``array('I')`` of masks in family
-order, the order keeps its extension as family positions,
-its spans as one flat array of pair masks and its positions in a dense
+so its high-water RSS (``VmHWM``) is the write path's peak: about 18 MB on
+CPython 3.11 (about 20 MB when X_D was a tuple of ``Matching``s beside the
+order's pair masks).  X_D is held as one flat array of its members' pair
+masks, which the order adopts as its spans, and the write path builds no
+``Matching`` per member.  The images of X_D are one ``array('I')`` of masks
+in family order, the order keeps its extension as family positions and its
+positions in a dense
 array of 2^(N-1) slots, and ``symbols`` prints from the masks, so that path
 builds no ``EvenSet`` or (member, image) tuple per member (about 24 MB with
 them, about 29 MB with an ``f2.Span`` and dict entries per element too).
 ``table --D 11 --format json``, the next largest emission command, writes
 one piece and one entry at a time: about 17 MB (about 27 MB when it built
-the whole JSON tree first).  ``build_order(15)`` peaks at about 36 MB
-(about 41 MB when its extension was also read as ``EvenSet``s, 50 MB when
+the whole JSON tree first).  ``build_order(15)`` peaks at about 27 MB
+(about 36 MB with the family as ``Matching``s, 41 MB when its extension was
+also read as ``EvenSet``s, 50 MB when
 the image table held the pairs, 68 MB with the per-element structures).  ``verify --max-D 13 --slow`` is the
 verify path's peak: about 29.7 MB, with the runner sweeping D outermost and
 releasing the tables below D-2 after each D, both matrix kinds stored as
@@ -89,7 +93,7 @@ def peak_mb(
 @needs_proc
 def test_symbols_d13_peak_rss():
     mb = peak_mb(["symbols", "--D", "13"], timeout=300)
-    assert mb < 23, f"symbols --D 13 peaked at {mb:.1f} MB"
+    assert mb < 20.5, f"symbols --D 13 peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
@@ -104,7 +108,7 @@ def test_table_d11_json_peak_rss():
 def test_build_order_d15_peak_rss():
     # exit 0 once the extension holds all 2^16 even sets
     mb = peak_mb([], 300, call="int(len(build_order(15).extension) != 1 << 16)")
-    assert mb < 41, f"build_order(15) peaked at {mb:.1f} MB"
+    assert mb < 31, f"build_order(15) peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow

@@ -72,6 +72,7 @@ def test_each_table_is_built_once_per_d(monkeypatch, cold_store):
     assert {d for d, _ in held} == set(range(12))
     assert {builder.__name__ for _, builder in held} == {
         "_family",
+        "_members",
         "build_order",
         "epsilon_images",
         "epsilon_inverse",
