@@ -12,7 +12,9 @@ family's pair masks (``family.family_pairs``); ``Order`` holds those pair
 masks as its spans, so neither builds a ``Matching``.  ``Order``, the lift
 checks, the uniqueness certificate, the tables, the matrices and the symbols
 read the image masks and the order's extension positions; an ``EvenSet`` is
-built only for what a function returns, reports or prints.
+built only for what a function returns, reports or prints.  ``epsilon_images``
+stores ``epsilon_pairs`` as a dict, which ``epsilon_inverse`` inverts on the
+same objects, so a D that reads both holds each member and image once.
 
 Symbols are the bridge to the classical bookkeeping: complementary pairs
 (S, T) over [1, D+1] with a defect that locates the Harish-Chandra series.
@@ -174,10 +176,9 @@ def epsilon_masks(d: int) -> memoryview:
     return memoryview(masks).toreadonly()
 
 
-@per_d
 def epsilon_pairs(d: int) -> tuple[tuple[Matching, EvenSet], ...]:
     """(member, image) for the whole family, read off ``epsilon_masks``, which
-    certifies injectivity onto E_N."""
+    certifies injectivity onto E_N; built on every call, not stored."""
     n = ground_size(d)
     images = (EvenSet.from_mask(m, n) for m in epsilon_masks(d))
     return tuple(zip(enumerate_family(d), images))
@@ -191,8 +192,8 @@ def epsilon_images(d: int) -> Mapping[Matching, EvenSet]:
 
 @per_d
 def epsilon_inverse(d: int) -> Mapping[EvenSet, Matching]:
-    """image -> member, built once per D; read-only because it is shared."""
-    return MappingProxyType({x: b for b, x in epsilon_pairs(d)})
+    """image -> member, ``epsilon_images`` inverted on its own objects; read-only (shared)."""
+    return MappingProxyType({x: b for b, x in epsilon_images(d).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +294,7 @@ class Order:
     and, at odd D, the N bit, so ``_mask_label`` runs once per such class.
     The spans are the family's pair-mask arrays (``family.family_pairs``),
     each member's checked by ``f2.span_masks`` once, which refuses any but
-    disjoint pairs; where a check hands back other pairs, the order holds
-    its own arrays of what the checks return.
+    disjoint pairs.
     Construction raises ``CycleError`` with an explicit cycle if the
     extension stalls.  Kahn's pop order already puts every generating edge
     backwards, as the ``order_antisymmetry`` check certifies edge by edge;
@@ -306,16 +306,9 @@ class Order:
         self.n = n = ground_size(d)
         self.low = low = (1 << (n - 1)) - 1
         self.masks = masks = epsilon_masks(d)
-        pairs, starts = family_pairs(d)
-        held = None  # the order's own arrays, once a check hands back other pairs
-        for i, (a, b) in enumerate(zip(starts, starts[1:])):
-            checked = span_masks(given := pairs[a:b].tolist(), n)
-            if held is None and checked != given:
-                held = array("I", pairs[:a]), array("I", starts[: i + 1])
-            if held is not None:
-                held[0].extend(checked)
-                held[1].append(len(held[0]))
-        self.pairs, self.starts = pairs, starts = held or (pairs, starts)
+        self.pairs, self.starts = pairs, starts = family_pairs(d)
+        for a, b in zip(starts, starts[1:]):
+            span_masks(pairs[a:b].tolist(), n)
         # Kahn as the class docstring describes
         self.index = index = array("I", [0]) * (low + 1)
         for i, m in enumerate(masks):

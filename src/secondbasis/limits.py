@@ -49,7 +49,9 @@ def per_d(build):
     return stored
 
 
-def release(below: int) -> None:
-    """Drop the tables of every D below ``below``."""
-    for d in [d for d in list(_store) if d < below]:
-        _store.pop(d, None)
+def release(below: int, keep=()) -> None:
+    """Drop the tables of every D below ``below``, but those of the builders in ``keep``."""
+    kept = {build.__wrapped__ for build in keep}
+    for d in [d for d in _store if d < below]:
+        if tables := {build: t for build, t in _store.pop(d).items() if build in kept}:
+            _store[d] = tables

@@ -15,6 +15,7 @@ from secondbasis.basis import (
     build_order,
     change_matrix,
     epsilon,
+    epsilon_images,
     epsilon_inverse,
     epsilon_masks,
     epsilon_pairs,
@@ -136,6 +137,15 @@ def test_epsilon_bijective():
         assert len(inv) == 1 << (ground_size(d) - 1)
 
 
+@pytest.mark.parametrize("d", [3, 6])
+def test_epsilon_inverse_holds_the_images_own_objects(cold_store, d):
+    # one (member, image) build per D, held by both dicts
+    images, inverse = epsilon_images(d), epsilon_inverse(d)
+    assert len(inverse) == len(images)
+    for (x, b), (c, y) in zip(inverse.items(), images.items()):
+        assert b is c and x is y
+
+
 def test_epsilon_in_own_span_all_desk_scales():
     for d in range(0, 12):
         for b in enumerate_family(d):
@@ -217,7 +227,7 @@ def test_table_and_matrix_build_no_image_or_piece_table(capsys, cold_store):
     assert main(["table", "--D", "7"]) == 0
     assert main(["matrix", "--D", "7", "--sector", "pp"]) == 0
     capsys.readouterr()
-    assert stored(epsilon_pairs) == []
+    assert stored(epsilon_images) == []
     assert stored(pieces) == []
 
 

@@ -4,8 +4,12 @@ Fault injection doctors the spans into a 2-cycle and shows that both the
 uniqueness and the antisymmetry checks FAIL with an explicit closed cycle;
 a span that lists a member later in the extension fails antisymmetry too.
 A doctored 3-cycle at D=5 stalls the order build itself, which names
-exactly the three doctored images as a closed cycle.
+exactly the three doctored images as a closed cycle.  The cycles are
+doctored into the order's input, the family's pair masks, after the images
+are built from the real ones.
 """
+
+from array import array
 
 import pytest
 
@@ -14,44 +18,63 @@ import secondbasis.verify as verify
 from secondbasis.basis import (
     CycleError,
     build_order,
+    epsilon_masks,
     epsilon_pairs,
     unique_bijection_check,
 )
 from secondbasis.errors import FalsificationError
 from secondbasis.f2 import in_span
-from secondbasis.family import enumerate_family, ground_size
+from secondbasis.family import enumerate_family
 from secondbasis.verify import CHECK_NAMES, _check_antisymmetry, run_checks
 from tests.conftest import doctor, elements, sweep
 
 D = 2  # N = 3: every nonzero member is one arc, its span {0, image}
 
 
+def doctor_spans(monkeypatch, ds, extra):
+    """``basis.family_pairs`` at each D in ``ds``, with ``extra(run)`` appended
+    to each member's run of pair masks.  Each D's images are built first,
+    from the real arrays, so only the order's spans change."""
+    real = basis.family_pairs
+    doctored = {}
+    for d in ds:
+        epsilon_masks(d)
+        pairs, starts = array("I"), array("I", [0])
+        real_pairs, real_starts = real(d)
+        for i, j in zip(real_starts, real_starts[1:]):
+            run = list(real_pairs[i:j])
+            pairs.extend(run + extra(run))
+            starts.append(len(pairs))
+        doctored[d] = pairs, starts
+    monkeypatch.setattr(basis, "family_pairs", lambda d: doctored.get(d) or real(d))
+
+
 @pytest.fixture
 def two_cycle(monkeypatch, cold_store):
     """Spans at N = 3 in which two images lie in each other's span."""
-    a, b = sorted(x.mask for _, x in epsilon_pairs(D) if x.mask)[:2]
-    real = basis.span_masks
-
-    def doctored(masks, n):
-        # any two pairs of [1, 3] meet, so Kahn's Gray walk over the pairs
-        # (a, b) meets a ^ b, the third nonzero mask, where a union would not
-        pairs = real(masks, n)
-        if n == 3 and (in_span(a, pairs) or in_span(b, pairs)):
-            return pairs + [b if in_span(a, pairs) else a]
-        return pairs
-
-    monkeypatch.setattr(basis, "span_masks", doctored)
+    a, b = sorted(m for m in epsilon_masks(D) if m)[:2]
+    # any two pairs of [1, 3] meet, so Kahn's Gray walk over the pairs (a, b)
+    # meets a ^ b, the third nonzero mask, where a union would not; D=1
+    # shares N = 3, so the odd-D involution suite meets the cycle too
+    doctor_spans(
+        monkeypatch,
+        (1, D),
+        lambda run: [b] if in_span(a, run) else [a] if in_span(b, run) else [],
+    )
+    real = basis.span_masks  # it refuses pairs that meet, so they pass at N = 3
+    monkeypatch.setattr(basis, "span_masks", lambda masks, n: masks if n == 3 else real(masks, n))
     return a, b
 
 
 def assert_closed_cycle(cycle, d=D):
     """First mask = last, and each next mask is in the previous one's span,
-    read through the order's (doctored) pair seam."""
-    preimage = {x.mask: b for b, x in epsilon_pairs(d)}
+    read off the (doctored) pair masks the order adopts."""
+    pairs, starts = basis.family_pairs(d)
+    position = {m: i for i, m in enumerate(epsilon_masks(d))}
     assert len(cycle) >= 3 and cycle[0] == cycle[-1]
     for m, z in zip(cycle, cycle[1:]):
-        masks = [1 << i | 1 << j for i, j in preimage[m].arcs]
-        assert z != m and in_span(z, basis.span_masks(masks, ground_size(d)))
+        i = position[m]
+        assert z != m and in_span(z, pairs[starts[i] : starts[i + 1]])
 
 
 def test_uniqueness_reports_the_alternating_cycle(two_cycle):
@@ -128,14 +151,9 @@ def test_a_three_cycle_stalls_the_order_build(monkeypatch, cold_store):
                 chosen.append(x.mask)
     a, b, c = chosen[:3]
     extra = {a: b, b: c, c: a}
-    real = basis.span_masks
-
-    def doctored(masks, n):
-        pairs = real(masks, n)
-        z = extra.get(pairs[0]) if len(pairs) == 1 else None
-        return pairs if z is None else pairs + [z]
-
-    monkeypatch.setattr(basis, "span_masks", doctored)
+    doctor_spans(
+        monkeypatch, (d,), lambda run: [extra[run[0]]] if len(run) == 1 and run[0] in extra else []
+    )
     with pytest.raises(CycleError) as exc:
         build_order(d)
     cycle = exc.value.cycle

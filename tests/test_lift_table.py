@@ -36,6 +36,7 @@ from secondbasis.arcs import (
 from secondbasis.basis import (
     epsilon,
     epsilon_images,
+    epsilon_inverse,
     epsilon_masks,
     epsilon_pairs,
 )
@@ -200,10 +201,9 @@ def test_verify_builds_the_image_tables_at_odd_d_only(monkeypatch, cold_store):
 
     rebind_everywhere(monkeypatch, epsilon_pairs, spy)
     assert all(report.passed for report in verify.run_checks(11))
-    odd = list(range(1, 12, 2))
-    assert sorted(set(built)) == odd
-    # the runner releases every D below max_d - 2; the odd Ds above stay
-    assert stored(epsilon_pairs) == stored(epsilon_images) == [9, 11]
+    assert built == list(range(1, 12, 2))  # once per odd D, by epsilon_images
+    # the runner keeps no (member, image) table past its D
+    assert stored(epsilon_images) == stored(epsilon_inverse) == []
 
 
 D, K = 5, 2  # an odd D, so all three lift checks sweep it
