@@ -20,19 +20,18 @@ one piece and one entry at a time: about 17 MB (about 27 MB when it built
 the whole JSON tree first).  ``build_order(15)`` peaks at about 27 MB
 (about 36 MB with the family as ``Matching``s, 41 MB when its extension was
 also read as ``EvenSet``s, 50 MB when
-the image table held the pairs, 68 MB with the per-element structures).  ``verify --max-D 13 --slow`` is the
-verify path's peak: about 29.7 MB, with the runner sweeping D outermost and
-releasing the tables below D-2 after each D, both matrix kinds stored as
-compressed column arrays, the lift grid held once, as family positions, the
-order's properties checked on its generating edges, so no passing check
-builds the down-set bitsets, and the checks reading image masks by family
-position, so no (member, image) table is built at even D (about 30.7 MB
-when every D's tables stayed alive, about 31 MB with the even-D tables
-too).  ``SBL_MAX_D=15 verify --max-D 15 --slow`` peaks at about 79 MB
-(about 82 MB when every D's tables stayed alive, 87 MB with the even-D
-tables too, 97 MB with the lift grid as tuples of ints, 434 MB with the
-down-sets).  Each gate is its largest peak on CPython 3.10,
-3.11 and 3.12 (3.11's, or within 0.3 MB of it) plus about 15%.  The child reads its own
+the image table held the pairs, 68 MB with the per-element structures).
+``verify --max-D 13 --slow`` is the verify path's peak: about 26.6 MB.  The
+runner sweeps D outermost and, after each D, keeps of the tables below D+1
+only the family arrays and image masks of D and D-1, the two a later D
+reads; both matrix kinds are stored as compressed column arrays, the lift
+grid is held once, as family positions, the order's properties are checked
+on its generating edges, so no passing check builds the down-set bitsets,
+and the checks read image masks by family position, so no (member, image)
+table is built at even D.  ``SBL_MAX_D=15 verify --max-D 15 --slow`` peaks
+at about 68 MB (434 MB with the down-sets).  Each gate is its largest peak
+on CPython 3.10, 3.11 and 3.12 (3.11's, or within 0.3 MB of it) plus about
+15%.  The child reads its own
 ``/proc/self/status`` after the work; the tests are skipped where that file
 does not exist.
 """
@@ -115,7 +114,7 @@ def test_build_order_d15_peak_rss():
 @needs_proc
 def test_verify_d13_slow_peak_rss():
     mb = peak_mb(["verify", "--max-D", "13", "--slow"], timeout=900)
-    assert mb < 34, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
+    assert mb < 30.5, f"verify --max-D 13 --slow peaked at {mb:.1f} MB"
 
 
 @pytest.mark.slow
@@ -123,4 +122,4 @@ def test_verify_d13_slow_peak_rss():
 def test_verify_d15_slow_peak_rss():
     # exit 0 means all twelve checks passed
     mb = peak_mb(["verify", "--max-D", "15", "--slow"], timeout=900, sbl_max_d="15")
-    assert mb < 92, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"
+    assert mb < 78, f"SBL_MAX_D=15 verify --max-D 15 --slow peaked at {mb:.1f} MB"
